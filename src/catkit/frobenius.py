@@ -379,7 +379,8 @@ def _components(graph):
             if tag == "node" and isinstance(graph.nodes[k], SpiderNode)
         )
         comps.append(ComponentClass(ins, outs, genus))
-    comps.extend(ComponentClass((), (), 0) for _ in graph.loops)
+    # a closed circle of bare wire sweeps out a torus: a cylinder glued end to end
+    comps.extend(ComponentClass((), (), 1) for _ in graph.loops)
     return comps
 
 

@@ -156,10 +156,6 @@ def max_deviation(f: MatrixMorphism, g: MatrixMorphism) -> float:
     return float(np.max(np.maximum(np.abs(d.real), np.abs(d.imag))))
 
 
-def matrices_equal(f: MatrixMorphism, g: MatrixMorphism) -> bool:
-    return f.approx_eq(g)
-
-
 def compose(g: MatrixMorphism, f: MatrixMorphism) -> MatrixMorphism:
     """g after f: requires f.rows = g.cols."""
     tag = join_tags(g.tag, f.tag)

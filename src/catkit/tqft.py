@@ -2,16 +2,18 @@
 
 An Interpretation assigns a dimension to every object atom, a matrix to
 every generator, and a Frobenius presentation to every atom that carries
-spiders; interpret() then pushes a term through by structural recursion.
-evaluate_cob() is the special case of a single atom governed entirely by
-one verified Frobenius presentation, and evaluate_graph() contracts a
-port graph directly so rewrites can be checked against the same
-semantics they are supposed to preserve.
+spiders.  interpret() turns a term, and evaluate_graph() a port graph,
+into one network of tensors labelled by wires, and a single contraction
+engine evaluates both, so rewrites are checked against the very semantics
+they are supposed to preserve.  evaluate_cob() is the special case of a
+single atom governed entirely by one verified Frobenius presentation.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,13 +40,13 @@ from .lawcheck import LawEntry, LawReport
 from .matcat import (
     MatrixMorphism,
     ShapeMismatch,
+    _dtype,
     compose,
     counit_eps,
     dagger,
     max_deviation,
     swap_matrix,
     tensor,
-    unit_eta,
 )
 from . import scalars
 from .scalars import BOOL, COMPLEX, NAT, SemiringTag, join_tags
@@ -267,39 +269,158 @@ class Interpretation:
 
 
 def interpret(term, interp: Interpretation) -> MatrixMorphism:
-    """Evaluate a term to its matrix by structural recursion."""
+    """Evaluate a term to its matrix.
+
+    The term is walked with an explicit stack, so depth costs no recursion.
+    Generators and spiders become tensors whose axes are wire labels;
+    identities, symmetries, cups, caps and sequential composition only
+    create or join labels.  A dagger takes the adjoint of every tensor
+    below it and exchanges its input and output labels.  Without a
+    signature a generator is one wire of its matrix's size on each side.
+    """
     if interp.signature is not None:
         typecheck(term, interp.signature)
-    return _interpret(term, interp)
+    dims, parent, tensors = [], [], []
+
+    def wires(sizes):
+        labels = list(range(len(dims), len(dims) + len(sizes)))
+        dims.extend(sizes)
+        parent.extend(labels)
+        return labels
+
+    def atoms(word):
+        return wires([interp.atom_dim(atom) for atom, _ in word.factors])
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def box(m, ins, outs, flip):
+        # under an odd number of daggers the adjoint's axes run ins then outs
+        labels = ins + outs if flip else outs + ins
+        tensors.append(((dagger(m) if flip else m).data.reshape([dims[x] for x in labels]), labels))
+        return ins, outs
+
+    def join(outs, ins):
+        if [dims[x] for x in outs] == [dims[y] for y in ins]:
+            for x, y in zip(outs, ins):
+                parent[find(x)] = find(y)
+            return
+        # wires of generators typed only by their matrices regroup through an identity
+        n, m = math.prod(dims[x] for x in outs), math.prod(dims[y] for y in ins)
+        if n != m:
+            raise ShapeMismatch(f"cannot compose: first stage has dimension {n}, second expects {m}")
+        box(MatrixMorphism.identity(interp.tag, n), outs, ins, False)
+
+    done = []  # (ins, outs) of each finished subterm
+    todo = [(term, False, False)]
+    while todo:
+        t, flip, expanded = todo.pop()
+        if isinstance(t, Seq) and not expanded:
+            todo += [(t, flip, True), (t.after, flip, False), (t.before, flip, False)]
+        elif isinstance(t, Par) and not expanded:
+            todo += [(t, flip, True), (t.right, flip, False), (t.left, flip, False)]
+        elif isinstance(t, Dagger) and not expanded:
+            todo += [(t, flip, True), (t.inner, not flip, False)]
+        elif isinstance(t, Seq):
+            (ins, mid), (mid2, outs) = done.pop(-2), done.pop()
+            join(mid, mid2)
+            done.append((ins, outs))
+        elif isinstance(t, Par):
+            (ins, outs), (ins2, outs2) = done.pop(-2), done.pop()
+            done.append((ins + ins2, outs + outs2))
+        elif isinstance(t, Dagger):
+            done.append(done.pop()[::-1])
+        elif isinstance(t, Gen):
+            m = interp.gen_matrices.get(t.name)
+            if m is None:
+                raise UnknownName(f"no matrix assigned to generator {t.name!r}")
+            if interp.signature is None:
+                done.append(box(m, wires([m.cols]), wires([m.rows]), flip))
+            else:
+                decl = interp.signature.generators[t.name]
+                done.append(box(m, atoms(decl.dom), atoms(decl.cod), flip))
+        elif isinstance(t, Spider):
+            p = interp.frobenius_data.get(t.atom)
+            if p is None:
+                raise UnknownName(f"no frobenius data for atom {t.atom!r}")
+            m = spider_matrix(p, t.legs_in, t.legs_out)
+            done.append(box(m, wires([p.dim] * t.legs_in), wires([p.dim] * t.legs_out), flip))
+        elif isinstance(t, Id):
+            w = atoms(t.word)
+            done.append((w, w))
+        elif isinstance(t, Swap):
+            left, right = atoms(t.left), atoms(t.right)
+            done.append((left + right, right + left))
+        elif isinstance(t, (Cup, Cap)):
+            w = wires([interp.atom_dim(t.atom)]) * 2
+            done.append(([], w) if isinstance(t, Cup) else (w, []))
+        else:
+            raise TypeError(f"not a diagram term: {t!r}")
+
+    ins, outs = done.pop()
+    tensors = [(arr, [find(x) for x in labels]) for arr, labels in tensors]
+    wire_dims = {find(x): d for x, d in enumerate(dims)}
+    return _contract(interp.tag, tensors, [find(x) for x in outs], [find(x) for x in ins], wire_dims)
 
 
-def _interpret(t, interp: Interpretation) -> MatrixMorphism:
-    tag = interp.tag
-    if isinstance(t, Gen):
-        m = interp.gen_matrices.get(t.name)
-        if m is None:
-            raise UnknownName(f"no matrix assigned to generator {t.name!r}")
-        return m
-    if isinstance(t, Id):
-        return MatrixMorphism.identity(tag, interp.word_dim(t.word))
-    if isinstance(t, Seq):
-        return compose(_interpret(t.after, interp), _interpret(t.before, interp))
-    if isinstance(t, Par):
-        return tensor(_interpret(t.left, interp), _interpret(t.right, interp))
-    if isinstance(t, Swap):
-        return swap_matrix(tag, interp.word_dim(t.left), interp.word_dim(t.right))
-    if isinstance(t, Cup):
-        return unit_eta(tag, interp.atom_dim(t.atom))
-    if isinstance(t, Cap):
-        return counit_eps(tag, interp.atom_dim(t.atom))
-    if isinstance(t, Dagger):
-        return dagger(_interpret(t.inner, interp))
-    if isinstance(t, Spider):
-        p = interp.frobenius_data.get(t.atom)
-        if p is None:
-            raise UnknownName(f"no frobenius data for atom {t.atom!r}")
-        return spider_matrix(p, t.legs_in, t.legs_out)
-    raise TypeError(f"not a diagram term: {t!r}")
+def _contract(tag, tensors, outputs, inputs, dims) -> MatrixMorphism:
+    """Contract a network of labelled tensors to the matrix inputs -> outputs.
+
+    tensors is a list of (array, labels) with one label per axis, outputs
+    and inputs are the boundary labels in order, and dims maps every label
+    to its dimension.  A label is a wire with two ends, each a tensor axis
+    or a boundary slot; a label no tensor holds is therefore an identity
+    between two boundary slots, or a closed loop.  Pairs of tensors that
+    share a label are contracted greedily, smallest result first, as in
+    opt_einsum's greedy path.  numpy's boolean dot is the or-of-ands
+    product, so booleans contract exactly with no case of their own.
+    """
+    dtype = _dtype(tag)
+    boundary = outputs + inputs
+    held = {x for _, labels in tensors for x in labels}
+    live, owners, heap, keys = {}, {}, [], itertools.count()
+
+    def add(arr, labels):
+        for x in {x for x in labels if labels.count(x) == 2 and x not in boundary}:
+            # both ends on one tensor: a trace, or the identity of a closed loop
+            i = labels.index(x)
+            j = labels.index(x, i + 1)
+            arr = np.tensordot(arr, np.eye(dims[x], dtype=dtype), axes=((i, j), (0, 1)))
+            labels = labels[:i] + labels[i + 1 : j] + labels[j + 1 :]
+        key = next(keys)
+        live[key] = (arr, labels)
+        for x in labels:
+            others = [k for k in owners.get(x, ()) if k in live and k != key]
+            owners[x] = others + [key]
+            for k in others:
+                size = math.prod(dims[y] for y in set(labels) ^ set(live[k][1]))
+                heapq.heappush(heap, (size, k, key))
+
+    for arr, labels in tensors:
+        add(arr, labels)
+    for x, d in dims.items():
+        if x not in held:
+            add(np.eye(d, dtype=dtype), [x, x])
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a in live and b in live:
+            (x_arr, x_labels), (y_arr, y_labels) = live.pop(a), live.pop(b)
+            shared = [x for x in x_labels if x in y_labels]
+            axes = ([x_labels.index(x) for x in shared], [y_labels.index(x) for x in shared])
+            add(np.tensordot(x_arr, y_arr, axes=axes), [x for x in x_labels + y_labels if x not in shared])
+
+    parts = list(live.values()) or [(np.ones((), dtype=dtype), [])]
+    result, labels = parts[0]
+    for arr, more in parts[1:]:
+        result, labels = np.multiply.outer(result, arr), labels + more
+    axes, last = [], {}
+    for x in boundary:
+        last[x] = labels.index(x, last.get(x, -1) + 1)
+        axes.append(last[x])
+    rows, cols = math.prod(dims[x] for x in outputs), math.prod(dims[x] for x in inputs)
+    return MatrixMorphism._raw(tag, result.transpose(axes).reshape(rows, cols))
 
 
 def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
@@ -408,6 +529,12 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
         else:
             raise ValueError(f"object {atom!r} needs a dimension or element list")
 
+    def matrix(where, entries):
+        try:
+            return MatrixMorphism(tag, entries)
+        except (TypeError, ValueError) as exc:  # ShapeMismatch is a TypeError
+            raise ValueError(f"{where}: {exc}") from None
+
     def element_index(atom, x):
         names = element_names.get(atom)
         if isinstance(x, str):
@@ -436,7 +563,7 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
                 m.data[element_index(cod_atom, y), element_index(dom_atom, x)] = True
             gen_matrices[name] = m
         else:
-            gen_matrices[name] = MatrixMorphism(tag, value)
+            gen_matrices[name] = matrix(f"generators.{name}", value)
 
     frobenius_data = {}
     for atom, value in data.get("frobenius", {}).items():
@@ -445,11 +572,16 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
                 raise ValueError(f"frobenius atom {atom!r} has no declared dimension")
             frobenius_data[atom] = basis_frobenius(object_dims[atom], tag)
             continue
-        delta = MatrixMorphism(tag, value["delta"])
-        eps = MatrixMorphism(tag, value["eps"])
-        mu = MatrixMorphism(tag, value["mu"])
-        unit_e = MatrixMorphism(tag, value["e"])
+        keys = ("delta", "eps", "mu", "e")
+        missing = [k for k in keys if not isinstance(value, dict) or k not in value]
+        if missing:
+            raise ValueError(f"frobenius.{atom}: missing {', '.join(missing)}")
+        delta, eps, mu, unit_e = (matrix(f"frobenius.{atom}.{k}", value[k]) for k in keys)
         d = delta.cols
+        try:
+            p = FrobeniusPresentation(d, delta, eps, mu, unit_e)
+        except ShapeMismatch as exc:
+            raise ValueError(f"frobenius.{atom}: {exc}") from None
         tol = tag.tolerance
         sigma = swap_matrix(tag, d, d)
         commutative = (
@@ -461,10 +593,7 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
             max_deviation(dagger(delta), mu) <= tol
             and max_deviation(dagger(eps), unit_e) <= tol
         )
-        frobenius_data[atom] = FrobeniusPresentation(
-            d, delta, eps, mu, unit_e,
-            commutative=commutative, special=special, dagger=daggered,
-        )
+        frobenius_data[atom] = replace(p, commutative=commutative, special=special, dagger=daggered)
 
     return Interpretation(
         tag=tag,
@@ -474,51 +603,6 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
         signature=sig,
         element_names=element_names,
     )
-
-
-def _backend_dtype(tag: SemiringTag):
-    # Booleans contract as int64 counts and are thresholded at the end.
-    if tag.kind == "bool":
-        return np.int64
-    if tag.kind == "complex":
-        return np.complex128
-    return object
-
-
-def _as_backend(m: MatrixMorphism, tag: SemiringTag) -> np.ndarray:
-    if tag.kind == "bool":
-        return m.data.astype(np.int64)
-    return m.data
-
-
-def _terminal_atom(graph: OpenGraph, t) -> str:
-    if t[0] == "i":
-        return graph.input_types[t[1]][0]
-    if t[0] == "o":
-        return graph.output_types[t[1]][0]
-    node = graph.nodes[t[1]]
-    if isinstance(node, SpiderNode):
-        return node.atom
-    port, nd = t[2], len(node.dom)
-    word = node.dom if port < nd else node.cod
-    return word.factors[port if port < nd else port - nd][0]
-
-
-def _trace_dups(arr, wids, dtype):
-    while True:
-        first = {}
-        dup = None
-        for i, w in enumerate(wids):
-            if w in first:
-                dup = (first[w], i)
-                break
-            first[w] = i
-        if dup is None:
-            return arr, wids
-        i, j = dup
-        # trace of a 2-d array comes back as a bare scalar; renormalize
-        arr = np.asarray(np.trace(arr, axis1=i, axis2=j), dtype=dtype)
-        wids = [w for k, w in enumerate(wids) if k not in (i, j)]
 
 
 def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
@@ -533,7 +617,6 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
     needed for them.
     """
     tag = interp.tag
-    dtype = _backend_dtype(tag)
     spider_atoms = {n.atom for n in graph.nodes if isinstance(n, SpiderNode)}
     for atom in sorted(spider_atoms):
         p = interp.frobenius_data.get(atom)
@@ -546,117 +629,28 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
                 "graph contraction needs a commutative presentation with the identity pairing"
             )
 
-    wire_dim = []
-    port_wire = {}
-    boundary_wire = {}
-    for wid, (a, b) in enumerate(graph.wires):
-        wire_dim.append(interp.atom_dim(_terminal_atom(graph, a)))
-        for t in (a, b):
-            if t[0] == "n":
-                port_wire[(t[1], t[2])] = wid
-            else:
-                boundary_wire[(t[0], t[1])] = wid
+    wire_at = {end: wid for wid, ends in enumerate(graph.wires) for end in ends}
+    outputs = [wire_at[("o", k)] for k in range(len(graph.output_types))]
+    inputs = [wire_at[("i", k)] for k in range(len(graph.input_types))]
+    words = graph.output_types + graph.input_types
+    dims = {wid: interp.atom_dim(atom) for wid, (atom, _) in zip(outputs + inputs, words)}
+    dims.update((("loop", k), interp.atom_dim(atom)) for k, atom in enumerate(graph.loops))
 
     tensors = []
     for nid, node in enumerate(graph.nodes):
+        labels = [wire_at[("n", nid, port)] for port in range(node.n_ports)]
         if isinstance(node, SpiderNode):
             p = interp.frobenius_data[node.atom]
-            mat = spider_matrix(p, node.degree, 0, node.genus)
-            arr = _as_backend(mat, tag).reshape((p.dim,) * node.degree)
-            wids = [port_wire[(nid, port)] for port in range(node.degree)]
+            arr = spider_matrix(p, node.degree, 0, node.genus).data.reshape([p.dim] * node.degree)
         else:
             m = interp.gen_matrices.get(node.name)
             if m is None:
                 raise UnknownName(f"no matrix assigned to generator {node.name!r}")
             if node.daggered:
                 m = dagger(m)
-            dom_dims = [interp.atom_dim(atom) for atom, _ in node.dom.factors]
-            cod_dims = [interp.atom_dim(atom) for atom, _ in node.cod.factors]
-            arr = _as_backend(m, tag).reshape(tuple(cod_dims) + tuple(dom_dims))
-            # Axis order is cod legs then dom legs; ports are dom-first.
-            perm = list(range(len(cod_dims), len(cod_dims) + len(dom_dims)))
-            perm += list(range(len(cod_dims)))
-            arr = np.transpose(arr, perm)
-            wids = [port_wire[(nid, port)] for port in range(node.n_ports)]
-        arr, wids = _trace_dups(arr, wids, dtype)
-        tensors.append((arr, wids))
-
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(tensors)):
-            for j in range(i + 1, len(tensors)):
-                shared = sorted(set(tensors[i][1]) & set(tensors[j][1]))
-                if not shared:
-                    continue
-                a_arr, a_wids = tensors[i]
-                b_arr, b_wids = tensors[j]
-                ax_a = [a_wids.index(w) for w in shared]
-                ax_b = [b_wids.index(w) for w in shared]
-                arr = np.tensordot(a_arr, b_arr, axes=(ax_a, ax_b))
-                wids = [w for w in a_wids if w not in shared]
-                wids += [w for w in b_wids if w not in shared]
-                arr, wids = _trace_dups(arr, wids, dtype)
-                tensors[i] = (arr, wids)
-                tensors.pop(j)
-                merged = True
-                break
-            if merged:
-                break
-
-    def one():
-        return 1 if tag.kind != "complex" else 1 + 0j
-
-    scalar = one()
-    live = []
-    for arr, wids in tensors:
-        if wids:
-            live.append((arr, wids))
-        else:
-            scalar = scalar * arr.item()
-    for atom in graph.loops:
-        d = interp.atom_dim(atom)
-        scalar = scalar * ((1 if d > 0 else 0) if tag.kind == "bool" else d)
-
-    out_dims = [interp.atom_dim(atom) for atom, _ in graph.output_types]
-    in_dims = [interp.atom_dim(atom) for atom, _ in graph.input_types]
-    positions = [("o", k) for k in range(len(out_dims))]
-    positions += [("i", k) for k in range(len(in_dims))]
-    links = []
-    wire_positions = {}
-    for pos in positions:
-        wire_positions.setdefault(boundary_wire[pos], []).append(pos)
-    for w, pts in wire_positions.items():
-        if len(pts) == 2:
-            links.append(tuple(pts))
-
-    rows = 1
-    for d in out_dims:
-        rows *= d
-    cols = 1
-    for d in in_dims:
-        cols *= d
-    result = np.zeros((rows, cols), dtype=dtype)
-    if dtype is object:
-        result[...] = 0
-    all_dims = out_dims + in_dims
-    for assign in itertools.product(*[range(d) for d in all_dims]):
-        value_at = dict(zip(positions, assign))
-        if any(value_at[a] != value_at[b] for a, b in links):
-            continue
-        val = scalar
-        for arr, wids in live:
-            idx = tuple(value_at[wire_positions[w][0]] for w in wids)
-            val = val * arr[idx]
-        row = 0
-        for k in range(len(out_dims)):
-            row = row * out_dims[k] + assign[k]
-        col = 0
-        for k in range(len(in_dims)):
-            col = col * in_dims[k] + assign[len(out_dims) + k]
-        result[row, col] = val
-    if tag.kind == "bool":
-        entries = (result > 0).tolist()
-    else:
-        entries = result.tolist()
-    return MatrixMorphism(tag, entries, shape=(rows, cols))
+            # ports run dom then cod; matrix axes run cod then dom
+            labels = labels[len(node.dom) :] + labels[: len(node.dom)]
+            arr = m.data.reshape([interp.atom_dim(atom) for atom, _ in node.cod.factors + node.dom.factors])
+        dims.update(zip(labels, arr.shape))
+        tensors.append((arr, labels))
+    return _contract(tag, tensors, outputs, inputs, dims)

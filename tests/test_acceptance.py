@@ -28,7 +28,6 @@ from catkit.matcat import (
     compose,
     dagger,
     injection,
-    matrices_equal,
     max_deviation,
     projection,
     projector_spectrum,

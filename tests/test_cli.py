@@ -164,6 +164,26 @@ class TestEval:
         assert code == 2
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ({"generators": {"s": [[1, 0], [0]]}}, "generators.s: ragged or mis-sized rows"),
+            ({"frobenius": {"Z": {"delta": [[1]], "mu": [[1]], "e": [[1]]}}}, "frobenius.Z: missing eps"),
+            (
+                {"frobenius": {"Z": {"delta": [[1, 0]], "eps": [[1, 1]], "mu": [[1, 0]], "e": [[1], [1]]}}},
+                "frobenius.Z: delta must be 4x2",
+            ),
+        ],
+        ids=["ragged-rows", "missing-key", "mis-sized-presentation"],
+    )
+    def test_bad_interpretation_data_names_the_key(self, files, tmp_path, capsys, data, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"semiring": "complex", "objects": {"Z": 2}, **data}))
+        code, _, err = run(capsys, "eval", files["surfaces.cat"], "snake", "--interp", str(bad))
+        assert code == 1
+        assert err.startswith(f"error: {where}")
+        assert len(err.splitlines()) == 1
+
     def test_missing_interp_flag_is_a_usage_error(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", files["surfaces.cat"], "snake"])

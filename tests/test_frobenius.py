@@ -226,8 +226,10 @@ class TestClassify:
         assert classify_cob(genus2).components == (ComponentClass((), (), 2),)
 
     def test_circle_from_bent_wire(self):
-        c = classify_cob(Seq(Cap("Z"), Cup("Z")))
-        assert c.components == (ComponentClass((), (), 0),)
+        loop = Seq(Cap("Z"), Cup("Z"))
+        assert classify_cob(loop).components == (ComponentClass((), (), 1),)
+        assert eq_cob(loop, TORUS)
+        assert not eq_cob(loop, SPHERE)
 
     def test_pants_and_disjoint_pieces(self):
         assert classify_cob(PANTS).components == (ComponentClass((0, 1), (0,), 0),)

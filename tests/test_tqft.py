@@ -258,6 +258,14 @@ class TestInterpret:
         with pytest.raises(ValueError, match="dimension"):
             Interpretation(COMPLEX, {"Z": 3}, frobenius_data={"Z": basis_frobenius(2, COMPLEX)})
 
+    def test_deep_chain_needs_no_recursion(self):
+        # without a signature a generator is typed by its matrix alone
+        interp = Interpretation(NAT, {}, gen_matrices={"s": MatrixMorphism(NAT, [[1, 1], [0, 1]])})
+        term = Gen("s")
+        for _ in range(1999):
+            term = Seq(Gen("s"), term)
+        assert interpret(term, interp) == MatrixMorphism(NAT, [[1, 2000], [0, 1]])
+
     def test_zero_dimensional_atom_propagates(self):
         interp = cob_interp(basis_frobenius(0, COMPLEX))
         m = interpret(Spider("Z", 1, 2), interp)
@@ -511,6 +519,30 @@ class TestEvaluateGraph:
             t = random_term(sig, rng)
             g = to_graph(t, sig)
             assert evaluate_graph(g, interp) == interpret(t, interp), seed
+
+    @staticmethod
+    def _ones_chain(tag, n):
+        sig = Signature()
+        sig.declare_generator("one", ObjectWord.of("B"), ObjectWord.of("B"))
+        interp = Interpretation(tag, {"B": 2}, {"one": MatrixMorphism(tag, [[1, 1], [1, 1]])}, signature=sig)
+        term = Gen("one")
+        for _ in range(n - 1):
+            term = Seq(Gen("one"), term)
+        return interp, term, to_graph(term, sig)
+
+    @pytest.mark.parametrize("n", [64, 130])
+    def test_bool_chain_counts_no_paths(self, n):
+        # 2^(n-1) paths per entry would wrap a 64-bit count to zero
+        interp, term, g = self._ones_chain(BOOL, n)
+        ones = MatrixMorphism(BOOL, [[1, 1], [1, 1]])
+        assert evaluate_graph(g, interp) == ones
+        assert interpret(term, interp) == ones
+
+    def test_nat_chain_keeps_python_ints(self):
+        interp, term, g = self._ones_chain(NAT, 70)
+        for m in (evaluate_graph(g, interp), interpret(term, interp)):
+            assert [[type(v) for v in row] for row in m.data.tolist()] == [[int, int], [int, int]]
+            assert m.data.tolist() == [[2**69, 2**69], [2**69, 2**69]]
 
     def test_directional_presentation_rejected(self):
         p = _random_conjugated_basis(2, make_rng(3))

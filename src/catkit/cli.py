@@ -87,22 +87,13 @@ def _load_workspace(args):
     return ws
 
 
-def _format_value(tag, value):
-    if tag.kind == "complex":
-        if value.imag == 0:
-            return "%g" % value.real
-        return "%g%+gj" % (value.real, value.imag)
-    if tag.kind == "bool":
-        return "1" if value else "0"
-    return str(value)
-
-
 def _format_matrix(m):
+    text = m.tag.ops.text
     if m.rows == 1 and m.cols == 1:
-        return _format_value(m.tag, m.entry(0, 0).value)
+        return text(m.entry(0, 0).value)
     rows = []
     for i in range(m.rows):
-        cells = ", ".join(_format_value(m.tag, m.entry(i, j).value) for j in range(m.cols))
+        cells = ", ".join(text(m.entry(i, j).value) for j in range(m.cols))
         rows.append(f"[{cells}]")
     return "[" + ", ".join(rows) + "]"
 
@@ -261,17 +252,20 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    path = getattr(args, "file", "<input>")
     try:
         return args.func(args)
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:
-        path = getattr(args, "file", "<input>")
         print(f"{path}:{exc.line}:{exc.col}: {exc}", file=sys.stderr)
         return 2
     except (TypeMismatch, UnknownName, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print(f"error: {path}: term nested too deeply for {args.command}", file=sys.stderr)
         return 1
 
 

@@ -10,6 +10,7 @@ Checks are deterministic given their seed, which is recorded in the report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .matcat import (
     tensor,
     unit_eta,
 )
-from .scalars import BOOL, COMPLEX, SemiringTag, mul
+from .scalars import BOOL, COMPLEX, SemiringTag, add, mul, one, zero
 
 
 @dataclass(frozen=True)
@@ -116,27 +117,16 @@ def assert_expected(report: LawReport) -> None:
 
 def random_matrix(tag: SemiringTag, rows: int, cols: int, rng: random.Random) -> MatrixMorphism:
     """Random matrix with entries drawn per semiring kind."""
-    if tag.kind == "bool":
-        entries = [[rng.random() < 0.5 for _ in range(cols)] for _ in range(rows)]
-    elif tag.kind == "nat":
-        entries = [[rng.randrange(4) for _ in range(cols)] for _ in range(rows)]
-    else:
-        entries = [
-            [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
+    draw = tag.ops.draw
+    entries = [[draw(rng) for _ in range(cols)] for _ in range(rows)]
     return MatrixMorphism(tag, entries, shape=(rows, cols))
 
 
 def flip_entry(m: MatrixMorphism, i: int, j: int) -> MatrixMorphism:
     """Toggle one entry between zero and one (mutation testing helper)."""
-    rows = m.tolist()
-    v = m.entry(i, j).value
-    if m.tag.kind == "bool":
-        rows[i][j] = not v
-    else:
-        rows[i][j] = 0 if v != 0 else 1
-    return MatrixMorphism(m.tag, rows, shape=(m.rows, m.cols))
+    data = m.data.copy()
+    data[i, j] = 0 if data[i, j] else 1
+    return MatrixMorphism._raw(m.tag, data)
 
 
 def _entry(name, anchor, dev, tol, witness=None, expect_fail=False) -> LawEntry:
@@ -360,13 +350,8 @@ def check_compact_structure(
         lhs = compose(tensor(ident(n), eps), tensor(eta, ident(n)))
         snake_l.append(("dim %d" % n, lhs, ident(n)))
         dag.append(("dim %d" % n, compose(dagger(eta), swap_matrix(tag, n, n)), eps))
-        if tag.kind == "bool":
-            expected = MatrixMorphism(tag, [[n > 0]])
-        elif tag.kind == "nat":
-            expected = MatrixMorphism(tag, [[n]])
-        else:
-            expected = MatrixMorphism(tag, [[complex(n)]])
-        circ.append(("dim %d" % n, compose(eps, eta), expected))
+        n_ones = functools.reduce(add, [one(tag)] * n, zero(tag))
+        circ.append(("dim %d" % n, compose(eps, eta), MatrixMorphism(tag, [[n_ones.value]])))
     entries = []
     for name, pairs in [
         ("snake-right", snake_r),

@@ -8,29 +8,25 @@ projections/injections, pairing, block calculus), dagger, the compact
 unit/counit on self-dual objects, the structural permutation
 isomorphisms, and projector spectra of unitaries.
 
-Boolean matrices compose through integer matmul followed by a
-threshold (sums of nonnegative counts, so the result is the exact
-or/and product); naturals are stored as arbitrary-precision Python
-integers in object arrays; complex matrices use complex128.
+Entries are stored in the dtype of the semiring table in scalars:
+numpy bool, object arrays of arbitrary-precision Python integers, or
+complex128.  Composition, sums, scalar multiples and adjoints are
+numpy's own arithmetic on those arrays, which is the semiring's: bool
+`@` is the exact or-of-ands product, `+` is or and `*` is and, and
+object arrays keep Python integers, so nothing overflows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import scalars
 from .scalars import ScalarValue, SemiringMismatch, SemiringTag, join_tags
 
 
 class ShapeMismatch(TypeError):
     """Raised when matrix shapes do not fit an operation."""
-
-
-def _dtype(tag: SemiringTag):
-    return {"bool": np.bool_, "nat": np.object_, "complex": np.complex128}[tag.kind]
 
 
 def _coerce_data(tag: SemiringTag, entries, shape=None) -> np.ndarray:
@@ -41,10 +37,11 @@ def _coerce_data(tag: SemiringTag, entries, shape=None) -> np.ndarray:
         shape = (nrows, ncols)
     if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
         raise ShapeMismatch(f"ragged or mis-sized rows for shape {shape}")
-    out = np.empty(shape, dtype=_dtype(tag))
+    out = np.empty(shape, dtype=tag.ops.dtype)
+    coerce = tag.ops.coerce
     for i, row in enumerate(rows):
         for j, raw in enumerate(row):
-            out[i, j] = scalars.coerce(tag, raw)
+            out[i, j] = coerce(raw)
     return out
 
 
@@ -68,18 +65,11 @@ class MatrixMorphism:
     def zeros(cls, tag: SemiringTag, rows: int, cols: int) -> "MatrixMorphism":
         if rows < 0 or cols < 0:
             raise ValueError("dimensions must be nonnegative")
-        data = np.zeros((rows, cols), dtype=_dtype(tag))
-        if tag.kind == "nat":
-            data[...] = 0
-        return cls._raw(tag, data)
+        return cls._raw(tag, np.zeros((rows, cols), dtype=tag.ops.dtype))
 
     @classmethod
     def identity(cls, tag: SemiringTag, n: int) -> "MatrixMorphism":
-        m = cls.zeros(tag, n, n)
-        one = scalars.one(tag).value
-        for i in range(n):
-            m.data[i, i] = one
-        return m
+        return cls._raw(tag, np.eye(n, dtype=tag.ops.dtype))
 
     @property
     def rows(self) -> int:
@@ -90,15 +80,8 @@ class MatrixMorphism:
         return self.data.shape[1]
 
     def entry(self, i: int, j: int) -> ScalarValue:
-        v = self.data[i, j]
-        # Hand scalars.py plain Python payloads, not numpy scalar types.
-        if self.tag.kind == "bool":
-            v = bool(v)
-        elif self.tag.kind == "complex":
-            v = complex(v)
-        else:
-            v = int(v)
-        return ScalarValue(self.tag, v)
+        # .item hands scalars.py a plain Python bool, int or complex
+        return ScalarValue(self.tag, self.data.item(i, j))
 
     def approx_eq(self, other: "MatrixMorphism") -> bool:
         tag = join_tags(self.tag, other.tag)
@@ -117,19 +100,8 @@ class MatrixMorphism:
 
     def tolist(self) -> list:
         """Nested row-major payload lists; complex entries as [re, im]."""
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(self.cols):
-                v = self.data[i, j]
-                if self.tag.kind == "bool":
-                    row.append(1 if v else 0)
-                elif self.tag.kind == "nat":
-                    row.append(int(v))
-                else:
-                    row.append([v.real, v.imag])
-            out.append(row)
-        return out
+        payload = self.tag.ops.payload
+        return [[payload(v) for v in row] for row in self.data.tolist()]
 
     def __repr__(self) -> str:
         return f"MatrixMorphism({self.tag.kind}, {self.rows}x{self.cols})"
@@ -144,16 +116,7 @@ def max_deviation(f: MatrixMorphism, g: MatrixMorphism) -> float:
         )
     if f.data.size == 0:
         return 0.0
-    if f.tag.kind == "bool":
-        return 1.0 if np.any(f.data != g.data) else 0.0
-    if f.tag.kind == "nat":
-        worst = max(abs(a - b) for a, b in zip(f.data.flat, g.data.flat))
-        try:
-            return float(worst)
-        except OverflowError:
-            return math.inf
-    d = f.data - g.data
-    return float(np.max(np.maximum(np.abs(d.real), np.abs(d.imag))))
+    return f.tag.ops.distance(f.data, g.data)
 
 
 def compose(g: MatrixMorphism, f: MatrixMorphism) -> MatrixMorphism:
@@ -164,15 +127,7 @@ def compose(g: MatrixMorphism, f: MatrixMorphism) -> MatrixMorphism:
             f"cannot compose {g.rows}x{g.cols} after {f.rows}x{f.cols}:"
             f" inner dimensions {g.cols} and {f.rows} differ"
         )
-    if g.cols == 0 or g.rows == 0 or f.cols == 0:
-        return MatrixMorphism.zeros(tag, g.rows, f.cols)
-    if tag.kind == "bool":
-        data = (g.data.astype(np.int64) @ f.data.astype(np.int64)) > 0
-    elif tag.kind == "complex":
-        data = g.data @ f.data
-    else:
-        data = np.asarray(np.dot(g.data, f.data), dtype=object)
-    return MatrixMorphism._raw(tag, data)
+    return MatrixMorphism._raw(tag, g.data @ f.data)
 
 
 def tensor(f: MatrixMorphism, g: MatrixMorphism) -> MatrixMorphism:
@@ -181,8 +136,7 @@ def tensor(f: MatrixMorphism, g: MatrixMorphism) -> MatrixMorphism:
     shape = (f.rows * g.rows, f.cols * g.cols)
     if 0 in shape:
         return MatrixMorphism.zeros(tag, *shape)
-    data = np.kron(f.data, g.data)
-    return MatrixMorphism._raw(tag, np.asarray(data, dtype=_dtype(tag)))
+    return MatrixMorphism._raw(tag, np.kron(f.data, g.data))
 
 
 def direct_sum(f: MatrixMorphism, g: MatrixMorphism) -> MatrixMorphism:
@@ -199,39 +153,24 @@ def add(f: MatrixMorphism, g: MatrixMorphism) -> MatrixMorphism:
         raise ShapeMismatch(
             f"cannot add {f.rows}x{f.cols} and {g.rows}x{g.cols}"
         )
-    if tag.kind == "bool":
-        return MatrixMorphism._raw(tag, f.data | g.data)
     return MatrixMorphism._raw(tag, f.data + g.data)
 
 
 def dagger(f: MatrixMorphism) -> MatrixMorphism:
-    if f.tag.kind == "complex":
-        return MatrixMorphism._raw(f.tag, f.data.conj().T.copy())
-    return MatrixMorphism._raw(f.tag, f.data.T.copy())
+    return MatrixMorphism._raw(f.tag, f.data.conj().T.copy())
 
 
 def scalar_multiple(s: ScalarValue, f: MatrixMorphism) -> MatrixMorphism:
-    tag = join_tags(s.tag, f.tag)
-    if tag.kind == "bool":
-        return MatrixMorphism._raw(tag, f.data & np.bool_(s.value))
-    return MatrixMorphism._raw(tag, f.data * s.value)
+    return MatrixMorphism._raw(join_tags(s.tag, f.tag), f.data * s.value)
 
 
 def unit_eta(tag: SemiringTag, n: int) -> MatrixMorphism:
     """Compact unit on a self-dual n: the n^2-by-1 column with ones at (i,i)."""
-    m = MatrixMorphism.zeros(tag, n * n, 1)
-    one = scalars.one(tag).value
-    for i in range(n):
-        m.data[i * n + i, 0] = one
-    return m
+    return MatrixMorphism._raw(tag, np.eye(n, dtype=tag.ops.dtype).reshape(n * n, 1))
 
 
 def counit_eps(tag: SemiringTag, n: int) -> MatrixMorphism:
-    m = MatrixMorphism.zeros(tag, 1, n * n)
-    one = scalars.one(tag).value
-    for i in range(n):
-        m.data[0, i * n + i] = one
-    return m
+    return MatrixMorphism._raw(tag, np.eye(n, dtype=tag.ops.dtype).reshape(1, n * n))
 
 
 @dataclass(frozen=True)
@@ -250,12 +189,8 @@ class BlockIndex:
 
 def projection(b: BlockIndex, tag: SemiringTag) -> MatrixMorphism:
     n1, n2 = b.sizes
-    out = MatrixMorphism.zeros(tag, n1 if b.which == 1 else n2, n1 + n2)
-    one = scalars.one(tag).value
-    off = 0 if b.which == 1 else n1
-    for i in range(out.rows):
-        out.data[i, off + i] = one
-    return out
+    rows, off = (n1, 0) if b.which == 1 else (n2, n1)
+    return MatrixMorphism._raw(tag, np.eye(rows, n1 + n2, k=off, dtype=tag.ops.dtype))
 
 
 def injection(b: BlockIndex, tag: SemiringTag) -> MatrixMorphism:
@@ -326,9 +261,7 @@ def _perm_matrix(tag: SemiringTag, image: list[int]) -> MatrixMorphism:
     """Permutation sending basis column j to basis row image[j]."""
     n = len(image)
     m = MatrixMorphism.zeros(tag, n, n)
-    one = scalars.one(tag).value
-    for j, i in enumerate(image):
-        m.data[i, j] = one
+    m.data[image, range(n)] = tag.ops.one
     return m
 
 

@@ -40,7 +40,6 @@ from .lawcheck import LawEntry, LawReport
 from .matcat import (
     MatrixMorphism,
     ShapeMismatch,
-    _dtype,
     compose,
     counit_eps,
     dagger,
@@ -49,7 +48,7 @@ from .matcat import (
     tensor,
 )
 from . import scalars
-from .scalars import BOOL, COMPLEX, NAT, SemiringTag, join_tags
+from .scalars import COMPLEX, DEFAULT_TOLERANCE, SemiringTag, join_tags
 
 
 @dataclass(frozen=True)
@@ -377,7 +376,7 @@ def _contract(tag, tensors, outputs, inputs, dims) -> MatrixMorphism:
     opt_einsum's greedy path.  numpy's boolean dot is the or-of-ands
     product, so booleans contract exactly with no case of their own.
     """
-    dtype = _dtype(tag)
+    dtype = tag.ops.dtype
     boundary = outputs + inputs
     held = {x for _, labels in tensors for x in labels}
     live, owners, heap, keys = {}, {}, [], itertools.count()
@@ -498,9 +497,6 @@ def conjugate_presentation(
     )
 
 
-_TAGS = {"bool": BOOL, "complex": COMPLEX, "nat": NAT}
-
-
 def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance=None) -> Interpretation:
     """Build an Interpretation from plain JSON-style data.
 
@@ -512,11 +508,12 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
     matrices, whose optional flags are measured from the data.
     """
     kind = data.get("semiring")
-    if kind not in _TAGS:
-        raise ValueError(f"unknown semiring {kind!r}; expected bool, complex, or nat")
-    tag = _TAGS[kind]
-    if tolerance is not None and kind == "complex":
-        tag = SemiringTag(kind, tolerance)
+    try:
+        tag = SemiringTag(kind)
+    except ValueError:
+        raise ValueError(f"unknown semiring {kind!r}; expected bool, complex, or nat") from None
+    if not tag.exact:
+        tag = replace(tag, tolerance=DEFAULT_TOLERANCE if tolerance is None else tolerance)
 
     object_dims = {}
     element_names = {}
@@ -535,15 +532,18 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
         except (TypeError, ValueError) as exc:  # ShapeMismatch is a TypeError
             raise ValueError(f"{where}: {exc}") from None
 
-    def element_index(atom, x):
+    def element_index(where, atom, x):
         names = element_names.get(atom)
         if isinstance(x, str):
             if names is None:
-                raise ValueError(f"atom {atom!r} has no named elements for {x!r}")
+                raise ValueError(f"{where}: atom {atom!r} has no named elements for {x!r}")
             if x not in names:
-                raise ValueError(f"unknown element {x!r} of atom {atom!r}")
+                raise ValueError(f"{where}: unknown element {x!r} of atom {atom!r}")
             return names.index(x)
-        return int(x)
+        dim = object_dims[atom]
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < dim:
+            raise ValueError(f"{where}: element {x!r} out of range for atom {atom!r} (dimension {dim})")
+        return x
 
     gen_matrices = {}
     for name, value in data.get("generators", {}).items():
@@ -555,12 +555,18 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
             decl = sig.generators[name]
             if len(decl.dom) != 1 or len(decl.cod) != 1:
                 raise ValueError(f"pair-list generator {name!r} needs single-atom endpoints")
+            where = f"generators.{name}"
             dom_atom = decl.dom.factors[0][0]
             cod_atom = decl.cod.factors[0][0]
-            rows, cols = object_dims[cod_atom], object_dims[dom_atom]
-            m = MatrixMorphism.zeros(tag, rows, cols)
-            for x, y in value["rel"]:
-                m.data[element_index(cod_atom, y), element_index(dom_atom, x)] = True
+            for atom in (dom_atom, cod_atom):
+                if atom not in object_dims:
+                    raise ValueError(f"{where}: atom {atom!r} has no declared dimension")
+            m = MatrixMorphism.zeros(tag, object_dims[cod_atom], object_dims[dom_atom])
+            for pair in value["rel"]:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ValueError(f"{where}: {pair!r} is not an [x, y] pair")
+                x, y = pair
+                m.data[element_index(where, cod_atom, y), element_index(where, dom_atom, x)] = True
             gen_matrices[name] = m
         else:
             gen_matrices[name] = matrix(f"generators.{name}", value)

@@ -184,6 +184,33 @@ class TestEval:
         assert err.startswith(f"error: {where}")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "objects, rel, where",
+        [
+            ({"A": 2, "C": 3}, [[0, 0]], "generators.R: atom 'B' has no declared dimension"),
+            (
+                {"A": 2, "B": 2, "C": 3},
+                [[5, 0]],
+                "generators.R: element 5 out of range for atom 'A' (dimension 2)",
+            ),
+            (
+                {"A": 2, "B": 2, "C": 3},
+                [[-1, 0]],
+                "generators.R: element -1 out of range for atom 'A' (dimension 2)",
+            ),
+            ({"A": 2, "B": 2, "C": 3}, [[0]], "generators.R: [0] is not an [x, y] pair"),
+        ],
+        ids=["undeclared-atom", "index-past-end", "negative-index", "not-a-pair"],
+    )
+    def test_bad_pair_list_names_the_key(self, files, tmp_path, capsys, objects, rel, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps({"semiring": "bool", "objects": objects, "generators": {"R": {"rel": rel}}})
+        )
+        code, _, err = run(capsys, "eval", files["rel.cat"], "roundtrip", "--interp", str(bad))
+        assert code == 1
+        assert err.splitlines() == [f"error: {where}"]
+
     def test_missing_interp_flag_is_a_usage_error(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", files["surfaces.cat"], "snake"])
@@ -212,6 +239,21 @@ class TestClassify:
         code, _, err = run(capsys, "classify", files["boxes.cat"], "stacked")
         assert code == 1
         assert "generator" in err
+
+
+class TestDeepTerms:
+    @pytest.mark.parametrize("argv", [["check"], ["classify", "deep"]], ids=["check", "classify"])
+    def test_deep_chain_is_not_a_traceback(self, tmp_path, capsys, argv):
+        # 600 handles in one flat chain: 1202 sequential stages
+        chain = " >> ".join(["spider(Z, 1, 2) >> spider(Z, 2, 1)"] * 600)
+        p = tmp_path / "deep.cat"
+        p.write_text(
+            f"object Z frobenius selfdual;\ndiag deep = spider(Z, 0, 1) >> {chain} >> spider(Z, 1, 0);\n"
+        )
+        code, _, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        assert len(err.splitlines()) <= 1
 
 
 class TestLaws:

@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from catkit import matcat
+from catkit import matcat, scalars
 from catkit.matcat import (
     BlockIndex,
     MatrixMorphism,
@@ -389,3 +390,81 @@ class TestZeroObject:
         assert f.entry(0, 1).value == 3
         g = MatrixMorphism(NAT, [[2, 5]])
         assert max_deviation(f, g) == 2.0
+
+
+STORED_DTYPE = {"bool": np.bool_, "nat": np.object_, "complex": np.complex128}
+PAYLOAD_TYPE = {"bool": bool, "nat": int, "complex": complex}
+
+
+def assert_representation(m):
+    """dtype of data, plain Python entry payloads, and tolist payload types."""
+    kind = m.tag.kind
+    assert m.data.dtype == STORED_DTYPE[kind]
+    for i in range(m.rows):
+        for j in range(m.cols):
+            assert type(m.entry(i, j).value) is PAYLOAD_TYPE[kind]
+    for row in m.tolist():
+        for v in row:
+            if kind == "bool":
+                assert type(v) is int and v in (0, 1)
+            elif kind == "nat":
+                assert type(v) is int
+            else:
+                assert isinstance(v, list) and len(v) == 2
+                assert all(isinstance(x, float) for x in v)
+
+
+def reference_compose(g, f):
+    out = []
+    for i in range(g.rows):
+        row = []
+        for j in range(f.cols):
+            acc = scalars.zero(g.tag)
+            for k in range(g.cols):
+                acc = scalars.add(acc, scalars.mul(g.entry(i, k), f.entry(k, j)))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def assert_entries(m, expected):
+    assert (m.rows, m.cols) == (len(expected), len(expected[0]))
+    for i, row in enumerate(expected):
+        for j, want in enumerate(row):
+            assert scalars.distance(m.entry(i, j), want) <= m.tag.tolerance, (i, j)
+
+
+class TestEntrywiseReference:
+    """Matrix arithmetic against loops over the scalar operations."""
+
+    @pytest.mark.parametrize("tag", ALL_TAGS, ids=[t.kind for t in ALL_TAGS])
+    def test_matches_scalar_loops(self, tag):
+        rng = random.Random(17)
+        one = scalars.one(tag).value
+        # inner dimension 300: row 0 of g meets column 0 of f in 256 ones,
+        # a count that wraps to zero in 8-bit arithmetic
+        g = random_matrix(tag, 3, 300, rng)
+        f = random_matrix(tag, 300, 2, rng)
+        g.data[0, :256] = f.data[:256, 0] = one
+        g.data[0, 256:] = f.data[256:, 0] = scalars.zero(tag).value
+        if tag.kind == "nat":
+            g.data[1, 0], f.data[0, 1] = 2**64 + 3, 2**70
+        h = random_matrix(tag, 3, 2, rng)
+        s = random_matrix(tag, 1, 1, rng).entry(0, 0)
+        gf = compose(g, f)
+
+        assert_entries(gf, reference_compose(g, f))
+        if tag.kind == "bool":
+            assert gf.entry(0, 0).value is True
+        assert_entries(add(gf, h), [[scalars.add(gf.entry(i, j), h.entry(i, j)) for j in range(2)] for i in range(3)])
+        assert_entries(scalar_multiple(s, gf), [[scalars.mul(s, gf.entry(i, j)) for j in range(2)] for i in range(3)])
+        assert_entries(dagger(gf), [[scalars.conj(gf.entry(i, j)) for i in range(3)] for j in range(2)])
+        worst = max(scalars.distance(gf.entry(i, j), h.entry(i, j)) for i in range(3) for j in range(2))
+        assert max_deviation(gf, h) == worst
+        for m in (g, f, gf, add(gf, h), scalar_multiple(s, gf), dagger(gf)):
+            assert_representation(m)
+
+    def test_nat_deviation_beyond_float_range(self):
+        f = MatrixMorphism(NAT, [[2**1100, 0]])
+        assert max_deviation(f, MatrixMorphism.zeros(NAT, 1, 2)) == float("inf")
+        assert scalars.distance(f.entry(0, 0), scalars.zero(NAT)) == float("inf")

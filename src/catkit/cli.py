@@ -181,7 +181,8 @@ def cmd_laws(args):
             raise _IOFailure(f"{args.interp}: invalid JSON: {exc}") from exc
         # the battery only needs the semiring, dimensions, and any
         # frobenius data; generator matrices would require a signature
-        data = {k: v for k, v in data.items() if k != "generators"}
+        if isinstance(data, dict):
+            data = {k: v for k, v in data.items() if k != "generators"}
         interp = interpretation_from_data(data, tolerance=args.tol)
     tag = interp.tag if interp else COMPLEX
     seed = args.seed if args.seed is not None else 7

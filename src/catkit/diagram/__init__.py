@@ -3,7 +3,8 @@
 - terms: signatures, object words, term constructors, typechecking,
   and the derived transpose/name/coname helpers.
 - parser: the semicolon-terminated text format.
-- graphs: the port-graph normal form and its equality decision.
+- graphs: the wiring walk that flattens terms, the port-graph normal
+  form and its equality decision.
 """
 
 from .graphs import BoxNode, OpenGraph, SpiderNode, graph_eq, to_graph

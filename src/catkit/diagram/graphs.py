@@ -1,11 +1,17 @@
 """Port-graph normal form for diagram terms.
 
-``to_graph`` flattens a typechecked term into an open graph whose wires
-record only connectivity: identities and symmetries vanish, duality
-bends become plain wire turns, daggers flip subgraphs in place, and
-closed circles of bare wire are tracked as labelled loops.  ``graph_eq``
-then decides equality of terms modulo the dagger compact symmetric
-monoidal axioms by boundary-preserving labelled-graph isomorphism.
+``Wiring.walk`` flattens a term to wire labels with one explicit stack:
+identities, symmetries and duality bends only make labels, sequential
+composition joins labels by union-find, daggers flip a parity handed to
+the leaves, and generators and spiders are left to the caller.  It is
+the one traversal behind ``to_graph`` here and ``tqft.interpret``.
+
+``to_graph`` turns the walk into an open graph whose wires record only
+connectivity: each union-find class with two ends is one wire, and a
+class with no ends is a closed circle of bare wire, kept as a labelled
+loop.  ``graph_eq`` then decides equality of terms modulo the dagger
+compact symmetric monoidal axioms by boundary-preserving labelled-graph
+isomorphism.
 
 Terminals are tuples: ('n', node_id, port) attaches to a node port,
 ('i', k) / ('o', k) to the k-th boundary input / output.  Box ports are
@@ -18,20 +24,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .terms import (
-    UNIT,
-    Cap,
-    Cup,
-    Dagger,
-    Gen,
-    Id,
-    ObjectWord,
-    Par,
-    Seq,
-    Spider,
-    Swap,
-    typecheck,
-)
+from .terms import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap, typecheck
 
 
 @dataclass(frozen=True)
@@ -82,231 +75,118 @@ class OpenGraph:
     loops: tuple = ()
 
 
-class _Piece:
-    """Mutable graph fragment used while flattening a term."""
+class Wiring:
+    """Wire labels of a term being flattened, merged by union-find.
 
-    __slots__ = ("nodes", "wires", "dom", "cod", "loops")
-
-    def __init__(self, nodes, wires, dom, cod, loops=()):
-        self.nodes = list(nodes)
-        self.wires = list(wires)
-        self.dom = dom
-        self.cod = cod
-        self.loops = list(loops)
-
-
-def _shift_terminal(t, d_node, d_in, d_out):
-    kind = t[0]
-    if kind == "n":
-        return ("n", t[1] + d_node, t[2])
-    if kind == "i":
-        return ("i", t[1] + d_in)
-    return ("o", t[1] + d_out)
-
-
-def _par(left, right):
-    d_node, d_in, d_out = len(left.nodes), len(left.dom), len(left.cod)
-    wires = list(left.wires)
-    for a, b in right.wires:
-        wires.append(
-            (
-                _shift_terminal(a, d_node, d_in, d_out),
-                _shift_terminal(b, d_node, d_in, d_out),
-            )
-        )
-    return _Piece(
-        left.nodes + right.nodes,
-        wires,
-        left.dom.tensor(right.dom),
-        left.cod.tensor(right.cod),
-        left.loops + right.loops,
-    )
-
-
-def _resolve_joints(wires, joint_atoms):
-    """Contract degree-2 splice points; all-joint cycles become loops.
-
-    Each joint terminal ('j', k) has exactly two incident wire ends.
-    Chains between ordinary terminals collapse to single wires; cycles
-    made entirely of joints are removed and recorded as loops labelled
-    by the atom at splice position k.
+    Labels are integers.  Each carries a value: what ``of_atom`` gives for
+    the atom of an identity, symmetry or bend wire, or what a leaf passes
+    to ``fresh``.
     """
-    def is_joint(t):
-        return t[0] == "j"
 
-    incidence = defaultdict(list)
-    for wid, (a, b) in enumerate(wires):
-        if is_joint(a):
-            incidence[a].append((wid, 0))
-        if is_joint(b):
-            incidence[b].append((wid, 1))
-    for ends in incidence.values():
-        assert len(ends) == 2
+    def __init__(self, of_atom):
+        self.of_atom = of_atom
+        self.values = []
+        self.parent = []
 
-    kept = []
-    loops = []
-    visited = set()
+    def fresh(self, values):
+        """New labels, one per value."""
+        labels = list(range(len(self.values), len(self.values) + len(values)))
+        self.values.extend(values)
+        self.parent.extend(labels)
+        return labels
 
-    def other_end(joint, entry):
-        first, second = incidence[joint]
-        return second if first == entry else first
+    def word(self, word):
+        """New labels, one per factor of an object word."""
+        return self.fresh([self.of_atom(atom) for atom, _ in word.factors])
 
-    # Chains: walk from each wire with at least one ordinary endpoint.
-    for wid, (a, b) in enumerate(wires):
-        if wid in visited:
-            continue
-        if not is_joint(a) and not is_joint(b):
-            visited.add(wid)
-            kept.append((a, b))
-            continue
-        if is_joint(a) and is_joint(b):
-            continue
-        if is_joint(a):
-            start, joint, entry = b, a, (wid, 0)
-        else:
-            start, joint, entry = a, b, (wid, 1)
-        visited.add(wid)
-        while True:
-            nwid, nend = other_end(joint, entry)
-            visited.add(nwid)
-            far = wires[nwid][1 - nend]
-            if is_joint(far):
-                joint = far
-                entry = (nwid, 1 - nend)
-                continue
-            kept.append((start, far))
-            break
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    # Remaining wires connect joints only and close up into cycles.
-    for wid, (a, b) in enumerate(wires):
-        if wid in visited:
-            continue
-        visited.add(wid)
-        loops.append(joint_atoms[a[1]])
-        target = (wid, 0)
-        joint, entry = b, (wid, 1)
-        while True:
-            nwid, nend = other_end(joint, entry)
-            if (nwid, nend) == target:
-                break
-            visited.add(nwid)
-            joint = wires[nwid][1 - nend]
-            entry = (nwid, 1 - nend)
+    def walk(self, term, leaf, regroup=None):
+        """Flatten a term; return the labels of its inputs and outputs.
 
-    return kept, loops
-
-
-def _seq(after, before):
-    """Glue before's outputs to after's inputs through fresh joints."""
-    assert before.cod == after.dom
-    d_node = len(before.nodes)
-    wires = []
-    for a, b in before.wires:
-        wires.append(
-            (
-                a if a[0] != "o" else ("j", a[1]),
-                b if b[0] != "o" else ("j", b[1]),
-            )
-        )
-    def remap(t):
-        if t[0] == "i":
-            return ("j", t[1])
-        if t[0] == "n":
-            return ("n", t[1] + d_node, t[2])
-        return t
-
-    for a, b in after.wires:
-        wires.append((remap(a), remap(b)))
-    joint_atoms = [atom for atom, _ in before.cod.factors]
-    kept, new_loops = _resolve_joints(wires, joint_atoms)
-    return _Piece(
-        before.nodes + after.nodes,
-        kept,
-        before.dom,
-        after.cod,
-        before.loops + after.loops + new_loops,
-    )
-
-
-def _flip(piece):
-    """Exchange boundaries, dagger-mark boxes, and remap box ports."""
-    nodes = [node.flipped() for node in piece.nodes]
-
-    def remap(t):
-        if t[0] == "i":
-            return ("o", t[1])
-        if t[0] == "o":
-            return ("i", t[1])
-        nid, port = t[1], t[2]
-        node = piece.nodes[nid]
-        if isinstance(node, BoxNode):
-            n_dom = len(node.dom)
-            n_cod = len(node.cod)
-            port = n_cod + port if port < n_dom else port - n_dom
-        return ("n", nid, port)
-
-    wires = [(remap(a), remap(b)) for a, b in piece.wires]
-    return _Piece(nodes, wires, piece.cod, piece.dom, piece.loops)
-
-
-def _build(term, sig):
-    if isinstance(term, Gen):
-        decl = sig.generators[term.name]
-        node = BoxNode(term.name, False, decl.dom, decl.cod)
-        wires = [(("i", k), ("n", 0, k)) for k in range(len(decl.dom))]
-        wires += [
-            (("n", 0, len(decl.dom) + j), ("o", j))
-            for j in range(len(decl.cod))
-        ]
-        return _Piece([node], wires, decl.dom, decl.cod)
-    if isinstance(term, Id):
-        word = sig.normalize(term.word)
-        wires = [(("i", k), ("o", k)) for k in range(len(word))]
-        return _Piece([], wires, word, word)
-    if isinstance(term, Seq):
-        return _seq(_build(term.after, sig), _build(term.before, sig))
-    if isinstance(term, Par):
-        return _par(_build(term.left, sig), _build(term.right, sig))
-    if isinstance(term, Swap):
-        left = sig.normalize(term.left)
-        right = sig.normalize(term.right)
-        n1, n2 = len(left), len(right)
-        wires = [(("i", k), ("o", n2 + k)) for k in range(n1)]
-        wires += [(("i", n1 + j), ("o", j)) for j in range(n2)]
-        return _Piece([], wires, left.tensor(right), right.tensor(left))
-    if isinstance(term, Cup):
-        cod = sig.normalize(
-            ObjectWord(((term.atom, True), (term.atom, False)))
-        )
-        return _Piece([], [(("o", 0), ("o", 1))], UNIT, cod)
-    if isinstance(term, Cap):
-        dom = sig.normalize(
-            ObjectWord(((term.atom, False), (term.atom, True)))
-        )
-        return _Piece([], [(("i", 0), ("i", 1))], dom, UNIT)
-    if isinstance(term, Dagger):
-        return _flip(_build(term.inner, sig))
-    if isinstance(term, Spider):
-        k, l = term.legs_in, term.legs_out
-        node = SpiderNode(term.atom, k + l)
-        wires = [(("i", i), ("n", 0, i)) for i in range(k)]
-        wires += [(("n", 0, k + j), ("o", j)) for j in range(l)]
-        dom = ObjectWord(((term.atom, False),) * k)
-        cod = ObjectWord(((term.atom, False),) * l)
-        return _Piece([node], wires, dom, cod)
-    raise TypeError(f"not a diagram term: {term!r}")
+        leaf(t, flip) turns a Gen or Spider into (input labels, output
+        labels) as the leaf itself is typed; flip is true under an odd
+        number of daggers, and the daggers above exchange the two lists.
+        Sequential composition joins the labels it glues pairwise; where
+        their values differ, regroup(outputs, inputs) is called instead.
+        """
+        done = []  # (ins, outs) of each finished subterm
+        todo = [(term, False, False)]
+        while todo:
+            t, flip, expanded = todo.pop()
+            if isinstance(t, Seq) and not expanded:
+                todo += [(t, flip, True), (t.after, flip, False), (t.before, flip, False)]
+            elif isinstance(t, Par) and not expanded:
+                todo += [(t, flip, True), (t.right, flip, False), (t.left, flip, False)]
+            elif isinstance(t, Dagger) and not expanded:
+                todo += [(t, flip, True), (t.inner, not flip, False)]
+            elif isinstance(t, Seq):
+                (ins, mids), (mids2, outs) = done.pop(-2), done.pop()
+                values = self.values
+                if regroup is not None and [values[x] for x in mids] != [values[y] for y in mids2]:
+                    regroup(mids, mids2)
+                else:
+                    for x, y in zip(mids, mids2):
+                        self.parent[self.find(x)] = self.find(y)
+                done.append((ins, outs))
+            elif isinstance(t, Par):
+                (ins, outs), (ins2, outs2) = done.pop(-2), done.pop()
+                done.append((ins + ins2, outs + outs2))
+            elif isinstance(t, Dagger):
+                done.append(done.pop()[::-1])
+            elif isinstance(t, (Gen, Spider)):
+                done.append(leaf(t, flip))
+            elif isinstance(t, Id):
+                labels = self.word(t.word)
+                done.append((labels, labels))
+            elif isinstance(t, Swap):
+                left, right = self.word(t.left), self.word(t.right)
+                done.append((left + right, right + left))
+            elif isinstance(t, (Cup, Cap)):
+                labels = self.fresh([self.of_atom(t.atom)]) * 2
+                done.append(([], labels) if isinstance(t, Cup) else (labels, []))
+            else:
+                raise TypeError(f"not a diagram term: {t!r}")
+        return done.pop()
 
 
 def to_graph(term, sig):
     """Flatten a term into its open-graph normal form."""
-    typecheck(term, sig)
-    piece = _build(term, sig)
+    dom, cod = typecheck(term, sig)
+    wiring = Wiring(lambda atom: atom)  # a label's value is its atom
+    nodes, ports = [], []
+
+    def leaf(t, flip):
+        if isinstance(t, Gen):
+            decl = sig.generators[t.name]
+            node = BoxNode(t.name, False, decl.dom, decl.cod)
+            ins, outs = wiring.word(decl.dom), wiring.word(decl.cod)
+        else:
+            node = SpiderNode(t.atom, t.legs_in + t.legs_out)
+            ins, outs = wiring.fresh([t.atom] * t.legs_in), wiring.fresh([t.atom] * t.legs_out)
+        # under a dagger the codomain wires are the domain ports
+        nodes.append(node.flipped() if flip else node)
+        ports.append(outs + ins if flip else ins + outs)
+        return ins, outs
+
+    ins, outs = wiring.walk(term, leaf)
+    labelled = [(("i", k), x) for k, x in enumerate(ins)]
+    labelled += [(("n", nid, p), x) for nid, labels in enumerate(ports) for p, x in enumerate(labels)]
+    labelled += [(("o", k), x) for k, x in enumerate(outs)]
+    ends = {}  # union-find root -> the two terminals of its wire
+    for end, x in labelled:
+        ends.setdefault(wiring.find(x), []).append(end)
+    roots = {wiring.find(x) for x in range(len(wiring.values))}
     return OpenGraph(
-        nodes=tuple(piece.nodes),
-        wires=tuple((a, b) for a, b in piece.wires),
-        input_types=piece.dom.factors,
-        output_types=piece.cod.factors,
-        loops=tuple(sorted(piece.loops)),
+        nodes=tuple(nodes),
+        wires=tuple(tuple(pair) for pair in ends.values()),
+        input_types=dom.factors,
+        output_types=cod.factors,
+        loops=tuple(sorted(wiring.values[r] for r in roots - ends.keys())),
     )
 
 

@@ -215,8 +215,44 @@ def typecheck(term, sig):
 
     Raises TypeMismatch when sequential composition does not line up or
     a spider sits on a non-frobenius atom, and UnknownName for
-    undeclared generators or atoms.
+    undeclared generators or atoms.  The term is walked with an explicit
+    stack, and a subterm shared by several parents is typed once.
     """
+    types = {}  # id(subterm) -> (dom, cod); the term keeps every id alive
+    todo = [(term, False)]
+    while todo:
+        t, expanded = todo.pop()
+        if id(t) in types:
+            continue
+        if isinstance(t, Seq):
+            if not expanded:
+                todo += [(t, True), (t.after, False), (t.before, False)]
+                continue
+            (bdom, bcod), (adom, acod) = types[id(t.before)], types[id(t.after)]
+            if bcod != adom:
+                raise TypeMismatch(
+                    f"cannot compose: first stage produces {bcod} "
+                    f"but second expects {adom}"
+                )
+            types[id(t)] = bdom, acod
+        elif isinstance(t, Par):
+            if not expanded:
+                todo += [(t, True), (t.right, False), (t.left, False)]
+                continue
+            (ldom, lcod), (rdom, rcod) = types[id(t.left)], types[id(t.right)]
+            types[id(t)] = ldom.tensor(rdom), lcod.tensor(rcod)
+        elif isinstance(t, Dagger):
+            if not expanded:
+                todo += [(t, True), (t.inner, False)]
+                continue
+            dom, cod = types[id(t.inner)]
+            types[id(t)] = cod, dom
+        else:
+            types[id(t)] = _leaf_type(t, sig)
+    return types[id(term)]
+
+
+def _leaf_type(term, sig):
     if isinstance(term, Gen):
         decl = sig.generators.get(term.name)
         if decl is None:
@@ -225,19 +261,6 @@ def typecheck(term, sig):
     if isinstance(term, Id):
         word = sig.normalize(term.word)
         return word, word
-    if isinstance(term, Seq):
-        bdom, bcod = typecheck(term.before, sig)
-        adom, acod = typecheck(term.after, sig)
-        if bcod != adom:
-            raise TypeMismatch(
-                f"cannot compose: first stage produces {bcod} "
-                f"but second expects {adom}"
-            )
-        return bdom, acod
-    if isinstance(term, Par):
-        ldom, lcod = typecheck(term.left, sig)
-        rdom, rcod = typecheck(term.right, sig)
-        return ldom.tensor(rdom), lcod.tensor(rcod)
     if isinstance(term, Swap):
         left = sig.normalize(term.left)
         right = sig.normalize(term.right)
@@ -252,9 +275,6 @@ def typecheck(term, sig):
             ObjectWord(((term.atom, False), (term.atom, True)))
         )
         return dom, UNIT
-    if isinstance(term, Dagger):
-        dom, cod = typecheck(term.inner, sig)
-        return cod, dom
     if isinstance(term, Spider):
         decl = sig.objects.get(term.atom)
         if decl is None:

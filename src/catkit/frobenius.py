@@ -179,7 +179,8 @@ class _FuseState:
             if t[0] != "n":
                 return t
             new = renum[t[1]]
-            return ("n", new, next(counters[new]))
+            # box ports are ordered; only a spider's interchangeable legs are renumbered
+            return ("n", new, t[2] if t[1] in self.boxes else next(counters[new]))
 
         wires = []
         for wid in sorted(self.wires):
@@ -265,25 +266,29 @@ def _comp_key(comp):
 
 def term_atoms(term):
     """Atom names appearing in a generator-free term."""
-    if isinstance(term, (Cup, Cap, Spider)):
-        return {term.atom}
-    if isinstance(term, Id):
-        return {atom for atom, _ in term.word.factors}
-    if isinstance(term, Swap):
-        return {atom for atom, _ in term.left.factors} | {
-            atom for atom, _ in term.right.factors
-        }
-    if isinstance(term, Seq):
-        return term_atoms(term.after) | term_atoms(term.before)
-    if isinstance(term, Par):
-        return term_atoms(term.left) | term_atoms(term.right)
-    if isinstance(term, Dagger):
-        return term_atoms(term.inner)
-    if isinstance(term, Gen):
-        raise ValueError(
-            f"unsupported foreign generator {term.name!r} in a cobordism term"
-        )
-    raise TypeError(f"not a diagram term: {term!r}")
+    atoms = set()
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Seq):
+            todo += [t.before, t.after]
+        elif isinstance(t, Par):
+            todo += [t.right, t.left]
+        elif isinstance(t, Dagger):
+            todo.append(t.inner)
+        elif isinstance(t, (Cup, Cap, Spider)):
+            atoms.add(t.atom)
+        elif isinstance(t, Id):
+            atoms.update(atom for atom, _ in t.word.factors)
+        elif isinstance(t, Swap):
+            atoms.update(atom for atom, _ in t.left.factors + t.right.factors)
+        elif isinstance(t, Gen):
+            raise ValueError(
+                f"unsupported foreign generator {t.name!r} in a cobordism term"
+            )
+        else:
+            raise TypeError(f"not a diagram term: {t!r}")
+    return atoms
 
 
 def reverse_term(term):
@@ -294,6 +299,40 @@ def reverse_term(term):
     Bends assume a self-dual atom (cup and cap trade places).  The
     input must already be dagger-free; see strip_daggers.
     """
+    return _rebuild(term, reverse=True)
+
+
+def strip_daggers(term):
+    """Rewrite every dagger into a structural reversal of its body."""
+    return _rebuild(term, reverse=False)
+
+
+def _rebuild(term, reverse):
+    """Copy a term, reversing each piece that sits under an odd parity.
+
+    The parity starts odd when reverse is set, and there a dagger is
+    rejected as a leaf; otherwise each dagger flips it and is dropped.
+    A reversed Seq visits and keeps its stages in the opposite order.
+    """
+    done = []
+    todo = [(term, reverse, False)]
+    while todo:
+        t, flip, expanded = todo.pop()
+        if expanded:
+            done.append(type(t)(done.pop(-2), done.pop()))
+        elif isinstance(t, Dagger) and not reverse:
+            todo.append((t.inner, not flip, False))
+        elif isinstance(t, Seq):
+            first, second = (t.before, t.after) if flip else (t.after, t.before)
+            todo += [(t, flip, True), (second, flip, False), (first, flip, False)]
+        elif isinstance(t, Par):
+            todo += [(t, flip, True), (t.right, flip, False), (t.left, flip, False)]
+        else:
+            done.append(_reverse_leaf(t) if flip else t)
+    return done.pop()
+
+
+def _reverse_leaf(term):
     if isinstance(term, Spider):
         return Spider(term.atom, term.legs_out, term.legs_in)
     if isinstance(term, Id):
@@ -304,26 +343,11 @@ def reverse_term(term):
         return Cap(term.atom)
     if isinstance(term, Cap):
         return Cup(term.atom)
-    if isinstance(term, Seq):
-        return Seq(reverse_term(term.before), reverse_term(term.after))
-    if isinstance(term, Par):
-        return Par(reverse_term(term.left), reverse_term(term.right))
     if isinstance(term, Gen):
         raise ValueError(
             f"unsupported foreign generator {term.name!r} in a cobordism term"
         )
     raise TypeError(f"not a dagger-free term: {term!r}")
-
-
-def strip_daggers(term):
-    """Rewrite every dagger into a structural reversal of its body."""
-    if isinstance(term, Dagger):
-        return reverse_term(strip_daggers(term.inner))
-    if isinstance(term, Seq):
-        return Seq(strip_daggers(term.after), strip_daggers(term.before))
-    if isinstance(term, Par):
-        return Par(strip_daggers(term.left), strip_daggers(term.right))
-    return term
 
 
 def _single_atom(terms_atoms, sig):

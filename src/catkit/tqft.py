@@ -18,23 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagram import (
-    Cap,
-    Cup,
-    Dagger,
-    Gen,
-    Id,
-    ObjectWord,
-    OpenGraph,
-    Par,
-    Seq,
-    Signature,
-    Spider,
-    SpiderNode,
-    Swap,
-    UnknownName,
-    typecheck,
-)
+from .diagram import Gen, ObjectWord, OpenGraph, Signature, SpiderNode, UnknownName, typecheck
+from .diagram.graphs import Wiring
 from .frobenius import cob_signature, strip_daggers, term_atoms
 from .lawcheck import LawEntry, LawReport
 from .matcat import (
@@ -270,30 +255,18 @@ class Interpretation:
 def interpret(term, interp: Interpretation) -> MatrixMorphism:
     """Evaluate a term to its matrix.
 
-    The term is walked with an explicit stack, so depth costs no recursion.
-    Generators and spiders become tensors whose axes are wire labels;
-    identities, symmetries, cups, caps and sequential composition only
-    create or join labels.  A dagger takes the adjoint of every tensor
-    below it and exchanges its input and output labels.  Without a
-    signature a generator is one wire of its matrix's size on each side.
+    The term is flattened by ``Wiring.walk``, the explicit-stack walk that
+    ``to_graph`` uses too, so depth costs no recursion.  Generators and
+    spiders become tensors whose axes are wire labels; identities,
+    symmetries, cups, caps and sequential composition only create or join
+    labels.  A dagger takes the adjoint of every tensor below it and
+    exchanges its input and output labels.  Without a signature a
+    generator is one wire of its matrix's size on each side.
     """
     if interp.signature is not None:
         typecheck(term, interp.signature)
-    dims, parent, tensors = [], [], []
-
-    def wires(sizes):
-        labels = list(range(len(dims), len(dims) + len(sizes)))
-        dims.extend(sizes)
-        parent.extend(labels)
-        return labels
-
-    def atoms(word):
-        return wires([interp.atom_dim(atom) for atom, _ in word.factors])
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
+    wiring = Wiring(interp.atom_dim)  # a label's value is its dimension
+    dims, tensors = wiring.values, []
 
     def box(m, ins, outs, flip):
         # under an odd number of daggers the adjoint's axes run ins then outs
@@ -301,64 +274,30 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
         tensors.append(((dagger(m) if flip else m).data.reshape([dims[x] for x in labels]), labels))
         return ins, outs
 
-    def join(outs, ins):
-        if [dims[x] for x in outs] == [dims[y] for y in ins]:
-            for x, y in zip(outs, ins):
-                parent[find(x)] = find(y)
-            return
+    def leaf(t, flip):
+        if isinstance(t, Gen):
+            m = interp.gen_matrices.get(t.name)
+            if m is None:
+                raise UnknownName(f"no matrix assigned to generator {t.name!r}")
+            if interp.signature is None:
+                return box(m, wiring.fresh([m.cols]), wiring.fresh([m.rows]), flip)
+            decl = interp.signature.generators[t.name]
+            return box(m, wiring.word(decl.dom), wiring.word(decl.cod), flip)
+        p = interp.frobenius_data.get(t.atom)
+        if p is None:
+            raise UnknownName(f"no frobenius data for atom {t.atom!r}")
+        m = spider_matrix(p, t.legs_in, t.legs_out)
+        return box(m, wiring.fresh([p.dim] * t.legs_in), wiring.fresh([p.dim] * t.legs_out), flip)
+
+    def regroup(outs, ins):
         # wires of generators typed only by their matrices regroup through an identity
         n, m = math.prod(dims[x] for x in outs), math.prod(dims[y] for y in ins)
         if n != m:
             raise ShapeMismatch(f"cannot compose: first stage has dimension {n}, second expects {m}")
         box(MatrixMorphism.identity(interp.tag, n), outs, ins, False)
 
-    done = []  # (ins, outs) of each finished subterm
-    todo = [(term, False, False)]
-    while todo:
-        t, flip, expanded = todo.pop()
-        if isinstance(t, Seq) and not expanded:
-            todo += [(t, flip, True), (t.after, flip, False), (t.before, flip, False)]
-        elif isinstance(t, Par) and not expanded:
-            todo += [(t, flip, True), (t.right, flip, False), (t.left, flip, False)]
-        elif isinstance(t, Dagger) and not expanded:
-            todo += [(t, flip, True), (t.inner, not flip, False)]
-        elif isinstance(t, Seq):
-            (ins, mid), (mid2, outs) = done.pop(-2), done.pop()
-            join(mid, mid2)
-            done.append((ins, outs))
-        elif isinstance(t, Par):
-            (ins, outs), (ins2, outs2) = done.pop(-2), done.pop()
-            done.append((ins + ins2, outs + outs2))
-        elif isinstance(t, Dagger):
-            done.append(done.pop()[::-1])
-        elif isinstance(t, Gen):
-            m = interp.gen_matrices.get(t.name)
-            if m is None:
-                raise UnknownName(f"no matrix assigned to generator {t.name!r}")
-            if interp.signature is None:
-                done.append(box(m, wires([m.cols]), wires([m.rows]), flip))
-            else:
-                decl = interp.signature.generators[t.name]
-                done.append(box(m, atoms(decl.dom), atoms(decl.cod), flip))
-        elif isinstance(t, Spider):
-            p = interp.frobenius_data.get(t.atom)
-            if p is None:
-                raise UnknownName(f"no frobenius data for atom {t.atom!r}")
-            m = spider_matrix(p, t.legs_in, t.legs_out)
-            done.append(box(m, wires([p.dim] * t.legs_in), wires([p.dim] * t.legs_out), flip))
-        elif isinstance(t, Id):
-            w = atoms(t.word)
-            done.append((w, w))
-        elif isinstance(t, Swap):
-            left, right = atoms(t.left), atoms(t.right)
-            done.append((left + right, right + left))
-        elif isinstance(t, (Cup, Cap)):
-            w = wires([interp.atom_dim(t.atom)]) * 2
-            done.append(([], w) if isinstance(t, Cup) else (w, []))
-        else:
-            raise TypeError(f"not a diagram term: {t!r}")
-
-    ins, outs = done.pop()
+    ins, outs = wiring.walk(term, leaf, regroup)
+    find = wiring.find
     tensors = [(arr, [find(x) for x in labels]) for arr, labels in tensors]
     wire_dims = {find(x): d for x, d in enumerate(dims)}
     return _contract(interp.tag, tensors, [find(x) for x in outs], [find(x) for x in ins], wire_dims)
@@ -507,6 +446,15 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
     "frobenius" mapping atoms to "basis" or to explicit delta/eps/mu/e
     matrices, whose optional flags are measured from the data.
     """
+    if not isinstance(data, dict):
+        raise ValueError("interpretation: must be a JSON object")
+
+    def section(key):
+        value = data.get(key, {})
+        if not isinstance(value, dict):
+            raise ValueError(f"{key}: must be a JSON object")
+        return value
+
     kind = data.get("semiring")
     try:
         tag = SemiringTag(kind)
@@ -517,7 +465,7 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
 
     object_dims = {}
     element_names = {}
-    for atom, value in data.get("objects", {}).items():
+    for atom, value in section("objects").items():
         if isinstance(value, int):
             object_dims[atom] = value
         elif isinstance(value, list):
@@ -546,7 +494,7 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
         return x
 
     gen_matrices = {}
-    for name, value in data.get("generators", {}).items():
+    for name, value in section("generators").items():
         if isinstance(value, dict) and "rel" in value:
             if tag.kind != "bool":
                 raise ValueError("pair-list generators are only meaningful over booleans")
@@ -562,6 +510,8 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
                 if atom not in object_dims:
                     raise ValueError(f"{where}: atom {atom!r} has no declared dimension")
             m = MatrixMorphism.zeros(tag, object_dims[cod_atom], object_dims[dom_atom])
+            if not isinstance(value["rel"], list):
+                raise ValueError(f"{where}.rel: must be a list of [x, y] pairs")
             for pair in value["rel"]:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ValueError(f"{where}: {pair!r} is not an [x, y] pair")
@@ -572,7 +522,7 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
             gen_matrices[name] = matrix(f"generators.{name}", value)
 
     frobenius_data = {}
-    for atom, value in data.get("frobenius", {}).items():
+    for atom, value in section("frobenius").items():
         if value == "basis":
             if atom not in object_dims:
                 raise ValueError(f"frobenius atom {atom!r} has no declared dimension")

@@ -124,6 +124,13 @@ class TestEq:
         assert "nosuch" in err
 
 
+    def test_fusion_keeps_box_port_order(self, tmp_path, capsys):
+        p = tmp_path / "m.cat"
+        p.write_text("gen m : A x A -> A;\ndiag plain = m;\ndiag swapped = swap(A, A) >> m;\n")
+        code, out, _ = run(capsys, "eq", str(p), "plain", "swapped", "--frobenius")
+        assert (code, out.strip()) == (1, "not equal")
+
+
 class TestEval:
     def test_snake_is_identity(self, files, capsys):
         code, out, _ = run(
@@ -211,6 +218,27 @@ class TestEval:
         assert code == 1
         assert err.splitlines() == [f"error: {where}"]
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ([1, 2], "interpretation: must be a JSON object"),
+            ({"semiring": "bool", "objects": "x"}, "objects: must be a JSON object"),
+            ({"semiring": "bool", "generators": ["R"]}, "generators: must be a JSON object"),
+            ({"semiring": "bool", "frobenius": ["A"]}, "frobenius: must be a JSON object"),
+            (
+                {"semiring": "bool", "objects": {"A": 2, "B": 2, "C": 3}, "generators": {"R": {"rel": 5}}},
+                "generators.R.rel: must be a list of [x, y] pairs",
+            ),
+        ],
+        ids=["top-level-list", "objects-string", "generators-list", "frobenius-list", "rel-number"],
+    )
+    def test_bad_section_type_names_the_key(self, files, tmp_path, capsys, data, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "eval", files["rel.cat"], "roundtrip", "--interp", str(bad))
+        assert code == 1
+        assert err.splitlines() == [f"error: {where}"]
+
     def test_missing_interp_flag_is_a_usage_error(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", files["surfaces.cat"], "snake"])
@@ -242,18 +270,20 @@ class TestClassify:
 
 
 class TestDeepTerms:
-    @pytest.mark.parametrize("argv", [["check"], ["classify", "deep"]], ids=["check", "classify"])
-    def test_deep_chain_is_not_a_traceback(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["check"], "deep : I -> I"), (["classify", "deep"], "component(in=[], out=[], genus=600)")],
+        ids=["check", "classify"],
+    )
+    def test_deep_chain_is_not_a_traceback(self, tmp_path, capsys, argv, expected):
         # 600 handles in one flat chain: 1202 sequential stages
         chain = " >> ".join(["spider(Z, 1, 2) >> spider(Z, 2, 1)"] * 600)
         p = tmp_path / "deep.cat"
         p.write_text(
             f"object Z frobenius selfdual;\ndiag deep = spider(Z, 0, 1) >> {chain} >> spider(Z, 1, 0);\n"
         )
-        code, _, err = run(capsys, argv[0], str(p), *argv[1:])
-        assert code in (0, 1)
-        assert "Traceback" not in err
-        assert len(err.splitlines()) <= 1
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert (code, out.splitlines(), err) == (0, [expected], "")
 
 
 class TestLaws:
@@ -264,6 +294,13 @@ class TestLaws:
         assert "pentagon" in out
         assert "seed=3" in out
         assert "fail (expected)" in out  # negative suite is part of the battery
+
+    def test_interpretation_that_is_not_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        code, _, err = run(capsys, "laws", "--interp", str(bad))
+        assert code == 1
+        assert err.splitlines() == ["error: interpretation: must be a JSON object"]
 
     def test_battery_with_interpretation(self, files, capsys):
         code, out, _ = run(capsys, "laws", "--interp", files["rel.json"])

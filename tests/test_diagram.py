@@ -110,6 +110,13 @@ class TestTypecheck:
         dom, _ = typecheck(Id(ObjectWord.atom("A", dual=True)), sig)
         assert dom == A
 
+    def test_shared_subterms_are_typed_once(self, sig):
+        # d_k = d_(k-1) >> d_(k-1): 2^65 leaves as a tree, 67 distinct nodes
+        d = Seq(Gen("g"), Gen("f"))
+        for _ in range(64):
+            d = Seq(d, d)
+        assert typecheck(d, sig) == (A, A)
+
 
 class TestParser:
     def test_gen_then_dagger_composition(self):

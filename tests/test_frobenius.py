@@ -126,6 +126,12 @@ class TestFuse:
         assert graph_eq(out, g)
 
 
+    def test_box_port_order_survives(self):
+        sig = standard_signature()
+        g = to_graph(Seq(Gen("h"), Swap(ObjectWord.of("B"), ObjectWord.of("A"))), sig)
+        assert graph_eq(fuse(g), g)
+
+
 class TestFuseConfluence:
     def test_random_orders_reach_one_normal_form(self):
         for seed in range(20):
@@ -348,3 +354,45 @@ class TestEqCob:
             rng = make_rng(seed)
             t = random_cob_term(rng, n_in=rng.randrange(3))
             assert eq_cob(t, t)
+
+
+def deep_torus(n_stages, nest):
+    """A torus whose two tubes pass through n_stages stages in one >> chain.
+
+    nest="before" nests the chain as the parser does (a >> b >> c is
+    Seq(c, Seq(b, a))); nest="after" nests it the other way round.
+    """
+    snake = Seq(Par(Cap("Z"), Id(Z)), Par(Id(Z), Cup("Z")))
+    pieces = [Swap(Z, Z), Dagger(Swap(Z, Z)), Par(Id(Z), snake), Dagger(Par(snake, Id(Z)))]
+    stages = [Spider("Z", 0, 2)] + [pieces[k % 4] for k in range(n_stages)] + [Spider("Z", 2, 0)]
+    if nest == "before":
+        term = stages[0]
+        for stage in stages[1:]:
+            term = Seq(stage, term)
+    else:
+        term = stages[-1]
+        for stage in reversed(stages[:-1]):
+            term = Seq(term, stage)
+    return term
+
+
+class TestDeepTerms:
+    # no term layer may recurse on depth: 10^4 stages is ten times the default recursion limit
+
+    @pytest.mark.parametrize("nest", ["before", "after"])
+    def test_long_chain_runs_through_every_term_layer(self, nest):
+        term = deep_torus(10 ** 4, nest)
+        torus = CobordismClass("Z", (ComponentClass((), (), 1),))
+        interp = Interpretation(COMPLEX, {"Z": 2}, frobenius_data={"Z": basis_frobenius(2)}, signature=ZSIG)
+        assert typecheck(term, ZSIG) == (ObjectWord(), ObjectWord())
+        g = to_graph(term, ZSIG)
+        assert (len(g.nodes), len(g.wires), g.loops) == (2, 2, ())
+        assert interpret(term, interp) == MatrixMorphism(COMPLEX, [[2]])
+        assert classify_cob(term, ZSIG) == torus
+        assert term_atoms(term) == {"Z"}
+        stripped = strip_daggers(term)
+        reversed_ = reverse_term(stripped)
+        for t in (stripped, reversed_):
+            assert typecheck(t, ZSIG) == (ObjectWord(), ObjectWord())
+            assert classify_cob(t, ZSIG) == torus
+            assert interpret(t, interp) == MatrixMorphism(COMPLEX, [[2]])

@@ -1,17 +1,19 @@
 """Spider fusion and the two-dimensional cobordism skeleton.
 
-Graphs over atoms carrying commutative dagger frobenius structure
-rewrite to a normal form: adjacent same-atom spiders merge, a wire with
-both endpoints on one spider is a handle (counted as genus, or
-discarded when the structure is special), and leftover degree-2
-handle-free spiders are plain wires.  Reading boundary attachments and
-genus off the normal form classifies terms over a single frobenius
-atom up to surface homeomorphism.
+A connected surface is fixed by its genus and boundary circles.  A
+(k, l) spider of genus g has Euler characteristic 2 - k - l - 2g and a
+wire 0, so ``classify_cob`` sums chi per connected piece in one
+union-find pass and reads genus (2 - chi - b) / 2 for b boundary circles.
+``fuse`` merges each cluster of adjacent same-atom spiders in one
+union-find pass (its cycles become genus, or vanish when the structure
+is special) and splices out degree-2 handle-free spiders; with an
+``rng``, and in ``fuse_trace``, a rewriter goes one site at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .diagram.graphs import BoxNode, OpenGraph, SpiderNode, to_graph
@@ -70,9 +72,7 @@ def spiderize(graph, sig):
         if isinstance(node, SpiderNode):
             decl = sig.objects.get(node.atom)
             if decl is None or not decl.frobenius:
-                raise ValueError(
-                    f"spider node on non-frobenius atom {node.atom!r}"
-                )
+                raise ValueError(f"spider node on non-frobenius atom {node.atom!r}")
     return graph
 
 
@@ -205,34 +205,91 @@ class _FuseState:
         return graph
 
 
+def _roots(size, pairs):
+    """Union-find over range(size) joined along pairs: each item's class root."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for x, y in pairs:
+        parent[find(x)] = find(y)
+    return [find(x) for x in parent]
+
+
+def _rewrites(graph, special, rng):
+    """The step-by-step rewriter's one mutable state, yielded first and after each step."""
+    state = _FuseState(graph)
+    yield state
+    while sites := state.sites():
+        state.apply(sites[0] if rng is None else rng.choice(sites), special)
+        yield state
+
+
 def fuse(graph, special=False, rng=None):
     """Rewrite a spider graph to its fused normal form.
 
     With special=True a handle is the identity and self-loop wires are
     discarded; otherwise each adds one to its spider's genus.  rng,
-    when given, picks among applicable rewrite sites at random; any
-    order reaches the same normal form up to graph equality.
+    when given, runs the step-by-step rewriter and picks among
+    applicable rewrite sites at random; any order reaches the same
+    normal form up to graph equality.
     """
-    state = _FuseState(graph)
-    while True:
-        sites = state.sites()
-        if not sites:
-            break
-        state.apply(sites[0] if rng is None else rng.choice(sites), special)
-    return state.freeze()
+    if rng is not None:
+        *_, state = _rewrites(graph, special, rng)
+        return state.freeze()
+    nodes = graph.nodes
+    atom = [n.atom if isinstance(n, SpiderNode) else None for n in nodes]
+
+    def internal(a, b):
+        return a[0] == b[0] == "n" and atom[a[1]] is not None and atom[a[1]] == atom[b[1]]
+
+    inner = [(a[1], b[1]) for a, b in graph.wires if internal(a, b)]
+    roots = _roots(len(nodes), inner)
+    merged = {}  # class root -> (degree, genus, cycle rank)
+    for nid, node in enumerate(nodes):
+        if atom[nid] is not None:
+            d, g, c = merged.get(roots[nid], (0, 0, 1))
+            merged[roots[nid]] = (d + node.degree, g + node.genus, c - 1)
+    for x, _ in inner:
+        d, g, c = merged[roots[x]]
+        merged[roots[x]] = (d - 2, g, c + 1)
+    # each independent cycle of a cluster is a handle
+    merged = {r: (d, g if special else g + c) for r, (d, g, c) in merged.items()}
+    # no merged spider has a same-atom neighbour, so splicing one out makes no new site
+    spliced = {r for r, dg in merged.items() if dg == (2, 0)}
+    keep = [nid for nid, r in enumerate(roots) if r == nid and r not in spliced]
+    new = {nid: k for k, nid in enumerate(keep)}
+    legs = defaultdict(itertools.count)
+
+    def end(t):
+        if t[0] != "n":
+            return t
+        r = roots[t[1]]  # box ports are ordered and keep their numbers
+        return ("n", new[r], t[2] if atom[r] is None else next(legs[r]))
+
+    wires, half = [], {}  # half: spliced class -> far end of its first wire
+    for a, b in graph.wires:
+        if internal(a, b):
+            continue
+        if a[0] == "n" and roots[a[1]] in spliced:
+            a, b = b, a
+        if b[0] == "n" and roots[b[1]] in spliced:
+            r = roots[b[1]]
+            if r not in half:
+                half[r] = a
+                continue
+            b = half.pop(r)
+        wires.append((end(a), end(b)))
+    fused = tuple(nodes[nid] if atom[nid] is None else SpiderNode(atom[nid], *merged[nid]) for nid in keep)
+    return OpenGraph(fused, tuple(wires), graph.input_types, graph.output_types, tuple(sorted(graph.loops)))
 
 
 def fuse_trace(graph, special=False, rng=None):
-    """Every intermediate graph from the input to the normal form."""
-    state = _FuseState(graph)
-    frames = [state.freeze()]
-    while True:
-        sites = state.sites()
-        if not sites:
-            break
-        state.apply(sites[0] if rng is None else rng.choice(sites), special)
-        frames.append(state.freeze())
-    return frames
+    """Every intermediate graph of the step-by-step rewriter, input to normal form."""
+    return [state.freeze() for state in _rewrites(graph, special, rng)]
 
 
 @dataclass(frozen=True)
@@ -260,10 +317,6 @@ class CobordismClass:
         return [c.render() for c in self.components]
 
 
-def _comp_key(comp):
-    return (comp.inputs, comp.outputs, comp.genus)
-
-
 def term_atoms(term):
     """Atom names appearing in a generator-free term."""
     atoms = set()
@@ -283,9 +336,7 @@ def term_atoms(term):
         elif isinstance(t, Swap):
             atoms.update(atom for atom, _ in t.left.factors + t.right.factors)
         elif isinstance(t, Gen):
-            raise ValueError(
-                f"unsupported foreign generator {t.name!r} in a cobordism term"
-            )
+            raise ValueError(f"unsupported foreign generator {t.name!r} in a cobordism term")
         else:
             raise TypeError(f"not a diagram term: {t!r}")
     return atoms
@@ -344,9 +395,7 @@ def _reverse_leaf(term):
     if isinstance(term, Cap):
         return Cup(term.atom)
     if isinstance(term, Gen):
-        raise ValueError(
-            f"unsupported foreign generator {term.name!r} in a cobordism term"
-        )
+        raise ValueError(f"unsupported foreign generator {term.name!r} in a cobordism term")
     raise TypeError(f"not a dagger-free term: {term!r}")
 
 
@@ -362,52 +411,6 @@ def _single_atom(terms_atoms, sig):
     return "A"
 
 
-def _components(graph):
-    """Connected components grouped as ComponentClass values."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    def key_of(t):
-        if t[0] == "n":
-            return ("node", t[1])
-        return t
-
-    items = [("i", k) for k in range(len(graph.input_types))]
-    items += [("o", k) for k in range(len(graph.output_types))]
-    items += [("node", nid) for nid in range(len(graph.nodes))]
-    for item in items:
-        parent[item] = item
-    for a, b in graph.wires:
-        union(key_of(a), key_of(b))
-
-    groups = {}
-    for item in items:
-        groups.setdefault(find(item), []).append(item)
-    comps = []
-    for members in groups.values():
-        ins = tuple(sorted(k for tag, k in members if tag == "i"))
-        outs = tuple(sorted(k for tag, k in members if tag == "o"))
-        genus = sum(
-            graph.nodes[k].genus
-            for tag, k in members
-            if tag == "node" and isinstance(graph.nodes[k], SpiderNode)
-        )
-        comps.append(ComponentClass(ins, outs, genus))
-    # a closed circle of bare wire sweeps out a torus: a cylinder glued end to end
-    comps.extend(ComponentClass((), (), 1) for _ in graph.loops)
-    return comps
-
-
 def classify_cob(term, sig=None):
     """Classify a term over one frobenius atom up to homeomorphism.
 
@@ -419,15 +422,28 @@ def classify_cob(term, sig=None):
     if sig is None:
         sig = cob_signature(atom)
     graph = to_graph(term, sig)
-    for node in graph.nodes:
-        if isinstance(node, BoxNode):
-            raise ValueError(
-                f"unsupported foreign generator {node.name!r} "
-                "in a cobordism term"
-            )
-    fused = fuse(spiderize(graph, sig), special=False)
-    comps = sorted(_components(fused), key=_comp_key)
-    return CobordismClass(atom, tuple(comps))
+    boxes = [node.name for node in graph.nodes if isinstance(node, BoxNode)]
+    if boxes:
+        raise ValueError(f"unsupported foreign generator {boxes[0]!r} in a cobordism term")
+    spiderize(graph, sig)
+    # items are the inputs, the outputs, then the nodes; a boundary slot is one circle
+    n_in = len(graph.input_types)
+    n_slots = n_in + len(graph.output_types)
+    offset = {"i": 0, "o": n_in, "n": n_slots}
+    pairs = [(offset[a[0]] + a[1], offset[b[0]] + b[1]) for a, b in graph.wires]
+    roots = _roots(n_slots + len(graph.nodes), pairs)
+    chi, ins, outs = defaultdict(int), defaultdict(list), defaultdict(list)
+    for k in range(n_in):
+        ins[roots[k]].append(k)
+    for k in range(n_in, n_slots):
+        outs[roots[k]].append(k - n_in)
+    for nid, node in enumerate(graph.nodes):
+        chi[roots[n_slots + nid]] += 2 - node.degree - 2 * node.genus
+    genus = {r: (2 - chi[r] - len(ins[r]) - len(outs[r])) // 2 for r in roots}
+    comps = [ComponentClass(tuple(ins[r]), tuple(outs[r]), g) for r, g in genus.items()]
+    # a closed circle of bare wire sweeps out a torus: a cylinder glued end to end
+    comps.extend(ComponentClass((), (), 1) for _ in graph.loops)
+    return CobordismClass(atom, tuple(sorted(comps, key=lambda c: (c.inputs, c.outputs, c.genus))))
 
 
 def eq_cob(t1, t2, sig=None):
@@ -438,8 +454,5 @@ def eq_cob(t1, t2, sig=None):
     type1 = typecheck(t1, sig)
     type2 = typecheck(t2, sig)
     if type1 != type2:
-        raise TypeMismatch(
-            f"boundary mismatch: {type1[0]} -> {type1[1]} "
-            f"vs {type2[0]} -> {type2[1]}"
-        )
+        raise TypeMismatch(f"boundary mismatch: {type1[0]} -> {type1[1]} vs {type2[0]} -> {type2[1]}")
     return classify_cob(t1, sig) == classify_cob(t2, sig)

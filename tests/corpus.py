@@ -381,5 +381,13 @@ def random_cob_term(rng, n_in, n_layers=3, atom="Z"):
     return term
 
 
+def closed_surface(genus, atom="Z"):
+    """unit >> (delta >> mu)^genus >> eps, nested as the parser nests a flat chain."""
+    term = Spider(atom, 0, 1)
+    for _ in range(genus):
+        term = Seq(Spider(atom, 2, 1), Seq(Spider(atom, 1, 2), term))
+    return Seq(Spider(atom, 1, 0), term)
+
+
 def make_rng(seed):
     return random.Random(seed)

@@ -1,6 +1,7 @@
 """End-to-end command tests with golden output."""
 
 import json
+import warnings
 
 import pytest
 
@@ -170,6 +171,23 @@ class TestEval:
         code, _, err = run(capsys, "eval", files["surfaces.cat"], "snake", "--interp", str(bad))
         assert code == 2
         assert "invalid JSON" in err
+
+    def test_complex_overflow_is_one_error_line(self, tmp_path, capsys):
+        # xor gives 2^1100 on this closed surface, past the float range
+        handles = " >> ".join(["spider(Z, 1, 2) >> spider(Z, 2, 1)"] * 1100)
+        (tmp_path / "g.cat").write_text(
+            f"object Z frobenius selfdual;\ndiag g = spider(Z, 0, 1) >> {handles} >> spider(Z, 1, 0);\n"
+        )
+        xor = {"delta": [[1, 0], [0, 1], [0, 1], [1, 0]], "eps": [[1, 0]], "mu": [[1, 0, 0, 1], [0, 1, 1, 0]], "e": [[1], [0]]}
+        (tmp_path / "xor.json").write_text(
+            json.dumps({"semiring": "complex", "objects": {"Z": 2}, "frobenius": {"Z": xor}})
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "eval", str(tmp_path / "g.cat"), "g", "--interp", str(tmp_path / "xor.json"))
+        assert (code, out, caught) == (1, "", [])
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "inf or nan" in err
 
     @pytest.mark.parametrize(
         "data, where",

@@ -1,8 +1,12 @@
 """Spider fusion, confluence, and surface classification."""
 
+import itertools
+from collections import defaultdict
+
 import pytest
 
 from catkit.diagram import (
+    BoxNode,
     Cap,
     Cup,
     Dagger,
@@ -11,7 +15,9 @@ from catkit.diagram import (
     ObjectWord,
     Par,
     Seq,
+    Signature,
     Spider,
+    SpiderNode,
     Swap,
     TypeMismatch,
     graph_eq,
@@ -37,9 +43,9 @@ from catkit.frobenius import (
 )
 from catkit.matcat import MatrixMorphism
 from catkit.scalars import COMPLEX
-from catkit.tqft import Interpretation, basis_frobenius, evaluate_graph, interpret, xor_frobenius
+from catkit.tqft import Interpretation, basis_frobenius, evaluate_cob, evaluate_graph, interpret, xor_frobenius
 
-from corpus import make_rng, random_cob_term, standard_signature
+from corpus import closed_surface, make_rng, random_cob_term, standard_signature
 
 Z = ObjectWord((("Z", False),))
 ZSIG = cob_signature("Z")
@@ -130,6 +136,53 @@ class TestFuse:
         sig = standard_signature()
         g = to_graph(Seq(Gen("h"), Swap(ObjectWord.of("B"), ObjectWord.of("A"))), sig)
         assert graph_eq(fuse(g), g)
+
+
+class TestFuseWithBoxes:
+    # spiders of two atoms meet at boxes; h's ports are typed X, Y -> Y, so a scrambled port shows
+    X, Y = ObjectWord.of("X"), ObjectWord.of("Y")
+
+    def signature(self):
+        sig = Signature()
+        sig.declare_object("X", frobenius=True, self_dual=True)
+        sig.declare_object("Y", frobenius=True, self_dual=True)
+        sig.declare_generator("f", self.X, self.Y)
+        sig.declare_generator("g", self.Y, self.X)
+        sig.declare_generator("h", self.X.tensor(self.Y), self.Y)
+        return sig
+
+    def graphs(self):
+        X, Y = self.X, self.Y
+
+        def chain(*stages):  # first stage applied first
+            term = stages[0]
+            for stage in stages[1:]:
+                term = Seq(stage, term)
+            return term
+
+        front = chain(Spider("X", 1, 2), Par(Spider("X", 1, 1), Id(X)))  # fuses to one degree-3 X spider
+        bend = chain(Par(Spider("Y", 1, 1), Id(X)), Par(Spider("Y", 1, 1), Id(X)))  # fuses to a plain wire
+        handle = chain(Spider("Y", 1, 2), Spider("Y", 2, 1))  # a genus-1 Y spider between h and g
+        term = chain(front, Par(Gen("f"), Id(X)), bend, Swap(Y, X), Gen("h"), handle, Gen("g"))
+        plain = chain(Spider("X", 1, 2), Par(Gen("f"), Id(X)), Swap(Y, X), Gen("h"), Gen("g"))
+        sig = self.signature()
+        return to_graph(term, sig), to_graph(plain, sig)
+
+    def test_one_pass_merges_per_atom_and_splices_between_box_ports(self):
+        g, plain = self.graphs()
+        out = fuse(g)
+        boxes = [n for n in out.nodes if isinstance(n, BoxNode)]
+        spiders = sorted((n for n in out.nodes if isinstance(n, SpiderNode)), key=repr)
+        assert sorted(b.name for b in boxes) == ["f", "g", "h"]
+        assert spiders == [SpiderNode("X", 3, 0), SpiderNode("Y", 2, 1)]
+        # special: the handle goes and the Y spider between h's output and g's input is spliced out
+        assert graph_eq(fuse(g, special=True), plain)
+
+    def test_one_pass_agrees_with_the_rewriter(self):
+        g, _ = self.graphs()
+        for special in (False, True):
+            for seed in range(5):
+                assert graph_eq(fuse(g, special), fuse(g, special, rng=make_rng(seed))), (special, seed)
 
 
 class TestFuseConfluence:
@@ -265,6 +318,60 @@ class TestClassify:
     def test_two_atoms_rejected(self):
         with pytest.raises(ValueError, match="single atom"):
             classify_cob(Par(Spider("Z", 1, 1), Spider("W", 1, 1)))
+
+
+def classify_by_rewriting(term, seed):
+    """Components read off the step-by-step rewriter's normal form, which has one spider per piece at most."""
+    g = fuse(to_graph(term, ZSIG), rng=make_rng(seed))
+    n_in, n_slots = len(g.input_types), len(g.input_types) + len(g.output_types)
+    parent = list(range(n_slots + len(g.nodes)))  # inputs, outputs, then nodes
+
+    def find(x):
+        return x if parent[x] == x else find(parent[x])
+
+    at = {"i": 0, "o": n_in, "n": n_slots}
+    for a, b in g.wires:
+        parent[find(at[a[0]] + a[1])] = find(at[b[0]] + b[1])
+    pieces = defaultdict(lambda: ([], [], []))  # inputs, outputs, nodes
+    for x in range(len(parent)):
+        part = 0 if x < n_in else 1 if x < n_slots else 2
+        pieces[find(x)][part].append(x - (0, n_in, n_slots)[part])
+    found = [ComponentClass(tuple(i), tuple(o), sum(g.nodes[k].genus for k in ks)) for i, o, ks in pieces.values()]
+    found += [ComponentClass((), (), 1)] * len(g.loops)  # a loop of bare wire is a torus
+    return tuple(sorted(found, key=lambda c: (c.inputs, c.outputs, c.genus)))
+
+
+class TestClassifyCrossChecks:
+    def test_euler_characteristic_matches_the_rewriter(self):
+        for seed in range(320):
+            rng = make_rng(seed)
+            term = random_cob_term(rng, n_in=rng.randrange(4), n_layers=rng.randint(1, 6))
+            assert classify_cob(term, ZSIG).components == classify_by_rewriting(term, seed), seed
+
+    def test_homeomorphic_terms_have_equal_tqft_matrices(self):
+        p = xor_frobenius(COMPLEX)
+        by_type = defaultdict(list)
+        for seed in range(120):
+            rng = make_rng(seed)
+            term = random_cob_term(rng, n_in=rng.randrange(3), n_layers=rng.randint(1, 3))
+            by_type[typecheck(term, ZSIG)].append((term, evaluate_cob(term, p)))
+        equal_pairs = 0
+        for terms in by_type.values():
+            for (t1, m1), (t2, m2) in itertools.combinations(terms, 2):
+                if eq_cob(t1, t2):
+                    equal_pairs += 1
+                    assert m1 == m2
+        assert equal_pairs >= 100  # the implication is exercised, not vacuous
+
+
+class TestHighGenus:
+    # results only: 10^4 handles must pass at the default recursion limit
+    def test_genus_ten_thousand(self):
+        term = closed_surface(10 ** 4)
+        assert classify_cob(term, ZSIG).components == (ComponentClass((), (), 10 ** 4),)
+        g = to_graph(term, ZSIG)
+        assert (fuse(g).nodes, fuse(g).wires) == ((SpiderNode("Z", 0, 10 ** 4),), ())
+        assert (fuse(g, special=True).nodes, fuse(g, special=True).wires) == ((SpiderNode("Z", 0, 0),), ())
 
 
 class TestReversal:

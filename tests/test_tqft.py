@@ -1,6 +1,7 @@
 """Interpretations: frozen presentation oracles, functor laws, graph contraction."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from catkit.tqft import (
     xor_frobenius,
 )
 
-from corpus import make_rng, random_cob_term, random_term, rewrite_randomly, standard_signature
+from corpus import closed_surface, make_rng, random_cob_term, random_term, rewrite_randomly, standard_signature
 from helpers import random_matrix
 
 Z = ObjectWord((("Z", False),))
@@ -349,6 +350,17 @@ class TestEvaluateCob:
             rng = make_rng(seed)
             t = random_cob_term(rng, n_in=rng.randrange(3))
             assert evaluate_cob(t, p) == interpret(t, interp)
+
+    def test_complex_overflow_is_an_error_not_nan(self):
+        # xor gives 2^genus on a closed surface; 2^1100 is past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and numpy must not warn on the way
+            with pytest.raises(ValueError, match="inf or nan"):
+                evaluate_cob(closed_surface(1100), xor_frobenius(COMPLEX))
+
+    def test_nat_stays_exact_past_the_float_range(self):
+        m = evaluate_cob(closed_surface(1100), xor_frobenius(NAT))
+        assert (m.rows, m.cols, m.entry(0, 0).value) == (1, 1, 2 ** 1100)
 
 
 def _random_conjugated_basis(d, rng):

@@ -72,7 +72,9 @@ def spiderize(graph, sig):
         if isinstance(node, SpiderNode):
             decl = sig.objects.get(node.atom)
             if decl is None or not decl.frobenius:
-                raise ValueError(f"spider node on non-frobenius atom {node.atom!r}")
+                raise ValueError(
+                    f"spider node on non-frobenius atom {node.atom!r}"
+                )
     return graph
 
 
@@ -336,7 +338,9 @@ def term_atoms(term):
         elif isinstance(t, Swap):
             atoms.update(atom for atom, _ in t.left.factors + t.right.factors)
         elif isinstance(t, Gen):
-            raise ValueError(f"unsupported foreign generator {t.name!r} in a cobordism term")
+            raise ValueError(
+                f"unsupported foreign generator {t.name!r} in a cobordism term"
+            )
         else:
             raise TypeError(f"not a diagram term: {t!r}")
     return atoms
@@ -395,7 +399,9 @@ def _reverse_leaf(term):
     if isinstance(term, Cap):
         return Cup(term.atom)
     if isinstance(term, Gen):
-        raise ValueError(f"unsupported foreign generator {term.name!r} in a cobordism term")
+        raise ValueError(
+            f"unsupported foreign generator {term.name!r} in a cobordism term"
+        )
     raise TypeError(f"not a dagger-free term: {term!r}")
 
 
@@ -454,5 +460,8 @@ def eq_cob(t1, t2, sig=None):
     type1 = typecheck(t1, sig)
     type2 = typecheck(t2, sig)
     if type1 != type2:
-        raise TypeMismatch(f"boundary mismatch: {type1[0]} -> {type1[1]} vs {type2[0]} -> {type2[1]}")
+        raise TypeMismatch(
+            f"boundary mismatch: {type1[0]} -> {type1[1]} "
+            f"vs {type2[0]} -> {type2[1]}"
+        )
     return classify_cob(t1, sig) == classify_cob(t2, sig)

@@ -319,7 +319,9 @@ def _contract(tag, tensors, outputs, inputs, dims) -> MatrixMorphism:
     """
     boundary = outputs + inputs
     if len(tensors) == 1 and len(set(tensors[0][1])) == len(boundary) == len(dims):
-        # one tensor holding each wire once, its other end on the boundary: a transpose
+        # one tensor holding each wire once, its other end on the boundary, is a
+        # transpose with no arithmetic to guard; errstate and the engine's
+        # bookkeeping would make a single-gate circuit about a fifth slower
         arr, labels = tensors[0]
         data = arr.transpose([labels.index(x) for x in boundary])
     elif tag.exact:
@@ -494,9 +496,14 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
 
     def matrix(where, entries):
         try:
-            return MatrixMorphism(tag, entries)
+            m = MatrixMorphism(tag, entries)
         except (TypeError, ValueError) as exc:  # ShapeMismatch is a TypeError
             raise ValueError(f"{where}: {exc}") from None
+        # json reads Infinity and NaN; such an entry is the data's fault, not the contraction's
+        bad = [] if tag.exact else m.data[~np.isfinite(m.data)]
+        if len(bad):
+            raise ValueError(f"{where}: entries must be finite, got {bad[0]}")
+        return m
 
     def element_index(where, atom, x):
         names = element_names.get(atom)

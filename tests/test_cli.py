@@ -198,8 +198,12 @@ class TestEval:
                 {"frobenius": {"Z": {"delta": [[1, 0]], "eps": [[1, 1]], "mu": [[1, 0]], "e": [[1], [1]]}}},
                 "frobenius.Z: delta must be 4x2",
             ),
+            # python's json writes and reads Infinity and NaN
+            ({"generators": {"s": [[float("inf")]]}}, "generators.s: entries must be finite, got (inf+0j)"),
+            ({"generators": {"s": [[float("nan")]]}}, "generators.s: entries must be finite, got (nan+0j)"),
+            ({"generators": {"s": [[[0, float("-inf")]]]}}, "generators.s: entries must be finite, got -infj"),
         ],
-        ids=["ragged-rows", "missing-key", "mis-sized-presentation"],
+        ids=["ragged-rows", "missing-key", "mis-sized-presentation", "infinity", "nan", "infinite-pair"],
     )
     def test_bad_interpretation_data_names_the_key(self, files, tmp_path, capsys, data, where):
         bad = tmp_path / "bad.json"

@@ -65,6 +65,14 @@ class _IOFailure(Exception):
     pass
 
 
+def _load_interpretation(path, data, signature=None, tolerance=None):
+    """interpretation_from_data with the file's path in front of its errors."""
+    try:
+        return interpretation_from_data(data, signature, tolerance=tolerance)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_workspace(args):
     result = parse(_read_text(args.file))
     ws = Workspace(
@@ -81,9 +89,7 @@ def _load_workspace(args):
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise _IOFailure(f"{interp_path}: invalid JSON: {exc}") from exc
-        ws.interpretation = interpretation_from_data(
-            data, ws.signature, tolerance=ws.tolerance
-        )
+        ws.interpretation = _load_interpretation(interp_path, data, ws.signature, ws.tolerance)
     return ws
 
 
@@ -183,7 +189,7 @@ def cmd_laws(args):
         # frobenius data; generator matrices would require a signature
         if isinstance(data, dict):
             data = {k: v for k, v in data.items() if k != "generators"}
-        interp = interpretation_from_data(data, tolerance=args.tol)
+        interp = _load_interpretation(args.interp, data, tolerance=args.tol)
     tag = interp.tag if interp else COMPLEX
     seed = args.seed if args.seed is not None else 7
     nat_interp = interp if interp else Interpretation(COMPLEX, {"A": 2, "B": 3})

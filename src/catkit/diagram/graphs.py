@@ -11,7 +11,15 @@ connectivity: each union-find class with two ends is one wire, and a
 class with no ends is a closed circle of bare wire, kept as a labelled
 loop.  ``graph_eq`` then decides equality of terms modulo the dagger
 compact symmetric monoidal axioms by boundary-preserving labelled-graph
-isomorphism.
+isomorphism.  Box ports are ordered, so once one end of a wire is
+matched the node at its other end is too, and once a box is matched so
+is the far end of each of its ports: one pass from the boundary decides
+every box it reaches with no choice.  Only spider legs, which are
+interchangeable, and closed pieces are searched, depth first on an
+explicit stack.  What a choice opens up, a closed piece or the part
+beyond a spider's leg, is kept as soon as one candidate matches it
+whole: any isomorphic image of it may stand in for another, so the
+search never backtracks into it.
 
 Terminals are tuples: ('n', node_id, port) attaches to a node port,
 ('i', k) / ('o', k) to the k-th boundary input / output.  Box ports are
@@ -190,149 +198,136 @@ def to_graph(term, sig):
     )
 
 
-def _edge_key(u, v):
-    return (u, v) if repr(u) <= repr(v) else (v, u)
+def _owner(end):
+    """The node id of a port end, or the boundary slot itself."""
+    return end[1] if end[0] == "n" else end
 
 
-def _skeleton(graph):
-    """Vertex-coloured multigraph encoding used by the matcher.
-
-    Boxes expand into a hub vertex plus one vertex per port (coloured by
-    port index) so an isomorphism must respect box port order; spiders
-    stay single vertices so their legs may permute freely; boundary
-    vertices get singleton colours, pinning them pointwise.
-    """
-    verts = {}
-    edges = Counter()
-    for k, factor in enumerate(graph.input_types):
-        verts[("i", k)] = ("in", k, factor)
-    for k, factor in enumerate(graph.output_types):
-        verts[("o", k)] = ("out", k, factor)
-    for nid, node in enumerate(graph.nodes):
-        if isinstance(node, SpiderNode):
-            verts[("s", nid)] = ("spider", node.atom, node.degree, node.genus)
-        else:
-            verts[("b", nid)] = (
-                "box",
-                node.name,
-                node.daggered,
-                node.dom.factors,
-                node.cod.factors,
-            )
-            for p in range(node.n_ports):
-                verts[("p", nid, p)] = ("port", p)
-                edges[_edge_key(("b", nid), ("p", nid, p))] += 1
-
-    def vert_of(t):
-        if t[0] in ("i", "o"):
-            return t
-        nid = t[1]
-        if isinstance(graph.nodes[nid], SpiderNode):
-            return ("s", nid)
-        return ("p", nid, t[2])
-
+def _ends(graph):
+    """Each end's partner across its wire, and each node's wire counts to
+    its neighbours (node ids or boundary slots; a self-loop counts twice)."""
+    partner, nbrs = {}, defaultdict(dict)
     for a, b in graph.wires:
-        edges[_edge_key(vert_of(a), vert_of(b))] += 1
-    return verts, edges
+        partner[a], partner[b] = b, a
+        x, y = _owner(a), _owner(b)
+        nbrs[x][y] = nbrs[x].get(y, 0) + 1
+        nbrs[y][x] = nbrs[y].get(x, 0) + 1
+    return partner, nbrs
 
 
-def _adjacency(verts, edges):
-    adj = {v: Counter() for v in verts}
-    for (u, v), mult in edges.items():
-        adj[u][v] += mult
-        if u != v:
-            adj[v][u] += mult
-    return adj
+def _match(g1, g2):
+    """A node map carrying g1 onto g2 with the boundary fixed, or None.
 
-
-def _refine(col1, adj1, col2, adj2):
-    """Joint colour refinement; colours stay comparable across graphs."""
-    def compress(*sig_maps):
-        palette = {}
-        for sigs in sig_maps:
-            for s in sigs.values():
-                palette.setdefault(repr(s), s)
-        order = {key: i for i, key in enumerate(sorted(palette))}
-        return [
-            {v: order[repr(s)] for v, s in sigs.items()} for sigs in sig_maps
-        ]
-
-    col1, col2 = compress(col1, col2)
+    A matched end fixes the node at the far end of its wire, and a matched
+    box fixes the far end of each port, so matching outward from the
+    boundary meets a choice only at spider legs, which are
+    interchangeable: an unmatched neighbour of a matched spider may go to
+    any unused neighbour of the spider's image with the same label.  A
+    closed piece, which nothing matched reaches, starts from its node of
+    rarest label, which may go to any unused node with that label.  The
+    unmatched nodes a choice reaches form one region, touching matched
+    nodes only at spider legs; once some candidate matches the whole
+    region it is kept, since any isomorphic image of a region may stand
+    in for another.  So the depth-first search on the explicit stack
+    backtracks only inside an open region.
+    """
+    partner1, nbrs1 = _ends(g1)
+    partner2, nbrs2 = _ends(g2)
+    nodes1, nodes2 = g1.nodes, g2.nodes
+    slots = [("i", k) for k in range(len(g1.input_types))]
+    slots += [("o", k) for k in range(len(g1.output_types))]
+    image, used = {s: s for s in slots}, set(slots)  # g1 -> g2, and the image's values
+    by_label = defaultdict(list)
+    for y, node in enumerate(nodes2):
+        by_label[node].append(y)
+    rarest = sorted(range(len(nodes1)), key=lambda x: len(by_label[nodes1[x]]))
+    trail = []  # matched g1 nodes in order
+    frames = []  # open choices: (trail size, node, candidates left, region size, scan to resume)
+    todo, start = [(partner1[s], partner2[s]) for s in slots], None
+    scan = closed = 0  # the trail entry to search on from; the entry of rarest to start a closed piece
     while True:
-        sig1 = {
-            v: (c, tuple(sorted((col1[u], m) for u, m in adj1[v].items())))
-            for v, c in col1.items()
-        }
-        sig2 = {
-            v: (c, tuple(sorted((col2[u], m) for u, m in adj2[v].items())))
-            for v, c in col2.items()
-        }
-        new1, new2 = compress(sig1, sig2)
-        if len(set(new1.values())) == len(set(col1.values())) and len(
-            set(new2.values())
-        ) == len(set(col2.values())):
-            return new1, new2
-        col1, col2 = new1, new2
+        ok = True
+        while ok and (start or todo):
+            if start:
+                (a, b), start = start, None
+            else:
+                e, f = todo.pop()
+                a, b = _owner(e), _owner(f)
+                if e[0] == f[0] == "n" and isinstance(nodes1[a], BoxNode) and e[2] != f[2]:
+                    ok = False
+                    continue
+            if a in image or b in used or nodes1[a] != nodes2[b]:
+                ok = image.get(a) == b
+                continue
+            image[a] = b
+            used.add(b)
+            trail.append(a)
+            # wire counts to every matched node, a self-loop included, must agree
+            ok = {image[u]: k for u, k in nbrs1[a].items() if u in image} == {
+                w: k for w, k in nbrs2[b].items() if w in used
+            }
+            if ok and isinstance(nodes1[a], BoxNode):
+                todo += [(partner1[("n", a, p)], partner2[("n", b, p)]) for p in range(nodes1[a].n_ports)]
+        if ok:
+            while frames and len(trail) - frames[-1][0] == frames[-1][3]:
+                scan = frames.pop()[4]  # the open region is matched: keep it
+            u = None
+            while scan < len(trail) and u is None:
+                a = trail[scan]
+                if isinstance(nodes1[a], SpiderNode):
+                    u = next((v for v in nbrs1[a] if v not in image), None)
+                scan += u is None
+            if u is not None:
+                free = [w for w in nbrs2[image[a]] if w not in used and nodes2[w] == nodes1[u]]
+            else:
+                while closed < len(rarest) and rarest[closed] in image:
+                    closed += 1
+                if closed == len(rarest):
+                    return image
+                u = rarest[closed]
+                free = [w for w in by_label[nodes1[u]] if w not in used]
+            if len(free) == 1:
+                start = (u, free[0])
+                continue
+            if free:
+                region, stack = {u}, [u]
+                while stack:
+                    for v in nbrs1[stack.pop()]:
+                        if v not in image and v not in region:
+                            region.add(v)
+                            stack.append(v)
+                frames.append((len(trail), u, free, len(region), scan))
+        # try the next candidate of the innermost open choice
+        while frames and not frames[-1][2]:
+            frames.pop()
+        if not frames:
+            return None
+        size, u, free, _, _ = frames[-1]
+        while len(trail) > size:
+            used.discard(image.pop(trail.pop()))
+        todo, start, scan = [], (u, free.pop()), size
+
+
+def _wire_keys(graph, image):
+    """The multiset of wires with nodes renamed by image and spider legs unnumbered."""
+    def key(end):
+        if end[0] != "n":
+            return end
+        if isinstance(graph.nodes[end[1]], SpiderNode):
+            return ("n", image[end[1]])
+        return ("n", image[end[1]], end[2])
+
+    return Counter(tuple(sorted((key(a), key(b)))) for a, b in graph.wires)
 
 
 def graph_eq(g1, g2):
     """Boundary-, label-, and box-port-order-preserving isomorphism."""
-    if g1.input_types != g2.input_types:
-        return False
-    if g1.output_types != g2.output_types:
-        return False
-    if g1.loops != g2.loops:
-        return False
-    verts1, edges1 = _skeleton(g1)
-    verts2, edges2 = _skeleton(g2)
-    if len(verts1) != len(verts2) or sum(edges1.values()) != sum(
-        edges2.values()
-    ):
-        return False
-    adj1 = _adjacency(verts1, edges1)
-    adj2 = _adjacency(verts2, edges2)
-    col1, col2 = _refine(verts1, adj1, verts2, adj2)
-    if sorted(Counter(col1.values()).items()) != sorted(
-        Counter(col2.values()).items()
-    ):
-        return False
 
-    by_colour = defaultdict(list)
-    for v, c in col2.items():
-        by_colour[c].append(v)
-    # Small candidate sets first keeps the search near-deterministic.
-    order = sorted(col1, key=lambda v: (len(by_colour[col1[v]]), repr(v)))
-    mapping = {}
-    used = set()
+    def shape(g):
+        return g.input_types, g.output_types, g.loops, len(g.wires), Counter(g.nodes)
 
-    def extend(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in by_colour[col1[v]]:
-            if w in used:
-                continue
-            if adj1[v].get(v, 0) != adj2[w].get(w, 0):
-                continue
-            ok = True
-            for u, mult in adj1[v].items():
-                if u in mapping and adj2[w].get(mapping[u], 0) != mult:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
+    if shape(g1) != shape(g2):
         return False
-
-    if not extend(0):
-        return False
-    # Full verification: the mapped edge multiset must match exactly.
-    remapped = Counter()
-    for (u, v), mult in edges1.items():
-        remapped[_edge_key(mapping[u], mapping[v])] += mult
-    return remapped == edges2
+    image = _match(g1, g2)
+    # Safety check: the node map must carry g1's wire multiset onto g2's.
+    return image is not None and _wire_keys(g1, image) == _wire_keys(g2, range(len(g2.nodes)))

@@ -389,5 +389,45 @@ def closed_surface(genus, atom="Z"):
     return Seq(Spider(atom, 1, 0), term)
 
 
+def rings(lengths, cell=Gen("u"), atom="P"):
+    """Closed rings side by side, a ring of n copies of cell per n in lengths.
+
+    cell must go from atom to atom; the atom need not be self-dual.
+    """
+    plain, starred = ObjectWord.atom(atom), ObjectWord.atom(atom, dual=True)
+    term = None
+    for n in lengths:
+        chain = cell
+        for _ in range(n - 1):
+            chain = Seq(cell, chain)
+        ring = Seq(Cap(atom), Seq(Swap(starred, plain), Seq(Par(Id(starred), chain), Cup(atom))))
+        term = ring if term is None else Par(term, ring)
+    return term
+
+
+def binary_tree(depth, leftmost=None):
+    """Shape of a full binary tree: None is a leaf, a pair a fork.
+
+    leftmost, when given, stands in for the leftmost subtree two levels
+    above the leaves.
+    """
+    four = ((None, None), (None, None))
+    shape, other = leftmost or four, four
+    for _ in range(depth - 2):
+        shape, other = (shape, other), (other, other)
+    return shape
+
+
+def spider_tree(shape, atom="Z"):
+    """A closed tree of spiders: a unit, a delta at each fork, a counit at each leaf."""
+
+    def below(s):  # atom -> I
+        if s is None:
+            return Spider(atom, 1, 0)
+        return Seq(Par(below(s[0]), below(s[1])), Spider(atom, 1, 2))
+
+    return Seq(below(shape), Spider(atom, 0, 1))
+
+
 def make_rng(seed):
     return random.Random(seed)

@@ -210,7 +210,7 @@ class TestEval:
         bad.write_text(json.dumps({"semiring": "complex", "objects": {"Z": 2}, **data}))
         code, _, err = run(capsys, "eval", files["surfaces.cat"], "snake", "--interp", str(bad))
         assert code == 1
-        assert err.startswith(f"error: {where}")
+        assert err.startswith(f"error: {bad}: {where}")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
@@ -238,7 +238,7 @@ class TestEval:
         )
         code, _, err = run(capsys, "eval", files["rel.cat"], "roundtrip", "--interp", str(bad))
         assert code == 1
-        assert err.splitlines() == [f"error: {where}"]
+        assert err.splitlines() == [f"error: {bad}: {where}"]
 
     @pytest.mark.parametrize(
         "data, where",
@@ -259,7 +259,7 @@ class TestEval:
         bad.write_text(json.dumps(data))
         code, _, err = run(capsys, "eval", files["rel.cat"], "roundtrip", "--interp", str(bad))
         assert code == 1
-        assert err.splitlines() == [f"error: {where}"]
+        assert err.splitlines() == [f"error: {bad}: {where}"]
 
     def test_missing_interp_flag_is_a_usage_error(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -291,19 +291,33 @@ class TestClassify:
         assert "generator" in err
 
 
+# 600 handles in one flat chain: 1202 sequential stages
+DEEP_SURFACE = (
+    "object Z frobenius selfdual;\ndiag deep = spider(Z, 0, 1) >> "
+    + " >> ".join(["spider(Z, 1, 2) >> spider(Z, 2, 1)"] * 600)
+    + " >> spider(Z, 1, 0);\n"
+)
+# one 500-box chain written flat and in parenthesised pairs
+DEEP_CHAINS = (
+    "gen f : A -> B;\ngen g : B -> A;\n"
+    f"diag flat = {' >> '.join(['f >> g'] * 250)};\n"
+    f"diag paired = {' >> '.join(['(f >> g)'] * 250)};\n"
+)
+
+
 class TestDeepTerms:
     @pytest.mark.parametrize(
-        "argv, expected",
-        [(["check"], "deep : I -> I"), (["classify", "deep"], "component(in=[], out=[], genus=600)")],
-        ids=["check", "classify"],
+        "source, argv, expected",
+        [
+            (DEEP_SURFACE, ["check"], "deep : I -> I"),
+            (DEEP_SURFACE, ["classify", "deep"], "component(in=[], out=[], genus=600)"),
+            (DEEP_CHAINS, ["eq", "flat", "paired"], "equal"),
+        ],
+        ids=["check", "classify", "eq"],
     )
-    def test_deep_chain_is_not_a_traceback(self, tmp_path, capsys, argv, expected):
-        # 600 handles in one flat chain: 1202 sequential stages
-        chain = " >> ".join(["spider(Z, 1, 2) >> spider(Z, 2, 1)"] * 600)
+    def test_deep_chain_is_not_a_traceback(self, tmp_path, capsys, source, argv, expected):
         p = tmp_path / "deep.cat"
-        p.write_text(
-            f"object Z frobenius selfdual;\ndiag deep = spider(Z, 0, 1) >> {chain} >> spider(Z, 1, 0);\n"
-        )
+        p.write_text(source)
         code, out, err = run(capsys, argv[0], str(p), *argv[1:])
         assert (code, out.splitlines(), err) == (0, [expected], "")
 
@@ -322,7 +336,7 @@ class TestLaws:
         bad.write_text("[1, 2]")
         code, _, err = run(capsys, "laws", "--interp", str(bad))
         assert code == 1
-        assert err.splitlines() == ["error: interpretation: must be a JSON object"]
+        assert err.splitlines() == [f"error: {bad}: interpretation: must be a JSON object"]
 
     def test_battery_with_interpretation(self, files, capsys):
         code, out, _ = run(capsys, "laws", "--interp", files["rel.json"])

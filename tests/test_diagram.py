@@ -1,5 +1,8 @@
 """Terms, parser, port graphs, and the free-category equality decision."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 import corpus
@@ -11,11 +14,13 @@ from catkit.diagram import (
     Gen,
     Id,
     ObjectWord,
+    OpenGraph,
     Par,
     ParseError,
     Seq,
     Signature,
     Spider,
+    SpiderNode,
     Swap,
     TypeMismatch,
     UnknownName,
@@ -27,6 +32,7 @@ from catkit.diagram import (
     transpose,
     typecheck,
 )
+from catkit.frobenius import fuse
 
 A = ObjectWord.of("A")
 B = ObjectWord.of("B")
@@ -50,6 +56,94 @@ def sig():
 
 def eq_terms(t1, t2, sig):
     return graph_eq(to_graph(t1, sig), to_graph(t2, sig))
+
+
+def brute_force_eq(g1, g2):
+    """Graph equality by trying every label-preserving node bijection.
+
+    Boundary slots stay fixed, box ports keep their numbers and spider
+    legs, being interchangeable, are compared without theirs.
+    """
+    if (g1.input_types, g1.output_types, g1.loops) != (g2.input_types, g2.output_types, g2.loops):
+        return False
+    if Counter(g1.nodes) != Counter(g2.nodes):
+        return False
+
+    def wires(g, image):
+        def key(end):
+            if end[0] != "n":
+                return end
+            if isinstance(g.nodes[end[1]], SpiderNode):
+                return ("n", image[end[1]])
+            return ("n", image[end[1]], end[2])
+
+        return Counter(frozenset((key(a), key(b))) for a, b in g.wires)
+
+    target = wires(g2, range(len(g2.nodes)))
+    labels = list(set(g1.nodes))
+    sources = [[x for x, n in enumerate(g1.nodes) if n == label] for label in labels]
+    targets = [[y for y, n in enumerate(g2.nodes) if n == label] for label in labels]
+    for choice in itertools.product(*map(itertools.permutations, targets)):
+        image = {}
+        for xs, ys in zip(sources, choice):
+            image.update(zip(xs, ys))
+        if wires(g1, image) == target:
+            return True
+    return False
+
+
+def renumbered(g, rng):
+    """g with its nodes, spider legs and wires shuffled and its wires turned at random."""
+    order = list(range(len(g.nodes)))
+    rng.shuffle(order)
+    new = {old: k for k, old in enumerate(order)}
+    legs = {}
+    for end in itertools.chain.from_iterable(g.wires):
+        if end[0] == "n" and isinstance(g.nodes[end[1]], SpiderNode):
+            legs.setdefault(end[1], []).append(end[2])
+    leg = {}
+    for nid, ports in legs.items():
+        shuffled = rng.sample(ports, len(ports))
+        leg.update(((nid, p), q) for p, q in zip(ports, shuffled))
+
+    def end(e):
+        return ("n", new[e[1]], leg.get(e[1:], e[2])) if e[0] == "n" else e
+
+    wires = [(end(a), end(b)) if rng.random() < 0.5 else (end(b), end(a)) for a, b in g.wires]
+    rng.shuffle(wires)
+    return OpenGraph(tuple(g.nodes[old] for old in order), tuple(wires), g.input_types, g.output_types, g.loops)
+
+
+def rewired(g, i, j):
+    """g with the second ends of wires i and j exchanged."""
+    wires = list(g.wires)
+    (a, b), (c, d) = wires[i], wires[j]
+    wires[i], wires[j] = (a, d), (c, b)
+    return OpenGraph(g.nodes, tuple(wires), g.input_types, g.output_types, g.loops)
+
+
+def corpus_graphs(seeds):
+    """Port graphs of random box terms and of random cobordisms, unfused and fused both ways."""
+    sig, cob_sig = corpus.standard_signature(), corpus.cob_test_signature()
+    for seed in seeds:
+        rng = corpus.make_rng(seed)
+        yield to_graph(corpus.random_term(sig, rng, depth=rng.choice([2, 3, 4])), sig)
+        g = to_graph(corpus.random_cob_term(rng, rng.randrange(4), rng.randrange(1, 6)), cob_sig)
+        yield from (g, fuse(g), fuse(g, special=True))
+
+
+def alternating_chain(n, right_nested=False, flip=None):
+    """n boxes u, w, u, ... on P, box flip (if any) with the other label."""
+    boxes = [Gen("uw"[(k % 2) ^ (k == flip)]) for k in range(n)]
+    if right_nested:
+        term = boxes[-1]
+        for box in reversed(boxes[:-1]):
+            term = Seq(term, box)
+    else:
+        term = boxes[0]
+        for box in boxes[1:]:
+            term = Seq(box, term)
+    return term
 
 
 class TestTypecheck:
@@ -312,6 +406,74 @@ class TestGraphEquality:
 
     def test_distinct_generators_not_identified(self, sig):
         assert not eq_terms(Gen("s"), Gen("t"), sig)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [((3, 3, 3), (6, 3)), ((5, 5), (10,)), ((3, 3, 3, 3), (6, 3, 3)), ((3,) * 20, (3,) * 18 + (6,))],
+        ids=["3+3+3-vs-6+3", "5+5-vs-10", "3+3+3+3-vs-6+3+3", "20-triangles-vs-18+hexagon"],
+    )
+    def test_cycles_of_identical_boxes(self, sig, left, right):
+        # every box has the same label and the same neighbourhood; only the ring lengths differ
+        assert not eq_terms(corpus.rings(left), corpus.rings(right), sig)
+
+    @pytest.mark.parametrize("cell", [Gen("u"), Spider("Z", 1, 1)], ids=["boxes", "spiders"])
+    def test_rings_in_either_order(self, sig, cell):
+        # a ring may first be tried against a node of the other ring, and
+        # must then be refused, whichever end the candidates are taken from
+        atom = "P" if isinstance(cell, Gen) else "Z"
+        g = to_graph(corpus.rings((3, 6), cell, atom), sig)
+        assert graph_eq(g, to_graph(corpus.rings((3, 6), cell, atom), sig))
+        assert graph_eq(g, to_graph(corpus.rings((6, 3), cell, atom), sig))
+        assert not graph_eq(g, to_graph(corpus.rings((9,), cell, atom), sig))
+
+    def test_twenty_triangles(self, sig):
+        assert eq_terms(corpus.rings((3,) * 20), corpus.rings((3,) * 20), sig)
+
+    def test_long_chain(self, sig):
+        sig.declare_generator("w", P, P)
+        chain = to_graph(alternating_chain(1000), sig)
+        assert graph_eq(chain, to_graph(alternating_chain(1000, right_nested=True), sig))
+        assert not graph_eq(chain, to_graph(alternating_chain(1000, flip=500), sig))
+
+    def test_long_ring(self, sig):
+        ring = to_graph(corpus.rings((1000,)), sig)
+        assert graph_eq(ring, ring)
+
+    def test_long_unfused_surface(self):
+        g = to_graph(corpus.closed_surface(1000), corpus.cob_test_signature())
+        assert graph_eq(g, g)
+
+    def test_closed_spider_trees(self):
+        # every choice is among interchangeable legs, and a wrong one shows only near the leaves
+        sig = corpus.cob_test_signature()
+        plain = corpus.binary_tree(6)
+        bent = corpus.binary_tree(6, leftmost=(None, (None, (None, None))))
+        g = to_graph(corpus.spider_tree((bent, plain)), sig)
+        assert graph_eq(g, to_graph(corpus.spider_tree((plain, bent)), sig))
+        assert not graph_eq(g, to_graph(corpus.spider_tree((plain, plain)), sig))
+
+    def test_agrees_with_brute_force(self):
+        rng = corpus.make_rng(7)
+        compared = 0
+        for g in corpus_graphs(range(300)):
+            if len(g.nodes) > 7:
+                continue
+            others = [renumbered(g, rng)]
+            if len(g.wires) >= 2:
+                others += [rewired(g, *rng.sample(range(len(g.wires)), 2)) for _ in range(2)]
+            for other in others:
+                assert graph_eq(g, other) == brute_force_eq(g, other), (g, other)
+                compared += 1
+        assert compared > 2000
+
+    def test_renumbering_keeps_equality(self):
+        rng = corpus.make_rng(11)
+        sig, cob_sig = base_sig(), corpus.cob_test_signature()
+        graphs = list(corpus_graphs(range(300)))
+        graphs += [to_graph(corpus.rings(lengths), sig) for lengths in [(3, 3, 6), (1, 2, 5), (40,)]]
+        graphs += [to_graph(corpus.closed_surface(genus), cob_sig) for genus in (0, 1, 30)]
+        for g in graphs:
+            assert graph_eq(g, renumbered(g, rng)), g
 
 
 class TestDerivedForms:

@@ -65,6 +65,13 @@ class _IOFailure(Exception):
     pass
 
 
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise _IOFailure(f"{path}: invalid JSON: {exc}") from exc
+
+
 def _load_interpretation(path, data, signature=None, tolerance=None):
     """interpretation_from_data with the file's path in front of its errors."""
     try:
@@ -84,11 +91,7 @@ def _load_workspace(args):
     )
     interp_path = getattr(args, "interp", None)
     if interp_path:
-        raw = _read_text(interp_path)
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _IOFailure(f"{interp_path}: invalid JSON: {exc}") from exc
+        data = _read_json(interp_path)
         ws.interpretation = _load_interpretation(interp_path, data, ws.signature, ws.tolerance)
     return ws
 
@@ -180,11 +183,7 @@ def cmd_classify(args):
 def cmd_laws(args):
     interp = None
     if args.interp:
-        raw = _read_text(args.interp)
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _IOFailure(f"{args.interp}: invalid JSON: {exc}") from exc
+        data = _read_json(args.interp)
         # the battery only needs the semiring, dimensions, and any
         # frobenius data; generator matrices would require a signature
         if isinstance(data, dict):

@@ -16,7 +16,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .diagram.graphs import BoxNode, OpenGraph, SpiderNode, to_graph
+from .diagram.graphs import OpenGraph, SpiderNode, to_graph
 from .diagram.terms import (
     Cap,
     Cup,
@@ -428,9 +428,6 @@ def classify_cob(term, sig=None):
     if sig is None:
         sig = cob_signature(atom)
     graph = to_graph(term, sig)
-    boxes = [node.name for node in graph.nodes if isinstance(node, BoxNode)]
-    if boxes:
-        raise ValueError(f"unsupported foreign generator {boxes[0]!r} in a cobordism term")
     spiderize(graph, sig)
     # items are the inputs, the outputs, then the nodes; a boundary slot is one circle
     n_in = len(graph.input_types)

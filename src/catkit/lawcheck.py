@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .matcat import (
     MatrixMorphism,
@@ -129,27 +130,25 @@ def flip_entry(m: MatrixMorphism, i: int, j: int) -> MatrixMorphism:
     return MatrixMorphism._raw(m.tag, data)
 
 
-def _entry(name, anchor, dev, tol, witness=None, expect_fail=False) -> LawEntry:
-    return LawEntry(
-        name=name,
-        anchor=anchor,
-        passed=dev <= tol,
-        deviation=dev,
-        expect_fail=expect_fail,
-        witness=witness,
-    )
+def law_report(anchor: str, tol: float, laws, seed: int | None = None) -> LawReport:
+    """Report on (name, [(label, lhs, rhs), ...]) equations, one entry each.
 
-
-def _worst(pairs):
-    """Max deviation over (lhs, rhs) pairs plus a witness for the worst one."""
-    dev = 0.0
-    witness = None
-    for label, lhs, rhs in pairs:
-        d = max_deviation(lhs, rhs)
-        if d > dev:
-            dev = d
-            witness = label
-    return dev, witness
+    An entry's deviation is the worst over its pairs and its witness is the
+    label of the first pair that reaches it (None if every pair is exact).
+    A nan deviation is the worst of all, so the entry fails and names the
+    first pair that gave it.
+    """
+    entries = []
+    for name, pairs in laws:
+        dev, witness = 0.0, None
+        for label, lhs, rhs in pairs:
+            d = max_deviation(lhs, rhs)
+            if d > dev or math.isnan(d):
+                dev, witness = d, label
+                if math.isnan(d):
+                    break
+        entries.append(LawEntry(name, anchor, dev <= tol, dev, witness=witness))
+    return LawReport(entries=entries, seed=seed)
 
 
 def check_coherence(tag: SemiringTag, max_dim: int = 3) -> LawReport:
@@ -163,7 +162,6 @@ def check_coherence(tag: SemiringTag, max_dim: int = 3) -> LawReport:
     if max_dim > 5:
         raise ValueError("coherence check is capped at dimension 5")
     dims = range(max_dim + 1)
-    tol = tag.tolerance
 
     def ident(n):
         return MatrixMorphism.identity(tag, n)
@@ -173,20 +171,20 @@ def check_coherence(tag: SemiringTag, max_dim: int = 3) -> LawReport:
         inner = compose(assoc_iso(tag, a, b * c, d), tensor(assoc_iso(tag, a, b, c), ident(d)))
         lhs = compose(tensor(ident(a), assoc_iso(tag, b, c, d)), inner)
         rhs = compose(assoc_iso(tag, a, b, c * d), assoc_iso(tag, a * b, c, d))
-        pent.append(((a, b, c, d), lhs, rhs))
+        pent.append((f"dims {(a, b, c, d)}", lhs, rhs))
     tri = []
     for a, b in itertools.product(dims, repeat=2):
         lhs = compose(tensor(ident(a), left_unit_iso(tag, b)), assoc_iso(tag, a, 1, b))
         rhs = tensor(right_unit_iso(tag, a), ident(b))
-        tri.append(((a, b), lhs, rhs))
+        tri.append((f"dims {(a, b)}", lhs, rhs))
     sym_inv = []
     sym_unit = []
     for a, b in itertools.product(dims, repeat=2):
         lhs = compose(swap_matrix(tag, b, a), swap_matrix(tag, a, b))
-        sym_inv.append(((a, b), lhs, ident(a * b)))
+        sym_inv.append((f"dims {(a, b)}", lhs, ident(a * b)))
     for a in dims:
         lhs = compose(left_unit_iso(tag, a), swap_matrix(tag, a, 1))
-        sym_unit.append(((a,), lhs, right_unit_iso(tag, a)))
+        sym_unit.append((f"dims {(a,)}", lhs, right_unit_iso(tag, a)))
     hexa = []
     for a, b, c in itertools.product(dims, repeat=3):
         lhs = compose(assoc_iso(tag, b, c, a), compose(swap_matrix(tag, a, b * c), assoc_iso(tag, a, b, c)))
@@ -194,22 +192,19 @@ def check_coherence(tag: SemiringTag, max_dim: int = 3) -> LawReport:
             tensor(ident(b), swap_matrix(tag, a, c)),
             compose(assoc_iso(tag, b, a, c), tensor(swap_matrix(tag, a, b), ident(c))),
         )
-        hexa.append(((a, b, c), lhs, rhs))
-    lam = left_unit_iso(tag, 1)
-    rho = right_unit_iso(tag, 1)
-
-    entries = []
-    for name, pairs in [
-        ("pentagon", pent),
-        ("triangle", tri),
-        ("symmetry-inverse", sym_inv),
-        ("symmetry-unit", sym_unit),
-        ("hexagon", hexa),
-    ]:
-        dev, wit = _worst([("dims %s" % (lbl,), l, r) for lbl, l, r in pairs])
-        entries.append(_entry(name, "coherence", dev, tol, wit))
-    entries.insert(2, _entry("unit-scalar-equality", "coherence", max_deviation(lam, rho), tol))
-    return LawReport(entries=entries)
+        hexa.append((f"dims {(a, b, c)}", lhs, rhs))
+    return law_report(
+        "coherence",
+        tag.tolerance,
+        [
+            ("pentagon", pent),
+            ("triangle", tri),
+            ("unit-scalar-equality", [(None, left_unit_iso(tag, 1), right_unit_iso(tag, 1))]),
+            ("symmetry-inverse", sym_inv),
+            ("symmetry-unit", sym_unit),
+            ("hexagon", hexa),
+        ],
+    )
 
 
 def check_naturality_squares(
@@ -228,7 +223,6 @@ def check_naturality_squares(
     tag = interp.tag
     pool = sorted(set(interp.object_dims.values())) or [2, 3]
     rng = random.Random(seed)
-    tol = tag.tolerance
 
     def sigma(a, b):
         m = swap_matrix(tag, a, b)
@@ -271,23 +265,22 @@ def check_naturality_squares(
             lhs = compose(f, right_unit_iso(tag, a))
             rhs = compose(right_unit_iso(tag, a2), tensor(f, ident(1)))
             run.append(("dim %d sample %d" % (a, s), lhs, rhs))
-
-    entries = []
-    for name, pairs in [
-        ("symmetry-naturality", sym),
-        ("associativity-naturality", asc),
-        ("left-unit-naturality", lun),
-        ("right-unit-naturality", run),
-    ]:
-        dev, wit = _worst(pairs)
-        entries.append(_entry(name, "naturality", dev, tol, wit))
-    return LawReport(entries=entries, seed=seed)
+    return law_report(
+        "naturality",
+        tag.tolerance,
+        [
+            ("symmetry-naturality", sym),
+            ("associativity-naturality", asc),
+            ("left-unit-naturality", lun),
+            ("right-unit-naturality", run),
+        ],
+        seed,
+    )
 
 
 def check_scalar_laws(tag: SemiringTag, samples: int = 100, seed: int = 11) -> LawReport:
     """Commutativity of the scalar monoid and the scalar-multiple exchange laws."""
     rng = random.Random(seed)
-    tol = tag.tolerance
     commute = []
     comp_law = []
     tens_law = []
@@ -306,15 +299,16 @@ def check_scalar_laws(tag: SemiringTag, samples: int = 100, seed: int = 11) -> L
         lhs = tensor(scalar_multiple(sv, f), scalar_multiple(tv, h))
         rhs = scalar_multiple(mul(sv, tv), tensor(f, h))
         tens_law.append(("sample %d" % k, lhs, rhs))
-    entries = []
-    for name, pairs in [
-        ("scalar-commutativity", commute),
-        ("scalar-compose-exchange", comp_law),
-        ("scalar-tensor-exchange", tens_law),
-    ]:
-        dev, wit = _worst(pairs)
-        entries.append(_entry(name, "scalars", dev, tol, wit))
-    return LawReport(entries=entries, seed=seed)
+    return law_report(
+        "scalars",
+        tag.tolerance,
+        [
+            ("scalar-commutativity", commute),
+            ("scalar-compose-exchange", comp_law),
+            ("scalar-tensor-exchange", tens_law),
+        ],
+        seed,
+    )
 
 
 def check_compact_structure(
@@ -327,7 +321,6 @@ def check_compact_structure(
     eta_flip=(n, i) corrupts entry i of the cup at dimension n, for mutation
     coverage.
     """
-    tol = tag.tolerance
 
     def eta_at(n):
         m = unit_eta(tag, n)
@@ -352,16 +345,16 @@ def check_compact_structure(
         dag.append(("dim %d" % n, compose(dagger(eta), swap_matrix(tag, n, n)), eps))
         n_ones = functools.reduce(add, [one(tag)] * n, zero(tag))
         circ.append(("dim %d" % n, compose(eps, eta), MatrixMorphism(tag, [[n_ones.value]])))
-    entries = []
-    for name, pairs in [
-        ("snake-right", snake_r),
-        ("snake-left", snake_l),
-        ("dagger-compactness", dag),
-        ("circle-dimension", circ),
-    ]:
-        dev, wit = _worst(pairs)
-        entries.append(_entry(name, "compact", dev, tol, wit))
-    return LawReport(entries=entries)
+    return law_report(
+        "compact",
+        tag.tolerance,
+        [
+            ("snake-right", snake_r),
+            ("snake-left", snake_l),
+            ("dagger-compactness", dag),
+            ("circle-dimension", circ),
+        ],
+    )
 
 
 def check_hopf_bialgebra(p, antipode: MatrixMorphism) -> LawReport:
@@ -378,7 +371,6 @@ def check_hopf_bialgebra(p, antipode: MatrixMorphism) -> LawReport:
             "antipode must be %dx%d, got %dx%d" % (d, d, antipode.rows, antipode.cols)
         )
     tag = antipode.tag
-    tol = tag.tolerance
     ident = MatrixMorphism.identity(tag, d)
     e_after_eps = compose(p.unit_e, p.eps)
 
@@ -388,25 +380,20 @@ def check_hopf_bialgebra(p, antipode: MatrixMorphism) -> LawReport:
     bial_mult = compose(tensor(p.mu, p.mu), compose(mid, tensor(p.delta, p.delta)))
     scalar = compose(p.eps, p.unit_e)
 
-    checks = [
-        ("hopf-left", "hopf", hopf_l, e_after_eps, None),
-        ("hopf-right", "hopf", hopf_r, e_after_eps, None),
-        ("bialgebra-mult-comult", "bialgebra", compose(p.delta, p.mu), bial_mult, None),
-        ("bialgebra-mult-counit", "bialgebra", compose(p.eps, p.mu), tensor(p.eps, p.eps), None),
-        ("bialgebra-unit-comult", "bialgebra", compose(p.delta, p.unit_e), tensor(p.unit_e, p.unit_e), None),
-        (
-            "bialgebra-unit-counit",
-            "bialgebra",
-            scalar,
-            MatrixMorphism.identity(tag, 1),
-            "eps . e = %r" % (scalar.entry(0, 0).value,),
-        ),
-    ]
-    entries = []
-    for name, anchor, lhs, rhs, wit in checks:
-        dev = max_deviation(lhs, rhs)
-        entries.append(_entry(name, anchor, dev, tol, wit))
-    return LawReport(entries=entries)
+    hopf = [("hopf-left", [(None, hopf_l, e_after_eps)]), ("hopf-right", [(None, hopf_r, e_after_eps)])]
+    report = law_report("hopf", tag.tolerance, hopf)
+    report.entries += law_report(
+        "bialgebra",
+        tag.tolerance,
+        [
+            ("bialgebra-mult-comult", [(None, compose(p.delta, p.mu), bial_mult)]),
+            ("bialgebra-mult-counit", [(None, compose(p.eps, p.mu), tensor(p.eps, p.eps))]),
+            ("bialgebra-unit-comult", [(None, compose(p.delta, p.unit_e), tensor(p.unit_e, p.unit_e))]),
+            ("bialgebra-unit-counit", [(None, scalar, MatrixMorphism.identity(tag, 1))]),
+        ],
+    ).entries
+    report.entries[-1] = replace(report.entries[-1], witness="eps . e = %r" % (scalar.entry(0, 0).value,))
+    return report
 
 
 def negative_suite() -> LawReport:
@@ -434,10 +421,9 @@ def negative_suite() -> LawReport:
         delta2 = MatrixMorphism(tag, [[1, 0], [0, 0], [0, 0], [0, 1]])
         delta1 = MatrixMorphism(tag, [[1]])
         f = MatrixMorphism(tag, [[1], [1]])
-        lhs = compose(delta2, f)
-        rhs = compose(tensor(f, f), delta1)
-        dev = max_deviation(lhs, rhs)
-        entries.append(_entry(name, "no-cloning", dev, tag.tolerance, witness, expect_fail=True))
+        square = (witness, compose(delta2, f), compose(tensor(f, f), delta1))
+        (e,) = law_report("no-cloning", tag.tolerance, [(name, [square])]).entries
+        entries.append(replace(e, expect_fail=True))
 
     # Candidate products on the singleton: projections and cones are all 1x1
     # relations, so each is just a bit; composition is conjunction.

@@ -21,7 +21,7 @@ import numpy as np
 from .diagram import Gen, ObjectWord, OpenGraph, Signature, SpiderNode, UnknownName, typecheck
 from .diagram.graphs import Wiring
 from .frobenius import cob_signature, strip_daggers, term_atoms
-from .lawcheck import LawEntry, LawReport
+from .lawcheck import LawReport, law_report
 from .matcat import (
     MatrixMorphism,
     ShapeMismatch,
@@ -137,6 +137,16 @@ def hopf_group_z2(tag: SemiringTag = COMPLEX):
     return p, MatrixMorphism.identity(tag, 2)
 
 
+def _flag_laws(p: FrobeniusPresentation) -> list:
+    """The commutativity, speciality and dagger-structure equations, in flag order."""
+    sigma = swap_matrix(p.tag, p.dim, p.dim)
+    return [
+        ("commutativity", [(None, compose(sigma, p.delta), p.delta), (None, compose(p.mu, sigma), p.mu)]),
+        ("speciality", [(None, compose(p.mu, p.delta), MatrixMorphism.identity(p.tag, p.dim))]),
+        ("dagger-structure", [(None, dagger(p.delta), p.mu), (None, dagger(p.eps), p.unit_e)]),
+    ]
+
+
 def verify_frobenius(p: FrobeniusPresentation) -> LawReport:
     """Check the (co)monoid, Frobenius, and flagged laws as matrix equations.
 
@@ -144,7 +154,6 @@ def verify_frobenius(p: FrobeniusPresentation) -> LawReport:
     restrictive semirings is reported rather than rejected.
     """
     tag = p.tag
-    tol = tag.tolerance
     d = p.dim
     ident = MatrixMorphism.identity(tag, d)
     frob_mid = compose(p.delta, p.mu)
@@ -159,27 +168,9 @@ def verify_frobenius(p: FrobeniusPresentation) -> LawReport:
         ("frobenius-left", compose(tensor(ident, p.mu), tensor(p.delta, ident)), frob_mid),
         ("frobenius-right", compose(tensor(p.mu, ident), tensor(ident, p.delta)), frob_mid),
     ]
-    entries = []
-    for name, lhs, rhs in checks:
-        dev = max_deviation(lhs, rhs)
-        entries.append(LawEntry(name, "frobenius", dev <= tol, dev))
-    if p.commutative:
-        sigma = swap_matrix(tag, d, d)
-        dev = max(
-            max_deviation(compose(sigma, p.delta), p.delta),
-            max_deviation(compose(p.mu, sigma), p.mu),
-        )
-        entries.append(LawEntry("commutativity", "frobenius", dev <= tol, dev))
-    if p.special:
-        dev = max_deviation(compose(p.mu, p.delta), ident)
-        entries.append(LawEntry("speciality", "frobenius", dev <= tol, dev))
-    if p.dagger:
-        dev = max(
-            max_deviation(dagger(p.delta), p.mu),
-            max_deviation(dagger(p.eps), p.unit_e),
-        )
-        entries.append(LawEntry("dagger-structure", "frobenius", dev <= tol, dev))
-    return LawReport(entries=entries)
+    laws = [(name, [(None, lhs, rhs)]) for name, lhs, rhs in checks]
+    laws += [law for law, claimed in zip(_flag_laws(p), (p.commutative, p.special, p.dagger)) if claimed]
+    return law_report("frobenius", tag.tolerance, laws)
 
 
 def spider_matrix(p: FrobeniusPresentation, k: int, l: int, genus: int = 0) -> MatrixMorphism:
@@ -416,7 +407,6 @@ def check_frobenius_morphism(
             f"morphism must be {q.dim}x{p.dim}, got {theta.rows}x{theta.cols}"
         )
     tag = join_tags(theta.tag, join_tags(p.tag, q.tag))
-    tol = tag.tolerance
     pair = tensor(theta, theta)
     checks = [
         ("morphism-comultiplication", compose(q.delta, theta), compose(pair, p.delta)),
@@ -424,11 +414,7 @@ def check_frobenius_morphism(
         ("morphism-multiplication", compose(theta, p.mu), compose(q.mu, pair)),
         ("morphism-unit", compose(theta, p.unit_e), q.unit_e),
     ]
-    entries = []
-    for name, lhs, rhs in checks:
-        dev = max_deviation(lhs, rhs)
-        entries.append(LawEntry(name, "frobenius-morphism", dev <= tol, dev))
-    return LawReport(entries=entries)
+    return law_report("frobenius-morphism", tag.tolerance, [(n, [(None, lhs, rhs)]) for n, lhs, rhs in checks])
 
 
 def conjugate_presentation(
@@ -558,22 +544,12 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
         if missing:
             raise ValueError(f"frobenius.{atom}: missing {', '.join(missing)}")
         delta, eps, mu, unit_e = (matrix(f"frobenius.{atom}.{k}", value[k]) for k in keys)
-        d = delta.cols
         try:
-            p = FrobeniusPresentation(d, delta, eps, mu, unit_e)
+            p = FrobeniusPresentation(delta.cols, delta, eps, mu, unit_e)
         except ShapeMismatch as exc:
             raise ValueError(f"frobenius.{atom}: {exc}") from None
-        tol = tag.tolerance
-        sigma = swap_matrix(tag, d, d)
-        commutative = (
-            max_deviation(compose(sigma, delta), delta) <= tol
-            and max_deviation(compose(mu, sigma), mu) <= tol
-        )
-        special = max_deviation(compose(mu, delta), MatrixMorphism.identity(tag, d)) <= tol
-        daggered = (
-            max_deviation(dagger(delta), mu) <= tol
-            and max_deviation(dagger(eps), unit_e) <= tol
-        )
+        report = law_report("frobenius", tag.tolerance, _flag_laws(p))
+        commutative, special, daggered = (e.passed for e in report.entries)
         frobenius_data[atom] = replace(p, commutative=commutative, special=special, dagger=daggered)
 
     return Interpretation(

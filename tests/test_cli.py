@@ -342,3 +342,43 @@ class TestLaws:
         code, out, _ = run(capsys, "laws", "--interp", files["rel.json"])
         assert code == 0
         assert "all laws as expected" in out
+
+    def test_nan_deviation_is_a_failure(self, tmp_path, capsys):
+        # delta . delta overflows: inf - inf and inf * 0 make the coassociativity
+        # deviation nan, which must fail the law, not pass it
+        data = {
+            "semiring": "complex",
+            "objects": {"Z": 2},
+            "frobenius": {
+                "Z": {
+                    "delta": [[1e200, 0], [0, 0], [0, 0], [0, 1]],
+                    "eps": [[1e-200, 1]],
+                    "mu": [[1e-200, 0, 0, 0], [0, 0, 0, 1]],
+                    "e": [[1e200], [1]],
+                }
+            },
+        }
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings go to stderr
+            code, out, _ = run(capsys, "laws", "--interp", str(huge))
+        assert code == 1
+        failed = [line.split() for line in out.splitlines() if "FAIL" in line]
+        assert failed == [["coassociativity", "FAIL", "deviation=nan"]]
+        assert out.splitlines()[-1] == "1 law(s) came out wrong"
+
+    def test_invalid_json_is_an_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        code, out, err = run(capsys, "laws", "--interp", str(bad))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {bad}: invalid JSON: ")
+
+    def test_missing_interpretation_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "laws", "--interp", str(missing))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {missing}: ")

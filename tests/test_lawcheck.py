@@ -1,5 +1,6 @@
 """Law battery: coherence, naturality, scalars, compact closure, Hopf, negatives."""
 
+import math
 import types
 
 import pytest
@@ -15,6 +16,7 @@ from catkit.lawcheck import (
     check_naturality_squares,
     check_scalar_laws,
     flip_entry,
+    law_report,
     merge_reports,
     negative_suite,
     random_matrix,
@@ -245,6 +247,44 @@ class TestReportMechanics:
         merged = merge_reports([check_scalar_laws(BOOL), check_coherence(BOOL)])
         assert merged.names() == sorted(merged.names())
         assert merged.ok
+
+
+def scalar_pairs(devs):
+    """One (label, lhs, rhs) pair of 1x1 complex matrices per deviation, labelled p0, p1, ..."""
+    zero = MatrixMorphism(COMPLEX, [[0]])
+    return [("p%d" % k, MatrixMorphism(COMPLEX, [[d]]), zero) for k, d in enumerate(devs)]
+
+
+class TestLawReport:
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_nan_fails_wherever_it_sits(self, at):
+        devs = [0.5, 2.0]
+        devs.insert(at, math.nan)
+        (e,) = law_report("a", math.inf, [("law", scalar_pairs(devs))]).entries
+        assert not e.passed
+        assert math.isnan(e.deviation)
+        assert e.witness == "p%d" % at
+
+    def test_first_nan_is_the_witness(self):
+        (e,) = law_report("a", 1.0, [("law", scalar_pairs([0.0, math.nan, 3.0, math.nan]))]).entries
+        assert (e.passed, e.witness) == (False, "p1")
+
+    def test_tie_goes_to_the_first_label(self):
+        (e,) = law_report("a", 1.0, [("law", scalar_pairs([0.5, 2.0, 1.0, 2.0]))]).entries
+        assert (e.passed, e.deviation, e.witness) == (False, 2.0, "p1")
+
+    def test_exact_pairs_have_no_witness(self):
+        (e,) = law_report("a", 0.0, [("law", scalar_pairs([0.0, 0.0, 0.0]))]).entries
+        assert (e.passed, e.deviation, e.witness) == (True, 0.0, None)
+
+    def test_deviation_at_the_tolerance_passes(self):
+        laws = [("at", scalar_pairs([0.5])), ("over", scalar_pairs([0.25, 0.75]))]
+        report = law_report("a", 0.5, laws, seed=4)
+        assert [(e.name, e.anchor, e.passed, e.witness) for e in report.entries] == [
+            ("at", "a", True, "p0"),
+            ("over", "a", False, "p1"),
+        ]
+        assert report.seed == 4
 
 
 class TestHelpers:

@@ -132,6 +132,14 @@ class TestVerifyFrobenius:
         assert not report.entry("speciality").passed
         assert report.entry("speciality").deviation == pytest.approx(1.0)
 
+    def test_nan_in_one_pair_fails_its_law(self):
+        # the nan in mu reaches only the second commutativity equation; the first is exact
+        p = basis_frobenius(2, COMPLEX)
+        mu = cmat([[1, 0, 0, 0], [0, 0, 0, float("nan")]])
+        entry = verify_frobenius(dataclasses.replace(p, mu=mu)).entry("commutativity")
+        assert not entry.passed
+        assert np.isnan(entry.deviation)
+
     def test_failures_are_entries_not_errors(self):
         tag = COMPLEX
         junk = FrobeniusPresentation(
@@ -617,6 +625,22 @@ class TestJsonLoader:
         p = interpretation_from_data(data).frobenius_data["Z"]
         assert p.commutative and p.dagger and not p.special
         assert verify_frobenius(p).ok
+
+    def test_measured_flags_agree_with_verified_laws(self):
+        presentations = [basis_frobenius(d, tag) for tag in (BOOL, NAT, COMPLEX) for d in (1, 2, 3)]
+        presentations += [xor_frobenius(BOOL), xor_frobenius(COMPLEX), hopf_group_z2(COMPLEX)[0]]
+        presentations += [_random_conjugated_basis(d, make_rng(d)) for d in (2, 3)]
+        seen = set()
+        flags = [("commutative", "commutativity"), ("special", "speciality"), ("dagger", "dagger-structure")]
+        for p in presentations:
+            explicit = {"delta": p.delta.tolist(), "eps": p.eps.tolist(), "mu": p.mu.tolist(), "e": p.unit_e.tolist()}
+            data = {"semiring": p.tag.kind, "objects": {"Z": p.dim}, "frobenius": {"Z": explicit}}
+            q = interpretation_from_data(data).frobenius_data["Z"]
+            report = verify_frobenius(dataclasses.replace(p, commutative=True, special=True, dagger=True))
+            for flag, law in flags:
+                assert getattr(q, flag) == report.entry(law).passed, (p, flag)
+                seen.add(getattr(q, flag))
+        assert seen == {True, False}
 
     def test_complex_entries_as_pairs(self):
         data = {

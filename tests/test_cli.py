@@ -1,10 +1,14 @@
 """End-to-end command tests with golden output."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import catkit
 from catkit.cli import main
 
 SURFACES = """
@@ -42,6 +46,21 @@ REL_INTERP = {
 }
 
 DIM3 = {"semiring": "complex", "objects": {"Z": 3}, "frobenius": {"Z": "basis"}}
+
+# the presentation of TestLaws.test_nan_deviation_is_a_failure: delta . delta
+# overflows to inf, and inf - inf makes a deviation nan
+OVERFLOWING = {
+    "semiring": "complex",
+    "objects": {"Z": 2},
+    "frobenius": {
+        "Z": {
+            "delta": [[1e200, 0], [0, 0], [0, 0], [0, 1]],
+            "eps": [[1e-200, 1]],
+            "mu": [[1e-200, 0, 0, 0], [0, 0, 0, 1]],
+            "e": [[1e200], [1]],
+        }
+    },
+}
 
 
 @pytest.fixture
@@ -382,3 +401,59 @@ class TestLaws:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: cannot read {missing}: ")
+
+    def test_overflowing_data_issues_no_warning(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(OVERFLOWING))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "laws", "--interp", str(huge))
+        assert (code, caught, err) == (1, [], "")
+        assert out.splitlines()[-1] == "1 law(s) came out wrong"
+
+    @pytest.mark.parametrize("command", ["laws", "eval"])
+    def test_unknown_semiring_is_one_error_line(self, files, tmp_path, capsys, command):
+        bad = tmp_path / "real.json"
+        bad.write_text(json.dumps({"semiring": "real", "objects": {"Z": 2}}))
+        argv = ["laws"] if command == "laws" else ["eval", files["surfaces.cat"], "snake"]
+        code, out, err = run(capsys, *argv, "--interp", str(bad))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {bad}: unknown semiring 'real'; expected bool, complex, or nat"
+        ]
+
+
+# runs catkit.cli.main in a fresh interpreter, then reports whether numpy loaded
+NUMPY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from catkit.cli import main
+code = main(sys.argv[2:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "argv, loads_numpy",
+        [
+            (["check", "surfaces.cat"], False),
+            (["eq", "boxes.cat", "stacked", "sliced"], False),
+            (["eq", "surfaces.cat", "handle", "straight", "--frobenius", "--special"], False),
+            (["classify", "surfaces.cat", "torus"], False),
+            # control: the probe does see numpy when a command loads it
+            (["eval", "surfaces.cat", "snake", "--interp", "dim3.json"], True),
+        ],
+        ids=["check", "eq", "eq-frobenius", "classify", "eval"],
+    )
+    def test_numpy_loads_only_for_matrix_commands(self, files, argv, loads_numpy):
+        src = os.path.dirname(os.path.dirname(catkit.__file__))
+        argv = [files.get(a, a) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, src, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"

@@ -15,10 +15,19 @@ are generator or previously defined diagram names, ``id(WORD)``,
 Object words are ``I`` or atoms joined by ``x``, each with an optional
 ``*`` marking the dual.  Atoms are declared implicitly on first use;
 structure flags require an ``object`` statement.
+
+Parsing is one regular-expression scan and one loop.  ``tokenize``
+reads every token with a single ``findall`` into a list of strings,
+ended by the empty string; no per-token object is built, and a source
+position is worked out from the text only when a ParseError is raised.
+Expressions are read by one operator-precedence loop over an explicit
+stack of open ``(``, ``dg(``, ``name(`` and ``coname(`` frames, so no
+method recurses and nesting depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import terms
@@ -47,6 +56,29 @@ RESERVED = frozenset(
 
 _SYMBOLS = frozenset([";", ":", "=", ",", "(", ")", "*", "->", ">>"])
 
+# Whitespace (str.isspace, which is re's \s) and comments.
+_SKIP = r"(?:\s+|#[^\n]*)*+"
+# One token and the skip after it.  Identifiers start with str.isalpha()
+# or "_" and go on with str.isalnum() or "_" (re's \w); integers are runs
+# of str.isdigit().  re's \d is only str.isdecimal(), so {start} lists
+# the text's numeric non-letters to keep out of an identifier's start and
+# {digits} its non-decimal digits.  Any other character swallows the rest
+# of the text, so a bad character is always the last token.
+_TOKEN = r"(->|>>|[;:=,()*]|[^\W\d{start}]\w*|[\d{digits}]+|\S[\s\S]*)" + _SKIP
+_SKIP_RE = re.compile(_SKIP)
+_SCAN = re.compile(_TOKEN.format(start="", digits=""))
+
+# Built-in atoms read by _Parser.atom: constructor and argument readers.
+_BUILTINS = {
+    "id": (Id, ("word",)),
+    "swap": (Swap, ("word", "word")),
+    "cup": (Cup, ("atom_name",)),
+    "cap": (Cap, ("atom_name",)),
+    "spider": (Spider, ("atom_name", "int_arg", "int_arg")),
+}
+# Tokens that open an expression frame; all but "(" are followed by "(".
+_OPENERS = frozenset(["(", "dg", "name", "coname"])
+
 
 class ParseError(DiagramError):
     """Syntax or name-resolution failure with a source position."""
@@ -57,64 +89,51 @@ class ParseError(DiagramError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "int" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+def _scanner(text):
+    """The token pattern, exact for every character `text` holds."""
+    if text.isascii():
+        return _SCAN
+    chars = set(text)
+    start = "".join(c for c in chars if c.isnumeric() and not (c.isalpha() or c.isdecimal()))
+    digits = "".join(c for c in chars if c.isdigit() and not c.isdecimal())
+    if not (start or digits):
+        return _SCAN
+    return re.compile(_TOKEN.format(start=re.escape(start), digits=re.escape(digits)))
+
+
+def _is_name(tok):
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _error(message, text, offset):
+    """ParseError at a character offset: 1-based line and column, where
+    only "\\n" starts a line."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _offset(text, index):
+    """Character offset of token `index` of tokenize(text)."""
+    scan = _scanner(text).finditer(text, _SKIP_RE.match(text).end())
+    for i, match in enumerate(scan):
+        if i == index:
+            return match.start()
+    # The end of input sits before a comment that ends the text.
+    comment = text.find("#", text.rfind("\n") + 1)
+    return len(text) if comment < 0 else comment
 
 
 def tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in ("->", ">>"):
-            tokens.append(Token("sym", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in ";:=,()*":
-            tokens.append(Token("sym", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("eof", "", line, col))
+    """The tokens of `text` as strings, ended by the empty string.
+
+    Raises ParseError at the first character that starts no token.
+    """
+    tokens = _scanner(text).findall(text, _SKIP_RE.match(text).end())
+    if tokens:
+        last = tokens[-1]
+        if last not in _SYMBOLS and not (_is_name(last) or last[0].isdigit()):
+            raise _error(f"unexpected character {last[0]!r}", text, len(text) - len(last))
+    tokens.append("")
     return tokens
 
 
@@ -128,224 +147,187 @@ class ParseResult:
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.sig = Signature()
         self.diagrams = {}
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def fail(self, message, at=None):
+        """Raise ParseError at token index `at`, by default the next one."""
+        at = self.pos if at is None else at
+        raise _error(message, self.text, _offset(self.text, at))
 
-    def advance(self):
+    def expect(self, sym):
         tok = self.tokens[self.pos]
+        if tok != sym:
+            self.fail(f"expected {sym!r}, found {tok or 'end of input'!r}")
         self.pos += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def expect_sym(self, text):
-        tok = self.peek()
-        if tok.kind != "sym" or tok.text != text:
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            self.fail(f"expected {text!r}, found {shown!r}")
-        return self.advance()
 
     def expect_name(self, what):
-        tok = self.peek()
-        if tok.kind != "ident":
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            self.fail(f"expected {what}, found {shown!r}")
-        if tok.text in RESERVED:
-            self.fail(f"{tok.text!r} is a reserved word")
-        return self.advance()
-
-    def at_sym(self, text):
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
-
-    def at_ident(self, text):
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == text
+        tok = self.tokens[self.pos]
+        if not _is_name(tok):
+            self.fail(f"expected {what}, found {tok or 'end of input'!r}")
+        if tok in RESERVED:
+            self.fail(f"{tok!r} is a reserved word")
+        self.pos += 1
+        return tok
 
     # Statements
 
     def parse_module(self):
-        while self.peek().kind != "eof":
-            self.statement()
+        while tok := self.tokens[self.pos]:
+            if not _is_name(tok):
+                self.fail(f"expected a declaration, found {tok!r}")
+            if tok == "object":
+                self.object_decl()
+            elif tok == "gen":
+                self.gen_decl()
+            else:
+                if tok == "diag":
+                    self.pos += 1
+                self.diag_decl()
         return ParseResult(self.sig, self.diagrams)
 
-    def statement(self):
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected a declaration, found {tok.text!r}")
-        if tok.text == "object":
-            self.object_decl()
-        elif tok.text == "gen":
-            self.gen_decl()
-        elif tok.text == "diag":
-            self.advance()
-            self.diag_decl()
-        else:
-            self.diag_decl()
-
     def object_decl(self):
-        self.advance()
-        name_tok = self.expect_name("an object name")
-        frobenius = False
-        self_dual = False
-        while self.peek().kind == "ident" and self.peek().text in (
-            "frobenius",
-            "selfdual",
-        ):
-            flag = self.advance().text
-            if flag == "frobenius":
-                frobenius = True
-            else:
-                self_dual = True
-        self.expect_sym(";")
+        self.pos += 1
+        at = self.pos
+        name = self.expect_name("an object name")
+        flags = set()
+        while self.tokens[self.pos] in ("frobenius", "selfdual"):
+            flags.add(self.tokens[self.pos])
+            self.pos += 1
+        self.expect(";")
         try:
-            self.sig.declare_object(name_tok.text, frobenius, self_dual)
+            self.sig.declare_object(name, "frobenius" in flags, "selfdual" in flags)
         except ValueError as exc:
-            self.fail(str(exc), name_tok)
+            self.fail(str(exc), at)
 
     def gen_decl(self):
-        self.advance()
-        name_tok = self.expect_name("a generator name")
-        self.expect_sym(":")
+        self.pos += 1
+        at = self.pos
+        name = self.expect_name("a generator name")
+        self.expect(":")
         dom = self.word()
-        self.expect_sym("->")
+        self.expect("->")
         cod = self.word()
-        self.expect_sym(";")
-        if name_tok.text in self.diagrams:
-            self.fail(f"name {name_tok.text!r} already used by a diagram",
-                      name_tok)
+        self.expect(";")
+        if name in self.diagrams:
+            self.fail(f"name {name!r} already used by a diagram", at)
         try:
-            self.sig.declare_generator(name_tok.text, dom, cod)
+            self.sig.declare_generator(name, dom, cod)
         except ValueError as exc:
-            self.fail(str(exc), name_tok)
+            self.fail(str(exc), at)
 
     def diag_decl(self):
-        name_tok = self.expect_name("a diagram name")
-        if (
-            name_tok.text in self.diagrams
-            or name_tok.text in self.sig.generators
-            or name_tok.text in self.sig.objects
-        ):
-            self.fail(f"name {name_tok.text!r} already in use", name_tok)
-        self.expect_sym("=")
+        at = self.pos
+        name = self.expect_name("a diagram name")
+        if name in self.diagrams or name in self.sig.generators or name in self.sig.objects:
+            self.fail(f"name {name!r} already in use", at)
+        self.expect("=")
         term = self.expr()
-        self.expect_sym(";")
-        self.diagrams[name_tok.text] = term
+        self.expect(";")
+        self.diagrams[name] = term
 
-    # Object words
+    # Object words and built-in arguments
 
     def word(self):
-        if self.at_ident("I"):
-            self.advance()
+        if self.tokens[self.pos] == "I":
+            self.pos += 1
             return UNIT
-        factors = [self.word_factor()]
-        while self.at_ident("x"):
-            self.advance()
-            factors.append(self.word_factor())
-        return ObjectWord(tuple(factors))
+        factors = []
+        while True:
+            atom = self.atom_name()
+            dual = self.tokens[self.pos] == "*"
+            self.pos += dual
+            factors.append((atom, dual))
+            if self.tokens[self.pos] != "x":
+                return ObjectWord(tuple(factors))
+            self.pos += 1
 
-    def word_factor(self):
-        tok = self.expect_name("an object name")
-        self.sig.ensure_atom(tok.text)
-        dual = False
-        if self.at_sym("*"):
-            self.advance()
-            dual = True
-        return (tok.text, dual)
-
-    def atom_arg(self):
-        tok = self.expect_name("an object name")
-        self.sig.ensure_atom(tok.text)
-        return tok.text
+    def atom_name(self):
+        name = self.expect_name("an object name")
+        self.sig.ensure_atom(name)
+        return name
 
     def int_arg(self):
-        tok = self.peek()
-        if tok.kind != "int":
-            self.fail(f"expected a leg count, found {tok.text!r}")
-        self.advance()
-        return int(tok.text)
+        tok = self.tokens[self.pos]
+        if not tok.isdecimal():
+            self.fail(f"expected a leg count, found {tok!r}")
+        self.pos += 1
+        return int(tok)
 
     # Expressions
 
     def expr(self):
-        term = self.tensor_expr()
-        while self.at_sym(">>"):
-            self.advance()
-            term = Seq(self.tensor_expr(), term)
-        return term
+        """Read an expression up to the first token that cannot go on it.
 
-    def tensor_expr(self):
-        term = self.atom_expr()
-        while self.at_ident("x"):
-            self.advance()
-            term = Par(term, self.atom_expr())
-        return term
+        One frame per open bracket holds the bracket's keyword ("(" for a
+        plain one), the ">>" composite of the stages read so far and the
+        "x" product of the stage being read; the outermost frame's
+        keyword is None.
+        """
+        tokens = self.tokens
+        stack = []
+        opener = seq = par = None
+        while True:
+            tok = tokens[self.pos]
+            if tok in _OPENERS:
+                self.pos += 1
+                if tok != "(":
+                    self.expect("(")
+                stack.append((opener, seq, par))
+                opener, seq, par = tok, None, None
+                continue
+            term = self.atom()
+            while True:
+                par = term if par is None else Par(par, term)
+                tok = tokens[self.pos]
+                if tok == "x":
+                    self.pos += 1
+                    break
+                if tok == ">>":
+                    seq = par if seq is None else Seq(par, seq)
+                    par = None
+                    self.pos += 1
+                    break
+                term = par if seq is None else Seq(par, seq)
+                if opener is None:
+                    return term
+                self.expect(")")
+                if opener == "dg":
+                    term = Dagger(term)
+                elif opener == "name":
+                    term = terms.name(term, self.sig)
+                elif opener == "coname":
+                    term = terms.coname(term, self.sig)
+                opener, seq, par = stack.pop()
 
-    def atom_expr(self):
-        tok = self.peek()
-        if self.at_sym("("):
-            self.advance()
-            term = self.expr()
-            self.expect_sym(")")
-            return term
-        if tok.kind != "ident":
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            self.fail(f"unexpected {shown!r}")
-        if tok.text == "id":
-            self.advance()
-            self.expect_sym("(")
-            word = self.word()
-            self.expect_sym(")")
-            return Id(word)
-        if tok.text == "swap":
-            self.advance()
-            self.expect_sym("(")
-            left = self.word()
-            self.expect_sym(",")
-            right = self.word()
-            self.expect_sym(")")
-            return Swap(left, right)
-        if tok.text in ("cup", "cap"):
-            self.advance()
-            self.expect_sym("(")
-            atom = self.atom_arg()
-            self.expect_sym(")")
-            return Cup(atom) if tok.text == "cup" else Cap(atom)
-        if tok.text in ("dg", "name", "coname"):
-            self.advance()
-            self.expect_sym("(")
-            inner = self.expr()
-            self.expect_sym(")")
-            if tok.text == "dg":
-                return Dagger(inner)
-            if tok.text == "name":
-                return terms.name(inner, self.sig)
-            return terms.coname(inner, self.sig)
-        if tok.text == "spider":
-            self.advance()
-            self.expect_sym("(")
-            atom = self.atom_arg()
-            self.expect_sym(",")
-            legs_in = self.int_arg()
-            self.expect_sym(",")
-            legs_out = self.int_arg()
-            self.expect_sym(")")
-            return Spider(atom, legs_in, legs_out)
-        if tok.text in RESERVED:
-            self.fail(f"unexpected keyword {tok.text!r}")
-        self.advance()
-        if tok.text in self.sig.generators:
-            return Gen(tok.text)
-        if tok.text in self.diagrams:
-            return self.diagrams[tok.text]
-        self.fail(f"unknown identifier {tok.text!r}", tok)
+    def atom(self):
+        """A generator, a named diagram or a built-in other than dg, name
+        and coname."""
+        at = self.pos
+        tok = self.tokens[at]
+        self.pos += 1
+        if tok in self.sig.generators:
+            return Gen(tok)
+        if tok in self.diagrams:
+            return self.diagrams[tok]
+        if tok in _BUILTINS:
+            make, readers = _BUILTINS[tok]
+            self.expect("(")
+            args = []
+            for reader in readers:
+                if args:
+                    self.expect(",")
+                args.append(getattr(self, reader)())
+            self.expect(")")
+            return make(*args)
+        if not _is_name(tok):
+            self.fail(f"unexpected {tok or 'end of input'!r}", at)
+        if tok in RESERVED:
+            self.fail(f"unexpected keyword {tok!r}", at)
+        self.fail(f"unknown identifier {tok!r}", at)
 
 
 def parse(text):

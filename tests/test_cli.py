@@ -105,6 +105,12 @@ class TestCheck:
         assert code == 2
         assert f"{bad}:1:" in err
 
+    def test_non_decimal_leg_count_is_positioned(self, tmp_path, capsys):
+        bad = tmp_path / "legs.cat"
+        bad.write_text("object Z frobenius;\ndiag s = spider(Z, \u00b2, 1);\n")
+        code, _, err = run(capsys, "check", str(bad))
+        assert (code, err) == (2, f"{bad}:2:20: expected a leg count, found '\u00b2'\n")
+
     def test_type_error_names_both_words(self, tmp_path, capsys):
         bad = tmp_path / "bad.cat"
         bad.write_text("gen f : A -> B;\ndiag w = f >> f;\n")
@@ -339,6 +345,17 @@ class TestDeepTerms:
         p.write_text(source)
         code, out, err = run(capsys, argv[0], str(p), *argv[1:])
         assert (code, out.splitlines(), err) == (0, [expected], "")
+
+    def test_ten_thousand_nested_brackets_check(self, tmp_path, capsys):
+        n = 10**4
+        p = tmp_path / "nested.cat"
+        p.write_text(
+            "gen f : A -> B;\n"
+            f"diag parens = {'(' * n}f{')' * n};\n"
+            f"diag daggers = {'dg(' * (n + 1)}f{')' * (n + 1)};\n"
+        )
+        code, out, err = run(capsys, "check", str(p))
+        assert (code, out.splitlines(), err) == (0, ["parens : A -> B", "daggers : B -> A"], "")
 
 
 class TestLaws:

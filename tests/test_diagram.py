@@ -28,6 +28,7 @@ from catkit.diagram import (
     graph_eq,
     name,
     parse,
+    tokenize,
     to_graph,
     transpose,
     typecheck,
@@ -290,6 +291,95 @@ class TestParser:
     def test_type_error_from_derived_form_is_semantic(self):
         with pytest.raises(TypeMismatch):
             parse("gen p : I -> A x B; d = name(p);")
+
+    def test_composition_and_tensor_associate_left(self):
+        res = parse(
+            "gen a : A -> A; gen b : A -> A; gen c : A -> A;"
+            "s = a >> b >> c; t = a x b x c; u = a x (b >> c) x dg(a);"
+        )
+        a, b, c = Gen("a"), Gen("b"), Gen("c")
+        assert res.diagrams["s"] == Seq(c, Seq(b, a))
+        assert res.diagrams["t"] == Par(Par(a, b), c)
+        assert res.diagrams["u"] == Par(Par(a, Seq(c, b)), Dagger(a))
+
+    @pytest.mark.parametrize("opener", ["(", "dg("])
+    def test_ten_thousand_nested_brackets(self, opener):
+        n = 10**4
+        res = parse(f"gen f : A -> B; d = {opener * n}f{')' * n};")
+        term = res.diagrams["d"]
+        assert typecheck(term, res.signature) == (A, B)
+        depth = 0
+        while isinstance(term, Dagger):
+            term, depth = term.inner, depth + 1
+        assert (term, depth) == (Gen("f"), n if opener == "dg(" else 0)
+
+    def test_ten_thousand_nested_compositions(self):
+        # f >> (f >> (... >> f)): every frame holds a pending stage
+        n = 10**4
+        res = parse(f"gen f : A -> A; d = {'(f >> ' * n}f{')' * n};")
+        term = res.diagrams["d"]
+        assert typecheck(term, res.signature) == (A, A)
+        depth = 0
+        while isinstance(term, Seq):
+            assert term.before == Gen("f")
+            term, depth = term.after, depth + 1
+        assert (term, depth) == (Gen("f"), n)
+
+
+class TestParseErrorPositions:
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            ("# heading\ngen f : A -> B; # note\n  d = q;", "unknown identifier 'q'", 3, 7),
+            ("gen f : A -> B;\n\td = \tq;", "unknown identifier 'q'", 2, 7),
+            ("gen f : A -> B;\r\n\r\nd = f >> q;\r\n", "unknown identifier 'q'", 3, 10),
+            ("gen f : A -> B; d = f >>", "unexpected 'end of input'", 1, 25),
+            ("gen f : A -> B; d = f >> # to do", "unexpected 'end of input'", 1, 26),
+            ("gen f : A -> B;\nd = (f", "expected ')', found 'end of input'", 2, 7),
+            ("object Z frobenius; d = spider(Z, 1", "expected ',', found 'end of input'", 1, 36),
+            ("d = id(A x I);", "'I' is a reserved word", 1, 12),
+            ("gen f : A -> B; d = f x;", "unexpected ';'", 1, 24),
+            ("d = ½;", "unexpected character '½'", 1, 5),
+            ("gen f : A -> B;\nd = f $ f;", "unexpected character '$'", 2, 7),
+            ("gen f : A -> B; d = f - f;", "unexpected character '-'", 1, 23),
+            # every character is checked before any statement is read
+            ("object A; object A; $", "unexpected character '$'", 1, 21),
+        ],
+        ids=[
+            "after-comment", "after-tab", "crlf", "end", "end-after-comment", "open-paren",
+            "spider-args", "reserved", "missing-factor", "half", "dollar", "lone-minus",
+            "scan-first",
+        ],
+    )
+    def test_message_line_and_column(self, text, message, line, col):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        err = excinfo.value
+        assert (str(err), err.line, err.col) == (message, line, col)
+
+    def test_non_decimal_leg_count_is_a_parse_error(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse("object Z frobenius;\nd = spider(Z, ², 1);")
+        err = excinfo.value
+        assert (str(err), err.line, err.col) == ("expected a leg count, found '²'", 2, 15)
+
+    def test_unicode_names_and_decimal_digits(self):
+        # identifiers start with a letter (CJK numerals are letters) and go
+        # on with any letter or number; leg counts take any decimal digits
+        res = parse("object Z frobenius; gen 一 : A -> B; gen a² : B -> A; d = 一 >> a²;"
+                    "s = spider(Z, ٣, 1);")
+        assert res.diagrams["d"] == Seq(Gen("a²"), Gen("一"))
+        assert res.diagrams["s"] == Spider("Z", 3, 1)
+
+    def test_token_count_is_pinned(self):
+        text = (
+            "object Z frobenius selfdual;\n"
+            "gen f : A x B* -> I;   # comment\n"
+            "d = dg(f) x spider(Z, 12, 0) >> id(I);\n"
+        )
+        tokens = tokenize(text)
+        assert len(tokens) == 37
+        assert tokens[-1] == ""
 
 
 class TestGraphEquality:

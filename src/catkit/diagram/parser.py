@@ -56,8 +56,9 @@ RESERVED = frozenset(
 
 _SYMBOLS = frozenset([";", ":", "=", ",", "(", ")", "*", "->", ">>"])
 
-# Whitespace (str.isspace, which is re's \s) and comments.
-_SKIP = r"(?:\s+|#[^\n]*)*+"
+# Whitespace (str.isspace, which is re's \s) and comments. Nothing
+# follows it in a pattern and it always matches, so it never backtracks.
+_SKIP = r"\s*(?:#[^\n]*\s*)*"
 # One token and the skip after it.  Identifiers start with str.isalpha()
 # or "_" and go on with str.isalnum() or "_" (re's \w); integers are runs
 # of str.isdigit().  re's \d is only str.isdecimal(), so {start} lists
@@ -68,14 +69,6 @@ _TOKEN = r"(->|>>|[;:=,()*]|[^\W\d{start}]\w*|[\d{digits}]+|\S[\s\S]*)" + _SKIP
 _SKIP_RE = re.compile(_SKIP)
 _SCAN = re.compile(_TOKEN.format(start="", digits=""))
 
-# Built-in atoms read by _Parser.atom: constructor and argument readers.
-_BUILTINS = {
-    "id": (Id, ("word",)),
-    "swap": (Swap, ("word", "word")),
-    "cup": (Cup, ("atom_name",)),
-    "cap": (Cap, ("atom_name",)),
-    "spider": (Spider, ("atom_name", "int_arg", "int_arg")),
-}
 # Tokens that open an expression frame; all but "(" are followed by "(".
 _OPENERS = frozenset(["(", "dg", "name", "coname"])
 
@@ -313,21 +306,32 @@ class _Parser:
             return Gen(tok)
         if tok in self.diagrams:
             return self.diagrams[tok]
-        if tok in _BUILTINS:
-            make, readers = _BUILTINS[tok]
+        if tok == "id":
             self.expect("(")
-            args = []
-            for reader in readers:
-                if args:
-                    self.expect(",")
-                args.append(getattr(self, reader)())
-            self.expect(")")
-            return make(*args)
-        if not _is_name(tok):
+            term = Id(self.word())
+        elif tok == "swap":
+            self.expect("(")
+            left = self.word()
+            self.expect(",")
+            term = Swap(left, self.word())
+        elif tok in ("cup", "cap"):
+            self.expect("(")
+            term = (Cup if tok == "cup" else Cap)(self.atom_name())
+        elif tok == "spider":
+            self.expect("(")
+            atom = self.atom_name()
+            self.expect(",")
+            legs_in = self.int_arg()
+            self.expect(",")
+            term = Spider(atom, legs_in, self.int_arg())
+        elif not _is_name(tok):
             self.fail(f"unexpected {tok or 'end of input'!r}", at)
-        if tok in RESERVED:
+        elif tok in RESERVED:
             self.fail(f"unexpected keyword {tok!r}", at)
-        self.fail(f"unknown identifier {tok!r}", at)
+        else:
+            self.fail(f"unknown identifier {tok!r}", at)
+        self.expect(")")
+        return term
 
 
 def parse(text):

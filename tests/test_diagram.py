@@ -1,6 +1,7 @@
 """Terms, parser, port graphs, and the free-category equality decision."""
 
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -380,6 +381,14 @@ class TestParseErrorPositions:
         tokens = tokenize(text)
         assert len(tokens) == 37
         assert tokens[-1] == ""
+
+    def test_patterns_run_on_python_310(self):
+        # re accepts possessive quantifiers and atomic groups only from
+        # Python 3.11; the package supports 3.10
+        from catkit.diagram import parser as parser_module
+
+        for pattern in (parser_module._SKIP, parser_module._TOKEN):
+            assert not re.search(r"[*+?}]\+|\(\?>", pattern)
 
 
 class TestGraphEquality:

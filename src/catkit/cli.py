@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -187,7 +188,7 @@ def cmd_laws(args):
         merge_reports,
         negative_suite,
     )
-    from .scalars import COMPLEX
+    from .scalars import COMPLEX, complex_tag
     from .tqft import Interpretation, basis_frobenius, hopf_group_z2, verify_frobenius
 
     # overflowing data would make numpy warn on stderr; law_report
@@ -201,9 +202,9 @@ def cmd_laws(args):
             if isinstance(data, dict):
                 data = {k: v for k, v in data.items() if k != "generators"}
             interp = _load_interpretation(args.interp, data, tolerance=args.tol)
-        tag = interp.tag if interp else COMPLEX
+        tag = interp.tag if interp else (COMPLEX if args.tol is None else complex_tag(args.tol))
         seed = args.seed if args.seed is not None else 7
-        nat_interp = interp if interp else Interpretation(COMPLEX, {"A": 2, "B": 3})
+        nat_interp = interp if interp else Interpretation(tag, {"A": 2, "B": 3})
         reports = [
             check_coherence(tag),
             check_naturality_squares(nat_interp, seed=seed),
@@ -229,6 +230,17 @@ def cmd_laws(args):
     return 1
 
 
+def _tolerance(text):
+    """The --tol argument: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="catkit", description="diagram toolkit for monoidal categories"
@@ -251,7 +263,7 @@ def _build_parser():
     p_eval.add_argument("file")
     p_eval.add_argument("diagram")
     p_eval.add_argument("--interp", required=True, help="JSON interpretation data")
-    p_eval.add_argument("--tol", type=float, default=None, help="comparison tolerance")
+    p_eval.add_argument("--tol", type=_tolerance, default=None, help="comparison tolerance")
     p_eval.set_defaults(func=cmd_eval)
 
     p_cls = sub.add_parser("classify", help="normal-form classification of a surface diagram")
@@ -262,7 +274,7 @@ def _build_parser():
     p_laws = sub.add_parser("laws", help="run the equational law battery and print a report")
     p_laws.add_argument("--interp", default=None, help="JSON interpretation data")
     p_laws.add_argument("--seed", type=int, default=None)
-    p_laws.add_argument("--tol", type=float, default=None)
+    p_laws.add_argument("--tol", type=_tolerance, default=None, help="complex comparison tolerance")
     p_laws.set_defaults(func=cmd_laws)
 
     return parser
@@ -284,6 +296,9 @@ def main(argv=None):
         return 1
     except RecursionError:
         print(f"error: {path}: term nested too deeply for {args.command}", file=sys.stderr)
+        return 1
+    except (OverflowError, MemoryError):
+        print(f"error: {path}: term too large for {args.command}", file=sys.stderr)
         return 1
 
 

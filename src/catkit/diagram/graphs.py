@@ -4,7 +4,8 @@
 identities, symmetries and duality bends only make labels, sequential
 composition joins labels by union-find, daggers flip a parity handed to
 the leaves, and generators and spiders are left to the caller.  It is
-the one traversal behind ``to_graph`` here and ``tqft.interpret``.
+the one traversal behind ``to_graph`` here, ``tqft.interpret``, and
+``frobenius.classify_cob`` and ``term_atoms``.
 
 ``to_graph`` turns the walk into an open graph whose wires record only
 connectivity: each union-find class with two ends is one wire, and a

@@ -216,9 +216,12 @@ def typecheck(term, sig):
     Raises TypeMismatch when sequential composition does not line up or
     a spider sits on a non-frobenius atom, and UnknownName for
     undeclared generators or atoms.  The term is walked with an explicit
-    stack, and a subterm shared by several parents is typed once.
+    stack, and a subterm shared by several parents is typed once.  So is
+    each distinct value of a spider, identity, swap or bend leaf, since
+    its type depends only on its fields and the signature.
     """
     types = {}  # id(subterm) -> (dom, cod); the term keeps every id alive
+    leaves = {}  # leaf -> (dom, cod); leaves of different classes are never equal
     todo = [(term, False)]
     while todo:
         t, expanded = todo.pop()
@@ -247,8 +250,14 @@ def typecheck(term, sig):
                 continue
             dom, cod = types[id(t.inner)]
             types[id(t)] = cod, dom
-        else:
+        elif isinstance(t, Gen) or not isinstance(t, DiagramTerm):
+            # a generator's type is one signature lookup already; a stray list is unhashable
             types[id(t)] = _leaf_type(t, sig)
+        else:
+            leaf = leaves.get(t)
+            if leaf is None:
+                leaf = leaves[t] = _leaf_type(t, sig)
+            types[id(t)] = leaf
     return types[id(term)]
 
 

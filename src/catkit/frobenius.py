@@ -2,8 +2,11 @@
 
 A connected surface is fixed by its genus and boundary circles.  A
 (k, l) spider of genus g has Euler characteristic 2 - k - l - 2g and a
-wire 0, so ``classify_cob`` sums chi per connected piece in one
-union-find pass and reads genus (2 - chi - b) / 2 for b boundary circles.
+wire 0, so ``classify_cob`` reads each piece off one ``Wiring.walk``
+over the term, the walk ``to_graph`` and ``tqft.interpret`` use too:
+a spider is one wire label carrying its chi, each union-find class of
+labels is a piece, and its genus is (2 - chi - b) / 2 for b boundary
+circles.  No port graph is built.  ``term_atoms`` reads the same walk.
 ``fuse`` merges each cluster of adjacent same-atom spiders in one
 union-find pass (its cycles become genus, or vanish when the structure
 is special) and splices out degree-2 handle-free spiders; with an
@@ -16,21 +19,8 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .diagram.graphs import OpenGraph, SpiderNode, to_graph
-from .diagram.terms import (
-    Cap,
-    Cup,
-    Dagger,
-    Gen,
-    Id,
-    Par,
-    Seq,
-    Signature,
-    Spider,
-    Swap,
-    TypeMismatch,
-    typecheck,
-)
+from .diagram.graphs import OpenGraph, SpiderNode, Wiring
+from .diagram.terms import Cap, Cup, Dagger, Gen, Id, Par, Seq, Signature, Spider, Swap, TypeMismatch, typecheck
 
 
 def cob_signature(atom="A"):
@@ -319,31 +309,48 @@ class CobordismClass:
         return [c.render() for c in self.components]
 
 
+def _walk(term):
+    """Atoms and sorted components of a generator-free term, from one wiring walk.
+
+    Each spider is one wire label, every leg of it, and records its
+    Euler characteristic 2 - k - l against that label.  So each
+    union-find class is one connected piece, and its genus is
+    (2 - chi - b) / 2 for its b boundary slots; a class with neither a
+    spider nor a slot is a closed circle of bare wire, which comes out
+    as a torus.  The term's type is not checked.
+    """
+    atoms = set()
+
+    def of_atom(atom):
+        atoms.add(atom)
+        return atom
+
+    wiring = Wiring(of_atom)
+    spiders = []  # (label, chi) per spider
+
+    def leaf(t, flip):
+        if isinstance(t, Gen):
+            raise ValueError(f"unsupported foreign generator {t.name!r} in a cobordism term")
+        [x] = wiring.fresh([of_atom(t.atom)])
+        spiders.append((x, 2 - t.legs_in - t.legs_out))
+        return [x] * t.legs_in, [x] * t.legs_out
+
+    ins, outs = wiring.walk(term, leaf)
+    find = wiring.find
+    pieces = {find(x): [[], [], 0] for x in range(len(wiring.values))}  # inputs, outputs, chi
+    for k, x in enumerate(ins):
+        pieces[find(x)][0].append(k)
+    for k, x in enumerate(outs):
+        pieces[find(x)][1].append(k)
+    for x, c in spiders:
+        pieces[find(x)][2] += c
+    comps = [ComponentClass(tuple(i), tuple(o), (2 - c - len(i) - len(o)) // 2) for i, o, c in pieces.values()]
+    return atoms, tuple(sorted(comps, key=lambda c: (c.inputs, c.outputs, c.genus)))
+
+
 def term_atoms(term):
     """Atom names appearing in a generator-free term."""
-    atoms = set()
-    todo = [term]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Seq):
-            todo += [t.before, t.after]
-        elif isinstance(t, Par):
-            todo += [t.right, t.left]
-        elif isinstance(t, Dagger):
-            todo.append(t.inner)
-        elif isinstance(t, (Cup, Cap, Spider)):
-            atoms.add(t.atom)
-        elif isinstance(t, Id):
-            atoms.update(atom for atom, _ in t.word.factors)
-        elif isinstance(t, Swap):
-            atoms.update(atom for atom, _ in t.left.factors + t.right.factors)
-        elif isinstance(t, Gen):
-            raise ValueError(
-                f"unsupported foreign generator {t.name!r} in a cobordism term"
-            )
-        else:
-            raise TypeError(f"not a diagram term: {t!r}")
-    return atoms
+    return _walk(term)[0]
 
 
 def reverse_term(term):
@@ -422,38 +429,25 @@ def classify_cob(term, sig=None):
 
     The term may use spiders, identities, swaps, cups, caps, and
     daggers; generator boxes are unsupported.  Closed pieces appear as
-    components with empty boundary lists.
+    components with empty boundary lists.  One wiring walk gives the
+    atoms and the components (see _walk) and no port graph is built;
+    the term is then typed once.
     """
-    atom = _single_atom(term_atoms(term), sig or Signature())
-    if sig is None:
-        sig = cob_signature(atom)
-    graph = to_graph(term, sig)
-    spiderize(graph, sig)
-    # items are the inputs, the outputs, then the nodes; a boundary slot is one circle
-    n_in = len(graph.input_types)
-    n_slots = n_in + len(graph.output_types)
-    offset = {"i": 0, "o": n_in, "n": n_slots}
-    pairs = [(offset[a[0]] + a[1], offset[b[0]] + b[1]) for a, b in graph.wires]
-    roots = _roots(n_slots + len(graph.nodes), pairs)
-    chi, ins, outs = defaultdict(int), defaultdict(list), defaultdict(list)
-    for k in range(n_in):
-        ins[roots[k]].append(k)
-    for k in range(n_in, n_slots):
-        outs[roots[k]].append(k - n_in)
-    for nid, node in enumerate(graph.nodes):
-        chi[roots[n_slots + nid]] += 2 - node.degree - 2 * node.genus
-    genus = {r: (2 - chi[r] - len(ins[r]) - len(outs[r])) // 2 for r in roots}
-    comps = [ComponentClass(tuple(ins[r]), tuple(outs[r]), g) for r, g in genus.items()]
-    # a closed circle of bare wire sweeps out a torus: a cylinder glued end to end
-    comps.extend(ComponentClass((), (), 1) for _ in graph.loops)
-    return CobordismClass(atom, tuple(sorted(comps, key=lambda c: (c.inputs, c.outputs, c.genus))))
+    atoms, comps = _walk(term)
+    atom = _single_atom(atoms, sig or Signature())
+    typecheck(term, sig or cob_signature(atom))
+    return CobordismClass(atom, comps)
 
 
 def eq_cob(t1, t2, sig=None):
-    """Homeomorphism equality for two terms with matching boundaries."""
+    """Homeomorphism equality for two terms with matching boundaries.
+
+    Each term is walked once and typed once.
+    """
+    walks = None
     if sig is None:
-        atom = _single_atom(term_atoms(t1) | term_atoms(t2), Signature())
-        sig = cob_signature(atom)
+        walks = [_walk(t1), _walk(t2)]
+        sig = cob_signature(_single_atom(walks[0][0] | walks[1][0], Signature()))
     type1 = typecheck(t1, sig)
     type2 = typecheck(t2, sig)
     if type1 != type2:
@@ -461,4 +455,6 @@ def eq_cob(t1, t2, sig=None):
             f"boundary mismatch: {type1[0]} -> {type1[1]} "
             f"vs {type2[0]} -> {type2[1]}"
         )
-    return classify_cob(t1, sig) == classify_cob(t2, sig)
+    # lazily, so each term's walk and atom check come before the next term's
+    first, second = (CobordismClass(_single_atom(atoms, sig), comps) for atoms, comps in walks or map(_walk, (t1, t2)))
+    return first == second

@@ -357,6 +357,14 @@ class TestDeepTerms:
         code, out, err = run(capsys, "check", str(p))
         assert (code, out.splitlines(), err) == (0, ["parens : A -> B", "daggers : B -> A"], "")
 
+    @pytest.mark.parametrize("argv", [["check"], ["classify", "big"], ["eq", "big", "big"]])
+    def test_leg_count_past_an_index_is_not_a_traceback(self, tmp_path, capsys, argv):
+        # past sys.maxsize, so the count is refused before anything is allocated
+        p = tmp_path / "big.cat"
+        p.write_text("object Z frobenius selfdual;\ndiag big = spider(Z, 99999999999999999999, 0);\n")
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert (code, out, err) == (1, "", f"error: {p}: term too large for {argv[0]}\n")
+
 
 class TestLaws:
     def test_default_battery_passes(self, capsys):
@@ -366,6 +374,25 @@ class TestLaws:
         assert "pentagon" in out
         assert "seed=3" in out
         assert "fail (expected)" in out  # negative suite is part of the battery
+
+    def test_plain_battery_passes(self, capsys):
+        code, out, _ = run(capsys, "laws")
+        assert (code, out.splitlines()[-1]) == (0, "all laws as expected")
+
+    def test_zero_tolerance_without_interpretation(self, capsys):
+        # rounding leaves a few complex laws 1e-16 off, as with --interp at --tol 0
+        code, out, _ = run(capsys, "laws", "--tol", "0")
+        assert (code, out.splitlines()[-1]) == (1, "4 law(s) came out wrong")
+
+    @pytest.mark.parametrize("command", ["laws", "eval"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "x"])
+    def test_bad_tolerance_is_a_usage_error(self, files, capsys, command, tol):
+        argv = ["laws"] if command == "laws" else ["eval", files["surfaces.cat"], "snake", "--interp", files["dim3.json"]]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol={tol}"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.splitlines()[-1] == f"catkit {command}: error: argument --tol: must be a finite number >= 0, got {tol!r}"
 
     def test_interpretation_that_is_not_an_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

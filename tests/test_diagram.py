@@ -213,6 +213,23 @@ class TestTypecheck:
             d = Seq(d, d)
         assert typecheck(d, sig) == (A, A)
 
+    def test_equal_fields_on_different_leaf_classes(self, sig):
+        # typecheck shares one type among equal leaves; Cup("P") and Cap("P") are not equal
+        assert typecheck(Par(Cup("P"), Cap("P")), sig) == (P.tensor(P_STAR), P_STAR.tensor(P))
+        assert typecheck(Seq(Cap("A"), Cup("A")), sig) == (UNIT, UNIT)
+        assert typecheck(Par(Cap("P"), Cup("P")), sig) == (P.tensor(P_STAR), P_STAR.tensor(P))
+        assert typecheck(Par(Spider("Z", 1, 2), Spider("Z", 2, 1)), sig) == (Z.tensor(Z).tensor(Z),) * 2
+        assert typecheck(Par(Id(A.tensor(B)), Swap(A, B)), sig) == (A.tensor(B).tensor(A).tensor(B), A.tensor(B).tensor(B).tensor(A))
+
+    def test_equal_leaves_share_one_type(self, sig):
+        assert typecheck(Seq(Par(Swap(A, A), Cup("A")), Cup("A")), sig) == (UNIT, A.tensor(A).tensor(A).tensor(A))
+        assert typecheck(Seq(Spider("Z", 1, 1), Spider("Z", 1, 1)), sig) == (Z, Z)
+
+    @pytest.mark.parametrize("term", [[1, 2], Seq(Gen("f"), [1, 2]), Par(Id(A), {"not": "a term"})])
+    def test_unhashable_non_term(self, sig, term):
+        with pytest.raises(TypeError, match="^not a diagram term: "):
+            typecheck(term, sig)
+
 
 class TestParser:
     def test_gen_then_dagger_composition(self):

@@ -1,6 +1,7 @@
 """Spider fusion, confluence, and surface classification."""
 
 import itertools
+import re
 from collections import defaultdict
 
 import pytest
@@ -20,6 +21,7 @@ from catkit.diagram import (
     SpiderNode,
     Swap,
     TypeMismatch,
+    UnknownName,
     graph_eq,
     to_graph,
     typecheck,
@@ -461,6 +463,117 @@ class TestEqCob:
             rng = make_rng(seed)
             t = random_cob_term(rng, n_in=rng.randrange(3))
             assert eq_cob(t, t)
+
+
+W = ObjectWord.of("W")
+
+
+def generator_signature():
+    """The cobordism signature of Z with a generator f : Z -> Z declared."""
+    sig = cob_signature("Z")
+    sig.declare_generator("f", Z, Z)
+    return sig
+
+
+def plain_w_signature():
+    """Z frobenius and self-dual, W declared without frobenius structure."""
+    sig = cob_signature("Z")
+    sig.declare_object("W")
+    return sig
+
+
+def two_atom_signature():
+    sig = Signature()
+    sig.declare_object("Z", frobenius=True)
+    sig.declare_object("W", frobenius=True)
+    return sig
+
+
+FOREIGN = "unsupported foreign generator 'f' in a cobordism term"
+TWO_ATOMS = "expected a single atom, found ['W', 'Z']"
+NEGATIVE = "spider leg counts must be nonnegative"
+TWO_ATOM_TERM = Par(Spider("Z", 1, 1), Spider("W", 1, 1))
+
+
+class TestClassifyErrors:
+    """Which check of classify_cob and eq_cob fails first, and with what message."""
+
+    @pytest.mark.parametrize(
+        "term, sig, error, message",
+        [
+            (Gen("f"), None, ValueError, FOREIGN),
+            (Gen("f"), generator_signature(), ValueError, FOREIGN),
+            (TWO_ATOM_TERM, None, ValueError, TWO_ATOMS),
+            (TWO_ATOM_TERM, two_atom_signature(), ValueError, TWO_ATOMS),
+            (Seq(mu("Z"), Spider("Z", 1, 1)), None, TypeMismatch, "cannot compose: first stage produces Z but second expects Z x Z"),
+            (Seq(mu("Z"), Spider("Z", 1, 1)), ZSIG, TypeMismatch, "cannot compose: first stage produces Z but second expects Z x Z"),
+            (Spider("W", 1, 1), ZSIG, UnknownName, "unknown object 'W'"),
+            (Spider("W", 1, 1), plain_w_signature(), TypeMismatch, "spider legs require a frobenius atom, got 'W'"),
+            (Spider("Z", -1, 1), None, TypeMismatch, NEGATIVE),
+            (Spider("Z", -1, 1), ZSIG, TypeMismatch, NEGATIVE),
+            (42, None, TypeError, "not a diagram term: 42"),
+            (42, ZSIG, TypeError, "not a diagram term: 42"),
+            ([1, 2], ZSIG, TypeError, "not a diagram term: [1, 2]"),
+        ],
+    )
+    def test_classify_cob(self, term, sig, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            classify_cob(term, sig)
+
+    def test_spider_on_its_own_atom_needs_no_signature(self):
+        assert classify_cob(Spider("W", 1, 1)) == CobordismClass("W", (ComponentClass((0,), (0,), 0),))
+        assert eq_cob(Spider("W", 1, 1), Id(W))
+
+    @pytest.mark.parametrize(
+        "t1, t2, sig, error, message",
+        [
+            (Gen("f"), CYLINDER, None, ValueError, FOREIGN),
+            (CYLINDER, Gen("f"), None, ValueError, FOREIGN),
+            (Gen("f"), CYLINDER, ZSIG, UnknownName, "unknown generator 'f'"),
+            (Gen("f"), CYLINDER, generator_signature(), ValueError, FOREIGN),
+            (TWO_ATOM_TERM, CYLINDER, None, ValueError, TWO_ATOMS),
+            (CYLINDER, Id(W), None, ValueError, TWO_ATOMS),
+            (TWO_ATOM_TERM, Par(Id(Z), Id(W)), two_atom_signature(), ValueError, TWO_ATOMS),
+            (delta("Z"), mu("Z"), None, TypeMismatch, "boundary mismatch: Z -> Z x Z vs Z x Z -> Z"),
+            (delta("Z"), mu("Z"), ZSIG, TypeMismatch, "boundary mismatch: Z -> Z x Z vs Z x Z -> Z"),
+            # the boundaries are compared before the generator is met
+            (Gen("f"), mu("Z"), generator_signature(), TypeMismatch, "boundary mismatch: Z -> Z vs Z x Z -> Z"),
+            (Spider("W", 1, 1), Id(W), ZSIG, UnknownName, "unknown object 'W'"),
+            (Spider("W", 1, 1), Id(W), plain_w_signature(), TypeMismatch, "spider legs require a frobenius atom, got 'W'"),
+            (Spider("Z", -1, 1), CYLINDER, None, TypeMismatch, NEGATIVE),
+            (CYLINDER, Spider("Z", -1, 1), ZSIG, TypeMismatch, NEGATIVE),
+            (42, CYLINDER, None, TypeError, "not a diagram term: 42"),
+            (CYLINDER, 42, ZSIG, TypeError, "not a diagram term: 42"),
+        ],
+    )
+    def test_eq_cob(self, t1, t2, sig, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            eq_cob(t1, t2, sig)
+
+    def test_shared_dag_is_walked_whole(self):
+        doubled = HANDLE
+        for _ in range(12):
+            doubled = Seq(doubled, doubled)  # 4096 handles from 13 distinct nodes
+        term = Seq(eps("Z"), Seq(doubled, unit("Z")))
+        assert classify_cob(term, ZSIG).components == (ComponentClass((), (), 4096),)
+        assert eq_cob(term, closed_surface(4096))
+        assert not eq_cob(term, closed_surface(4095), ZSIG)
+
+    def test_classification_builds_no_port_graph(self, monkeypatch):
+        import catkit.diagram.graphs as graphs
+        import catkit.frobenius as frobenius
+
+        def boom(*args, **kwargs):
+            raise AssertionError("classification built a port graph")
+
+        monkeypatch.setattr(graphs, "to_graph", boom)
+        monkeypatch.setattr(frobenius, "to_graph", boom, raising=False)
+        for name in ("spiderize", "_roots", "OpenGraph"):
+            monkeypatch.setattr(frobenius, name, boom)
+        assert classify_cob(TORUS, ZSIG).components == (ComponentClass((), (), 1),)
+        assert classify_cob(Seq(Cap("Z"), Cup("Z"))).components == (ComponentClass((), (), 1),)
+        assert eq_cob(Seq(Par(Cap("Z"), Id(Z)), Par(Id(Z), Cup("Z"))), CYLINDER)
+        assert not eq_cob(HANDLE, CYLINDER, ZSIG)
 
 
 def deep_torus(n_stages, nest):

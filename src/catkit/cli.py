@@ -30,8 +30,6 @@ class Workspace:
     signature: object
     diagrams: dict
     interpretation: Interpretation | None = None
-    tolerance: float | None = None
-    seed: int | None = None
     path: str = ""
 
     def diagram(self, name):
@@ -72,17 +70,11 @@ def _load_interpretation(path, data, signature=None, tolerance=None):
 
 def _load_workspace(args):
     result = parse(_read_text(args.file))
-    ws = Workspace(
-        signature=result.signature,
-        diagrams=result.diagrams,
-        tolerance=getattr(args, "tol", None),
-        seed=getattr(args, "seed", None),
-        path=args.file,
-    )
+    ws = Workspace(signature=result.signature, diagrams=result.diagrams, path=args.file)
     interp_path = getattr(args, "interp", None)
     if interp_path:
         data = _read_json(interp_path)
-        ws.interpretation = _load_interpretation(interp_path, data, ws.signature, ws.tolerance)
+        ws.interpretation = _load_interpretation(interp_path, data, ws.signature, getattr(args, "tol", None))
     return ws
 
 
@@ -128,7 +120,7 @@ def cmd_check(args):
 
 
 def cmd_eq(args):
-    from .frobenius import fuse, spiderize
+    from .frobenius import fuse
 
     ws = _load_workspace(args)
     t1 = ws.diagram(args.first)
@@ -136,8 +128,8 @@ def cmd_eq(args):
     g1 = to_graph(t1, ws.signature)
     g2 = to_graph(t2, ws.signature)
     if args.frobenius:
-        g1 = fuse(spiderize(g1, ws.signature), special=args.special)
-        g2 = fuse(spiderize(g2, ws.signature), special=args.special)
+        g1 = fuse(g1, special=args.special)
+        g2 = fuse(g2, special=args.special)
     if graph_eq(g1, g2):
         print("equal")
         return 0
@@ -263,7 +255,7 @@ def _build_parser():
     p_eval.add_argument("file")
     p_eval.add_argument("diagram")
     p_eval.add_argument("--interp", required=True, help="JSON interpretation data")
-    p_eval.add_argument("--tol", type=_tolerance, default=None, help="comparison tolerance")
+    p_eval.add_argument("--tol", type=_tolerance, default=None, help="complex comparison tolerance")
     p_eval.set_defaults(func=cmd_eval)
 
     p_cls = sub.add_parser("classify", help="normal-form classification of a surface diagram")

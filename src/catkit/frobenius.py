@@ -9,8 +9,9 @@ labels is a piece, and its genus is (2 - chi - b) / 2 for b boundary
 circles.  No port graph is built.  ``term_atoms`` reads the same walk.
 ``fuse`` merges each cluster of adjacent same-atom spiders in one
 union-find pass (its cycles become genus, or vanish when the structure
-is special) and splices out degree-2 handle-free spiders; with an
-``rng``, and in ``fuse_trace``, a rewriter goes one site at a time.
+is special) and splices out degree-2 handle-free spiders;
+``fuse_trace`` returns that pass's steps: each wire merged or closed
+into a handle, then each spider spliced.
 """
 
 from __future__ import annotations
@@ -68,190 +69,60 @@ def spiderize(graph, sig):
     return graph
 
 
-class _FuseState:
-    """Mutable working copy of a graph during fusion."""
+def _fusion(graph, special):
+    """One union-find pass over the wires that join same-atom spiders.
 
-    def __init__(self, graph):
-        self.boxes = {}
-        self.spiders = {}  # nid -> [atom, degree, genus]
-        for nid, node in enumerate(graph.nodes):
-            if isinstance(node, SpiderNode):
-                self.spiders[nid] = [node.atom, node.degree, node.genus]
-            else:
-                self.boxes[nid] = node
-        self.wires = dict(enumerate(graph.wires))
-        self.next_wid = len(graph.wires)
-        self.fresh_port = itertools.count(10 ** 6)
-        self.input_types = graph.input_types
-        self.output_types = graph.output_types
-        self.loops = list(graph.loops)
-
-    def _on_spider(self, t):
-        return t[0] == "n" and t[1] in self.spiders
-
-    def _self_loop_wids(self, nid):
-        return [
-            wid
-            for wid, (a, b) in self.wires.items()
-            if a[0] == "n" and b[0] == "n" and a[1] == b[1] == nid
-        ]
-
-    def sites(self):
-        """All applicable rewrite sites, in deterministic order."""
-        out = []
-        for wid in sorted(self.wires):
-            a, b = self.wires[wid]
-            if self._on_spider(a) and self._on_spider(b):
-                if a[1] == b[1]:
-                    out.append(("loop", wid))
-                elif self.spiders[a[1]][0] == self.spiders[b[1]][0]:
-                    out.append(("merge", wid))
-        for nid in sorted(self.spiders):
-            atom, degree, genus = self.spiders[nid]
-            if degree == 2 and genus == 0 and not self._self_loop_wids(nid):
-                out.append(("drop", nid))
-        return out
-
-    def apply(self, site, special):
-        kind, key = site
-        if kind == "loop":
-            a, _ = self.wires.pop(key)
-            rec = self.spiders[a[1]]
-            rec[1] -= 2
-            if not special:
-                rec[2] += 1
-        elif kind == "merge":
-            a, b = self.wires.pop(key)
-            keep, gone = a[1], b[1]
-            for wid, (u, v) in list(self.wires.items()):
-                changed = False
-                if u[0] == "n" and u[1] == gone:
-                    u = ("n", keep, next(self.fresh_port))
-                    changed = True
-                if v[0] == "n" and v[1] == gone:
-                    v = ("n", keep, next(self.fresh_port))
-                    changed = True
-                if changed:
-                    self.wires[wid] = (u, v)
-            krec, grec = self.spiders[keep], self.spiders[gone]
-            krec[1] = krec[1] + grec[1] - 2
-            krec[2] += grec[2]
-            del self.spiders[gone]
-        else:  # drop a degree-2 handle-free spider
-            nid = key
-            incident = [
-                (wid, idx)
-                for wid, ends in self.wires.items()
-                for idx, t in enumerate(ends)
-                if t[0] == "n" and t[1] == nid
-            ]
-            assert len(incident) == 2
-            (w1, i1), (w2, i2) = incident
-            far1 = self.wires[w1][1 - i1]
-            far2 = self.wires[w2][1 - i2]
-            del self.wires[w1]
-            del self.wires[w2]
-            self.wires[self.next_wid] = (far1, far2)
-            self.next_wid += 1
-            del self.spiders[nid]
-
-    def freeze(self):
-        order = sorted(list(self.boxes) + list(self.spiders))
-        renum = {old: new for new, old in enumerate(order)}
-        nodes = []
-        for old in order:
-            if old in self.boxes:
-                nodes.append(self.boxes[old])
-            else:
-                atom, degree, genus = self.spiders[old]
-                nodes.append(SpiderNode(atom, degree, genus))
-        counters = {new: itertools.count() for new in range(len(nodes))}
-
-        def remap(t):
-            if t[0] != "n":
-                return t
-            new = renum[t[1]]
-            # box ports are ordered; only a spider's interchangeable legs are renumbered
-            return ("n", new, t[2] if t[1] in self.boxes else next(counters[new]))
-
-        wires = []
-        for wid in sorted(self.wires):
-            a, b = self.wires[wid]
-            wires.append((remap(a), remap(b)))
-        graph = OpenGraph(
-            tuple(nodes),
-            tuple(wires),
-            self.input_types,
-            self.output_types,
-            tuple(sorted(self.loops)),
-        )
-        # degree bookkeeping must agree with actual wire attachments
-        ends = {}
-        for a, b in graph.wires:
-            for t in (a, b):
-                if t[0] == "n":
-                    ends[t[1]] = ends.get(t[1], 0) + 1
-        for nid, node in enumerate(graph.nodes):
-            if isinstance(node, SpiderNode):
-                assert ends.get(nid, 0) == node.degree
-        return graph
-
-
-def _roots(size, pairs):
-    """Union-find over range(size) joined along pairs: each item's class root."""
-    parent = list(range(size))
+    Returns each node's class root, each spider root's fused [degree,
+    genus], the roots to splice out, the wires left over, and the steps,
+    indexed into the input graph: ("merge", wire) when a wire joins two
+    classes, ("handle", wire) when it closes a cycle, then ("splice",
+    node) for each class left with degree 2 and genus 0.  A merge keeps
+    the class of the wire's first end, as a one-site rewriter would.
+    """
+    nodes = graph.nodes
+    atom = [n.atom if isinstance(n, SpiderNode) else None for n in nodes]
+    parent = list(range(len(nodes)))
+    merged = {nid: [n.degree, n.genus] for nid, n in enumerate(nodes) if atom[nid] is not None}
+    kept, steps = [], []
 
     def find(x):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for x, y in pairs:
-        parent[find(x)] = find(y)
-    return [find(x) for x in parent]
+    for wid, (a, b) in enumerate(graph.wires):
+        if not (a[0] == b[0] == "n" and atom[a[1]] is not None and atom[a[1]] == atom[b[1]]):
+            kept.append((a, b))
+            continue
+        x, y = find(a[1]), find(b[1])
+        rec = merged[x]
+        if x == y:  # each independent cycle of a cluster is a handle
+            rec[0] -= 2
+            rec[1] += 0 if special else 1
+            steps.append(("handle", wid))
+        else:
+            parent[y] = x
+            d, g = merged.pop(y)
+            rec[0] += d - 2
+            rec[1] += g
+            steps.append(("merge", wid))
+    # no merged spider has a same-atom neighbour, so splicing one out makes no new site
+    spliced = [r for r, dg in merged.items() if dg == [2, 0]]
+    steps += [("splice", r) for r in spliced]
+    return [find(x) for x in range(len(nodes))], merged, set(spliced), kept, steps
 
 
-def _rewrites(graph, special, rng):
-    """The step-by-step rewriter's one mutable state, yielded first and after each step."""
-    state = _FuseState(graph)
-    yield state
-    while sites := state.sites():
-        state.apply(sites[0] if rng is None else rng.choice(sites), special)
-        yield state
-
-
-def fuse(graph, special=False, rng=None):
+def fuse(graph, special=False):
     """Rewrite a spider graph to its fused normal form.
 
-    With special=True a handle is the identity and self-loop wires are
-    discarded; otherwise each adds one to its spider's genus.  rng,
-    when given, runs the step-by-step rewriter and picks among
-    applicable rewrite sites at random; any order reaches the same
-    normal form up to graph equality.
+    Each cluster of adjacent same-atom spiders becomes one spider whose
+    genus counts the cluster's independent cycles; with special=True a
+    handle is the identity and adds no genus.  A fused spider left with
+    two legs and no genus is spliced out into a plain wire.  Boxes keep
+    their ordered ports.
     """
-    if rng is not None:
-        *_, state = _rewrites(graph, special, rng)
-        return state.freeze()
+    roots, merged, spliced, kept, _ = _fusion(graph, special)
     nodes = graph.nodes
-    atom = [n.atom if isinstance(n, SpiderNode) else None for n in nodes]
-
-    def internal(a, b):
-        return a[0] == b[0] == "n" and atom[a[1]] is not None and atom[a[1]] == atom[b[1]]
-
-    inner = [(a[1], b[1]) for a, b in graph.wires if internal(a, b)]
-    roots = _roots(len(nodes), inner)
-    merged = {}  # class root -> (degree, genus, cycle rank)
-    for nid, node in enumerate(nodes):
-        if atom[nid] is not None:
-            d, g, c = merged.get(roots[nid], (0, 0, 1))
-            merged[roots[nid]] = (d + node.degree, g + node.genus, c - 1)
-    for x, _ in inner:
-        d, g, c = merged[roots[x]]
-        merged[roots[x]] = (d - 2, g, c + 1)
-    # each independent cycle of a cluster is a handle
-    merged = {r: (d, g if special else g + c) for r, (d, g, c) in merged.items()}
-    # no merged spider has a same-atom neighbour, so splicing one out makes no new site
-    spliced = {r for r, dg in merged.items() if dg == (2, 0)}
     keep = [nid for nid, r in enumerate(roots) if r == nid and r not in spliced]
     new = {nid: k for k, nid in enumerate(keep)}
     legs = defaultdict(itertools.count)
@@ -260,12 +131,10 @@ def fuse(graph, special=False, rng=None):
         if t[0] != "n":
             return t
         r = roots[t[1]]  # box ports are ordered and keep their numbers
-        return ("n", new[r], t[2] if atom[r] is None else next(legs[r]))
+        return ("n", new[r], next(legs[r]) if r in merged else t[2])
 
     wires, half = [], {}  # half: spliced class -> far end of its first wire
-    for a, b in graph.wires:
-        if internal(a, b):
-            continue
+    for a, b in kept:
         if a[0] == "n" and roots[a[1]] in spliced:
             a, b = b, a
         if b[0] == "n" and roots[b[1]] in spliced:
@@ -275,13 +144,17 @@ def fuse(graph, special=False, rng=None):
                 continue
             b = half.pop(r)
         wires.append((end(a), end(b)))
-    fused = tuple(nodes[nid] if atom[nid] is None else SpiderNode(atom[nid], *merged[nid]) for nid in keep)
+    fused = tuple(SpiderNode(nodes[nid].atom, *merged[nid]) if nid in merged else nodes[nid] for nid in keep)
     return OpenGraph(fused, tuple(wires), graph.input_types, graph.output_types, tuple(sorted(graph.loops)))
 
 
-def fuse_trace(graph, special=False, rng=None):
-    """Every intermediate graph of the step-by-step rewriter, input to normal form."""
-    return [state.freeze() for state in _rewrites(graph, special, rng)]
+def fuse_trace(graph, special=False):
+    """The steps of fuse's one pass, in order (see _fusion).
+
+    A merge or handle names a wire of the input graph, a splice names
+    the input node that stands for its fused class.
+    """
+    return _fusion(graph, special)[-1]
 
 
 @dataclass(frozen=True)

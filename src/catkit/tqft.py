@@ -450,7 +450,8 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
     lists (complex entries may be [re, im] pairs) or, over booleans, to
     {"rel": [[x, y], ...]} pair lists resolved against element names;
     "frobenius" mapping atoms to "basis" or to explicit delta/eps/mu/e
-    matrices, whose optional flags are measured from the data.
+    matrices, whose optional flags are measured from the data.  A
+    tolerance applies to complex data only; exact semirings reject one.
     """
     if not isinstance(data, dict):
         raise ValueError("interpretation: must be a JSON object")
@@ -468,6 +469,8 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
         raise ValueError(f"unknown semiring {kind!r}; expected bool, complex, or nat") from None
     if not tag.exact:
         tag = replace(tag, tolerance=DEFAULT_TOLERANCE if tolerance is None else tolerance)
+    elif tolerance is not None:
+        raise ValueError(f"a tolerance applies only to the complex semiring, not {kind!r}")
 
     object_dims = {}
     element_names = {}

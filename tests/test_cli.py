@@ -156,6 +156,14 @@ class TestEq:
         code, out, _ = run(capsys, "eq", str(p), "plain", "swapped", "--frobenius")
         assert (code, out.strip()) == (1, "not equal")
 
+    def test_spider_over_a_plain_object_is_one_error_line(self, tmp_path, capsys):
+        p = tmp_path / "plain.cat"
+        p.write_text("object W;\ndiag s = spider(W, 1, 1);\ndiag w = id(W);\n")
+        code, out, err = run(capsys, "eq", str(p), "s", "w", "--frobenius")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert "spider legs require a frobenius atom" in err
+
 
 class TestEval:
     def test_snake_is_identity(self, files, capsys):
@@ -454,6 +462,20 @@ class TestLaws:
             code, out, err = run(capsys, "laws", "--interp", str(huge))
         assert (code, caught, err) == (1, [], "")
         assert out.splitlines()[-1] == "1 law(s) came out wrong"
+
+    @pytest.mark.parametrize("semiring", ["bool", "nat"])
+    @pytest.mark.parametrize("command", ["laws", "eval"])
+    def test_tolerance_on_an_exact_semiring_is_one_error_line(self, files, tmp_path, capsys, command, semiring):
+        exact = tmp_path / "exact.json"
+        exact.write_text(json.dumps({"semiring": semiring, "objects": {"Z": 2}}))
+        argv = ["laws"] if command == "laws" else ["eval", files["surfaces.cat"], "snake"]
+        code, out, err = run(capsys, *argv, "--interp", str(exact), "--tol", "0.5")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {exact}: a tolerance applies only to the complex semiring, not {semiring!r}"
+        ]
+        # without --tol the same data runs
+        assert run(capsys, *argv, "--interp", str(exact))[0] == 0
 
     @pytest.mark.parametrize("command", ["laws", "eval"])
     def test_unknown_semiring_is_one_error_line(self, files, tmp_path, capsys, command):

@@ -48,6 +48,7 @@ from catkit.scalars import COMPLEX
 from catkit.tqft import Interpretation, basis_frobenius, evaluate_cob, evaluate_graph, interpret, xor_frobenius
 
 from corpus import closed_surface, make_rng, random_cob_term, standard_signature
+from fuse_reference import check_trace, rewrite
 
 Z = ObjectWord((("Z", False),))
 ZSIG = cob_signature("Z")
@@ -184,7 +185,7 @@ class TestFuseWithBoxes:
         g, _ = self.graphs()
         for special in (False, True):
             for seed in range(5):
-                assert graph_eq(fuse(g, special), fuse(g, special, rng=make_rng(seed))), (special, seed)
+                assert graph_eq(fuse(g, special), rewrite(g, special, rng=make_rng(seed))), (special, seed)
 
 
 class TestFuseConfluence:
@@ -195,7 +196,7 @@ class TestFuseConfluence:
             g = to_graph(term, ZSIG)
             reference = fuse(g)
             for order in range(6):
-                other = fuse(g, rng=make_rng(1000 * seed + order))
+                other = rewrite(g, rng=make_rng(1000 * seed + order))
                 assert graph_eq(other, reference), (seed, order)
 
     def test_special_mode_is_confluent_too(self):
@@ -205,24 +206,42 @@ class TestFuseConfluence:
             g = to_graph(term, ZSIG)
             reference = fuse(g, special=True)
             for order in range(4):
-                other = fuse(g, special=True, rng=make_rng(7000 + 10 * seed + order))
+                other = rewrite(g, special=True, rng=make_rng(7000 + 10 * seed + order))
                 assert graph_eq(other, reference), (seed, order)
 
 
 class TestFuseTrace:
     def test_endpoints_and_step_count(self):
         g = to_graph(Seq(HANDLE, HANDLE), ZSIG)
-        frames = fuse_trace(g)
-        assert graph_eq(frames[0], g)
-        assert graph_eq(frames[-1], fuse(g))
-        assert len(frames) >= 2
-        # the last frame is already normal
-        assert graph_eq(fuse(frames[-1]), frames[-1])
+        steps = check_trace(g)
+        # four spiders joined by five wires: three merges, two handles, and one genus-2 spider kept
+        assert sorted(kind for kind, _ in steps) == ["handle"] * 2 + ["merge"] * 3
+        assert [kind for kind, _ in check_trace(g, special=True)][-1] == "splice"
 
-    def test_trivial_graph_yields_single_frame(self):
+    def test_trivial_graph_has_no_steps(self):
         g = to_graph(CYLINDER, ZSIG)
-        frames = fuse_trace(g)
-        assert len(frames) == 1
+        assert fuse_trace(g) == []
+
+    def test_replay_reaches_fuse_on_random_terms(self):
+        for seed in range(300):
+            rng = make_rng(seed)
+            g = to_graph(random_cob_term(rng, n_in=rng.randrange(4), n_layers=rng.randint(1, 5)), ZSIG)
+            for special in (False, True):
+                check_trace(g, special)
+
+    def test_replay_reaches_fuse_across_atoms_and_boxes(self):
+        g, _ = TestFuseWithBoxes().graphs()
+        for special in (False, True):
+            kinds = [kind for kind, _ in check_trace(g, special)]
+            assert kinds.count("splice") == (2 if special else 1)
+
+    def test_high_genus_step_count(self):
+        n = 2000
+        g = to_graph(closed_surface(n), ZSIG)
+        steps = fuse_trace(g)
+        assert sum(kind == "handle" for kind, _ in steps) == n
+        assert len(steps) == 3 * n + 1
+        assert fuse(g).nodes == (SpiderNode("Z", 0, n),)
 
 
 class TestFusePreservesMeaning:
@@ -324,7 +343,7 @@ class TestClassify:
 
 def classify_by_rewriting(term, seed):
     """Components read off the step-by-step rewriter's normal form, which has one spider per piece at most."""
-    g = fuse(to_graph(term, ZSIG), rng=make_rng(seed))
+    g = rewrite(to_graph(term, ZSIG), rng=make_rng(seed))
     n_in, n_slots = len(g.input_types), len(g.input_types) + len(g.output_types)
     parent = list(range(n_slots + len(g.nodes)))  # inputs, outputs, then nodes
 
@@ -568,7 +587,7 @@ class TestClassifyErrors:
 
         monkeypatch.setattr(graphs, "to_graph", boom)
         monkeypatch.setattr(frobenius, "to_graph", boom, raising=False)
-        for name in ("spiderize", "_roots", "OpenGraph"):
+        for name in ("spiderize", "_fusion", "OpenGraph"):
             monkeypatch.setattr(frobenius, name, boom)
         assert classify_cob(TORUS, ZSIG).components == (ComponentClass((), (), 1),)
         assert classify_cob(Seq(Cap("Z"), Cup("Z"))).components == (ComponentClass((), (), 1),)

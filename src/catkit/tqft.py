@@ -42,7 +42,8 @@ class FrobeniusPresentation:
 
     The flags record which optional laws the presentation claims; they are
     promises checked by verify_frobenius, not facts enforced here.  Only the
-    shapes are validated on construction.
+    shapes are validated on construction.  basis_copy is measured: delta is
+    exactly the basis copy map, mu its transpose, eps and unit_e all ones.
     """
 
     dim: int
@@ -53,6 +54,7 @@ class FrobeniusPresentation:
     commutative: bool = False
     special: bool = False
     dagger: bool = False
+    basis_copy: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.dim
@@ -69,6 +71,10 @@ class FrobeniusPresentation:
                     f"{name} must be {r}x{c} for dimension {d}, got {m.rows}x{m.cols}"
                 )
         join_tags(join_tags(self.delta.tag, self.eps.tag), join_tags(self.mu.tag, self.unit_e.tag))
+        eye = np.eye(d, dtype=self.delta.data.dtype)  # a comparison across dtypes costs numpy 0.25 MB
+        copy, ones = (eye[:, :, None] * eye[:, None]).ravel(), eye.sum(axis=0, dtype=eye.dtype)  # copy: delta or mu
+        pairs = ((self.delta, copy), (self.mu, copy), (self.eps, ones), (self.unit_e, ones))
+        object.__setattr__(self, "basis_copy", all(np.array_equal(m.data.ravel(), c) for m, c in pairs))
 
     @property
     def tag(self) -> SemiringTag:
@@ -249,15 +255,16 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
     The term is flattened by ``Wiring.walk``, the explicit-stack walk that
     ``to_graph`` uses too, so depth costs no recursion.  Generators and
     spiders become tensors whose axes are wire labels; identities,
-    symmetries, cups, caps and sequential composition only create or join
-    labels.  A dagger takes the adjoint of every tensor below it and
-    exchanges its input and output labels.  Without a signature a
-    generator is one wire of its matrix's size on each side.
+    symmetries, cups, caps, sequential composition and the spiders of a
+    basis-copy presentation only create or join labels.  A dagger takes
+    the adjoint of every tensor below it and exchanges its input and
+    output labels.  Without a signature a generator is one wire of its
+    matrix's size on each side.
     """
     if interp.signature is not None:
         typecheck(term, interp.signature)
     wiring = Wiring(interp.atom_dim)  # a label's value is its dimension
-    dims, tensors = wiring.values, []
+    dims, tensors, joined, dense = wiring.values, [], [], {}  # dense: each distinct spider built once
 
     def box(m, ins, outs, flip):
         # under an odd number of daggers the adjoint's axes run ins then outs
@@ -277,8 +284,15 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
         p = interp.frobenius_data.get(t.atom)
         if p is None:
             raise UnknownName(f"no frobenius data for atom {t.atom!r}")
-        m = spider_matrix(p, t.legs_in, t.legs_out)
-        return box(m, wiring.fresh([p.dim] * t.legs_in), wiring.fresh([p.dim] * t.legs_out), flip)
+        k, l = t.legs_in, t.legs_out
+        if p.basis_copy:  # a copy spider is its own adjoint; with no legs it is a label with no ends
+            labels = wiring.fresh([p.dim] * max(1, k + l))
+            wiring.parent[labels[0] :] = [labels[0]] * len(labels)  # fresh labels are the last ones
+            joined.append(labels[0])
+            return labels[:k], labels[k : k + l]
+        if t not in dense:
+            dense[t] = spider_matrix(p, k, l)
+        return box(dense[t], wiring.fresh([p.dim] * k), wiring.fresh([p.dim] * l), flip)
 
     def regroup(outs, ins):
         # wires of generators typed only by their matrices regroup through an identity
@@ -289,26 +303,30 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
 
     ins, outs = wiring.walk(term, leaf, regroup)
     find = wiring.find
-    tensors = [(arr, [find(x) for x in labels]) for arr, labels in tensors]
-    wire_dims = {find(x): d for x, d in enumerate(dims)}
-    return _contract(interp.tag, tensors, [find(x) for x in outs], [find(x) for x in ins], wire_dims)
+    return _contract(interp.tag, tensors, outs, ins, {find(x): d for x, d in enumerate(dims)}, find, joined)
 
 
-def _contract(tag, tensors, outputs, inputs, dims) -> MatrixMorphism:
+def _contract(tag, tensors, outputs, inputs, dims, find=None, joined=()) -> MatrixMorphism:
     """Contract a network of labelled tensors to the matrix inputs -> outputs.
 
     tensors is a list of (array, labels) with one label per axis, outputs
-    and inputs are the boundary labels in order, and dims maps every label
-    to its dimension.  A label is a wire with two ends, each a tensor axis
-    or a boundary slot; a label no tensor holds is therefore an identity
-    between two boundary slots, or a closed loop.  Pairs of tensors that
-    share a label are contracted greedily, smallest result first, as in
-    opt_einsum's greedy path.  numpy's boolean dot is the or-of-ands
-    product, so booleans contract exactly with no case of their own.
-    Floating-point contraction runs with numpy's warnings off, and a
-    result with an inf or nan entry raises ValueError instead.
+    and inputs are the boundary labels in order, find (if given) maps each
+    label to its wire and dims each wire to its dimension.  A wire has two
+    ends, tensor axes or boundary slots, so one no tensor holds is an
+    identity between two slots or a closed loop.  The wires of the labels
+    in joined, tied by copy spiders, may have any count; _fan_out rewrites
+    them.  Pairs of tensors sharing a label are contracted greedily,
+    smallest result first, as in opt_einsum's greedy path.  numpy's boolean
+    dot is the or-of-ands product, so booleans contract exactly with no
+    case of their own.  Floating-point contraction runs with numpy's
+    warnings off; a result with an inf or nan entry raises ValueError.
     """
+    if find is not None:
+        tensors = [(arr, [find(x) for x in labels]) for arr, labels in tensors]
+        outputs, inputs = [find(x) for x in outputs], [find(x) for x in inputs]
     boundary = outputs + inputs
+    if joined:
+        tensors, boundary = _fan_out(tag.ops.dtype, tensors, boundary, dims, {find(x) for x in joined})
     if len(tensors) == 1 and len(set(tensors[0][1])) == len(boundary) == len(dims):
         # one tensor holding each wire once, its other end on the boundary, is a
         # transpose with no arithmetic to guard; errstate and the engine's
@@ -325,6 +343,35 @@ def _contract(tag, tensors, outputs, inputs, dims) -> MatrixMorphism:
     if not tag.exact and not np.isfinite(data.ravel().view(np.float64)).all():
         raise ValueError(f"{tag.kind} contraction overflowed: the result has inf or nan entries")
     return MatrixMorphism._raw(tag, data)
+
+
+def _fan_out(dtype, tensors, boundary, dims, joined):
+    """Rewrite the joined wires with m != 2 ends; return tensors and boundary.
+
+    No ends is a closed loop, which _network makes d; one end gets the
+    all-ones vector.  Past two, the ends but the first get fresh (label, j)
+    wires tied by m - 2 order-3 copy tensors chained by more fresh wires
+    (added to dims), so no copy tensor exceeds d^3 however wide a spider.
+    """
+    holders, extra = [list(boundary)] + [list(labels) for _, labels in tensors], []
+    ends = {x: [] for x in joined}
+    for h, labels in enumerate(holders):
+        for i, x in enumerate(labels):
+            if x in ends:
+                ends[x].append((h, i))
+    for x, at in ends.items():
+        d, m = dims[x], len(at)
+        if m == 1:
+            extra.append((np.ones(d, dtype), [x]))
+        elif m > 2:
+            fresh = [(x, j) for j in range(2 * m - 4)]
+            legs, links = [x] + fresh[: m - 1], [x] + fresh[m - 1 :] + [fresh[m - 2]]
+            copy = np.eye(d, dtype=dtype)[:, :, None] * np.eye(d, dtype=dtype)[:, None]
+            extra += [(copy, [links[j - 1], legs[j], links[j]]) for j in range(1, m - 1)]
+            for (h, i), y in zip(at[1:], legs[1:]):
+                holders[h][i] = y
+            dims.update((y, d) for y in fresh)
+    return [(arr, labels) for (arr, _), labels in zip(tensors, holders[1:])] + extra, holders[0]
 
 
 def _network(dtype, tensors, boundary, dims):
@@ -369,7 +416,7 @@ def _network(dtype, tensors, boundary, dims):
     for x in boundary:
         last[x] = labels.index(x, last.get(x, -1) + 1)
         axes.append(last[x])
-    return result.transpose(axes)
+    return np.asarray(result, dtype).transpose(axes)  # an outer product of 0-d object arrays is an int
 
 
 def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
@@ -574,7 +621,7 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
     pairing.  Both hold for commutative presentations whose pairing matches
     the Kronecker cup, and that is checked up front.  Boxes keep their
     orientation from the stored domain/codomain split, so no condition is
-    needed for them.
+    needed for them.  A basis-copy spider joins the wires on its ports.
     """
     tag = interp.tag
     spider_atoms = {n.atom for n in graph.nodes if isinstance(n, SpiderNode)}
@@ -594,14 +641,25 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
     inputs = [wire_at[("i", k)] for k in range(len(graph.input_types))]
     words = graph.output_types + graph.input_types
     dims = {wid: interp.atom_dim(atom) for wid, (atom, _) in zip(outputs + inputs, words)}
-    dims.update((("loop", k), interp.atom_dim(atom)) for k, atom in enumerate(graph.loops))
-
-    tensors = []
+    dims.update((len(graph.wires) + k, interp.atom_dim(atom)) for k, atom in enumerate(graph.loops))
+    tensors, dense, copies, joined = [], {}, None, []  # dense: each distinct spider tensor built once
     for nid, node in enumerate(graph.nodes):
         labels = [wire_at[("n", nid, port)] for port in range(node.n_ports)]
         if isinstance(node, SpiderNode):
             p = interp.frobenius_data[node.atom]
-            arr = spider_matrix(p, node.degree, 0, node.genus).data.reshape([p.dim] * node.degree)
+            if p.basis_copy:
+                if copies is None:  # copy spiders join labels: wire ids, then loops, then legless spiders
+                    copies = Wiring(None)
+                    copies.fresh([None] * (len(graph.wires) + len(graph.loops)))
+                labels = labels or copies.fresh([None])
+                for x in labels[1:]:
+                    copies.parent[copies.find(x)] = copies.find(labels[0])
+                dims.update((x, p.dim) for x in labels)
+                joined.append(labels[0])
+                continue
+            if node not in dense:
+                dense[node] = spider_matrix(p, node.degree, 0, node.genus).data.reshape([p.dim] * node.degree)
+            arr = dense[node]
         else:
             m = interp.gen_matrices.get(node.name)
             if m is None:
@@ -613,4 +671,6 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
             arr = m.data.reshape([interp.atom_dim(atom) for atom, _ in node.cod.factors + node.dom.factors])
         dims.update(zip(labels, arr.shape))
         tensors.append((arr, labels))
-    return _contract(tag, tensors, outputs, inputs, dims)
+    if copies is not None:
+        dims = {copies.find(x): d for x, d in dims.items()}
+    return _contract(tag, tensors, outputs, inputs, dims, copies and copies.find, joined)

@@ -205,6 +205,22 @@ class TestEval:
         assert code == 2
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize("semiring", ["complex", "nat"])
+    def test_wide_basis_spider_pair_is_the_dimension(self, tmp_path, capsys, semiring):
+        # one closed piece of 30 legs a side; as dense tensors it would need 3^30 entries
+        (tmp_path / "p.cat").write_text("object Z frobenius selfdual;\ndiag p = spider(Z, 0, 30) >> spider(Z, 30, 0);\n")
+        (tmp_path / "d.json").write_text(
+            json.dumps({"semiring": semiring, "objects": {"Z": 3}, "frobenius": {"Z": "basis"}})
+        )
+        code, out, err = run(capsys, "eval", str(tmp_path / "p.cat"), "p", "--interp", str(tmp_path / "d.json"))
+        assert (code, out.strip(), err) == (0, "3", "")
+
+    def test_two_closed_loops_over_nat(self, tmp_path, capsys):
+        (tmp_path / "l.cat").write_text("object Z frobenius selfdual;\ndiag two = (cup(Z) >> cap(Z)) x (cup(Z) >> cap(Z));\n")
+        (tmp_path / "n.json").write_text(json.dumps({"semiring": "nat", "objects": {"Z": 3}, "frobenius": {"Z": "basis"}}))
+        code, out, err = run(capsys, "eval", str(tmp_path / "l.cat"), "two", "--interp", str(tmp_path / "n.json"))
+        assert (code, out.strip(), err) == (0, "9", "")
+
     def test_complex_overflow_is_one_error_line(self, tmp_path, capsys):
         # xor gives 2^1100 on this closed surface, past the float range
         handles = " >> ".join(["spider(Z, 1, 2) >> spider(Z, 2, 1)"] * 1100)

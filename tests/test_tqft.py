@@ -13,14 +13,17 @@ from catkit.diagram import (
     Gen,
     Id,
     ObjectWord,
+    OpenGraph,
     Par,
     Seq,
     Signature,
     Spider,
+    SpiderNode,
     Swap,
     TypeMismatch,
     UnknownName,
     to_graph,
+    typecheck,
 )
 from catkit.frobenius import cob_signature, delta, eps, eq_cob, fuse, mu, spiderize, unit
 from catkit.lawcheck import flip_entry
@@ -681,3 +684,150 @@ class TestJsonLoader:
         data = {"semiring": "complex", "objects": {"A": 1}}
         interp = interpretation_from_data(data, tolerance=1e-3)
         assert interp.tag.tolerance == 1e-3
+
+
+def _kron_power(m, n):
+    out = MatrixMorphism.identity(m.tag, 1)
+    for _ in range(n):
+        out = tensor(out, m)
+    return out
+
+
+def _spider_pair(k):
+    """spider(Z, 0, k) >> spider(Z, k, 0): one closed piece of genus k - 1."""
+    return Seq(Spider("Z", k, 0), Spider("Z", 0, k))
+
+
+HALF = 2**-0.5
+HADAMARD = cmat([[HALF, HALF], [HALF, -HALF]])
+
+
+class TestBasisCopyDetection:
+    @pytest.mark.parametrize("tag", [COMPLEX, BOOL, NAT], ids=["complex", "bool", "nat"])
+    @pytest.mark.parametrize("d", range(5))
+    def test_basis_presentations_measure_as_copies(self, d, tag):
+        assert basis_frobenius(d, tag).basis_copy
+
+    @pytest.mark.parametrize("tag", [COMPLEX, BOOL, NAT], ids=["complex", "bool", "nat"])
+    def test_other_presentations_do_not(self, tag):
+        assert not xor_frobenius(tag).basis_copy
+        assert not hopf_group_z2(tag)[0].basis_copy
+
+    def test_hadamard_conjugate_does_not(self):
+        assert not conjugate_presentation(basis_frobenius(2, COMPLEX), HADAMARD, HADAMARD).basis_copy
+
+    @pytest.mark.parametrize("tag", [COMPLEX, BOOL, NAT], ids=["complex", "bool", "nat"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_one_entry_mutant_does_not(self, d, tag):
+        p = basis_frobenius(d, tag)
+        for name in ("delta", "eps", "mu", "unit_e"):
+            m = getattr(p, name)
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    assert not dataclasses.replace(p, **{name: flip_entry(m, i, j)}).basis_copy, (name, i, j)
+
+    @pytest.mark.parametrize("semiring", ["complex", "bool", "nat"])
+    def test_json_basis_and_explicit_matrices_measure_as_copies(self, semiring):
+        explicit = {
+            "delta": [[1, 0], [0, 0], [0, 0], [0, 1]],
+            "eps": [[1, 1]],
+            "mu": [[1, 0, 0, 0], [0, 0, 0, 1]],
+            "e": [[1], [1]],
+        }
+        data = {"semiring": semiring, "objects": {"A": 2, "B": 2}, "frobenius": {"A": "basis", "B": explicit}}
+        frob = interpretation_from_data(data).frobenius_data
+        assert frob["A"].basis_copy and frob["B"].basis_copy
+
+    def test_equality_and_repr_ignore_the_measurement(self):
+        p = basis_frobenius(2, COMPLEX)
+        near = dataclasses.replace(p, delta=MatrixMorphism._raw(COMPLEX, p.delta.data + 1e-12))
+        assert not near.basis_copy and near == p
+        assert "basis_copy" not in repr(p)
+
+
+class TestCopySpiders:
+    @pytest.mark.parametrize("tag, want", [(COMPLEX, 3), (NAT, 3), (BOOL, True)], ids=["complex", "nat", "bool"])
+    @pytest.mark.parametrize("k", [12, 60])
+    def test_spider_pair_is_the_dimension(self, k, tag, want):
+        p = basis_frobenius(3, tag)
+        term = _spider_pair(k)
+        interp = cob_interp(p)
+        for m in (interpret(term, interp), evaluate_graph(to_graph(term, ZSIG), interp), evaluate_cob(term, p)):
+            assert m.data.tolist() == [[want]]
+
+    def test_genus_ten_thousand_is_the_dimension(self):
+        assert evaluate_cob(closed_surface(10**4), basis_frobenius(3, COMPLEX)) == cmat([[3]])
+
+    @pytest.mark.parametrize("tag", [COMPLEX, BOOL, NAT], ids=["complex", "bool", "nat"])
+    @pytest.mark.parametrize("d", range(5))
+    def test_unit_sphere_and_handled_wire(self, d, tag):
+        interp = cob_interp(basis_frobenius(d, tag))
+        assert interpret(Spider("Z", 0, 1), interp) == MatrixMorphism(tag, [[1]] * d, shape=(d, 1))
+        assert interpret(Spider("Z", 0, 0), interp) == MatrixMorphism(tag, [[d > 0 if tag is BOOL else d]])
+        z = (("Z", False),)
+        wire = OpenGraph((SpiderNode("Z", 2, 5),), ((("i", 0), ("n", 0, 0)), (("n", 0, 1), ("o", 0))), z, z)
+        assert evaluate_graph(wire, interp) == MatrixMorphism.identity(tag, d)
+
+    @pytest.mark.parametrize("tag", [COMPLEX, BOOL, NAT], ids=["complex", "bool", "nat"])
+    def test_closed_pieces_multiply(self, tag):
+        interp = cob_interp(basis_frobenius(3, tag))
+        nine = MatrixMorphism(tag, [[1 if tag is BOOL else 9]])
+        loop = Seq(Cap("Z"), Cup("Z"))
+        spheres = OpenGraph((SpiderNode("Z", 0, 3), SpiderNode("Z", 0, 0)), (), (), ())
+        assert interpret(Par(loop, loop), interp) == nine
+        assert interpret(Par(Spider("Z", 0, 0), loop), interp) == nine
+        assert evaluate_graph(spheres, interp) == nine
+
+    def test_dense_spiders_are_built_once_per_call(self, monkeypatch):
+        import catkit.tqft
+
+        built = []
+        monkeypatch.setattr(catkit.tqft, "spider_matrix", lambda p, *shape: built.append(shape) or spider_matrix(p, *shape))
+        p = _random_conjugated_basis(2, make_rng(4))  # not a copy, and not symmetric in its legs
+        merge, split = spider_matrix(p, 2, 1), spider_matrix(p, 1, 2)
+        term = Seq(Par(Spider("Z", 2, 1), Spider("Z", 2, 1)), Par(Spider("Z", 1, 2), Spider("Z", 1, 2)))
+        assert interpret(term, cob_interp(p)) == compose(tensor(merge, merge), tensor(split, split))
+        assert sorted(built) == [(1, 2), (2, 1)]
+        built.clear()
+        x = cob_interp(xor_frobenius(COMPLEX))
+        pants = Par(Spider("Z", 1, 2), Spider("Z", 1, 2))
+        assert evaluate_graph(to_graph(pants, ZSIG), x) == interpret(pants, x)
+        assert built == [(3, 0, 0), (1, 2)]
+
+    def test_copy_path_agrees_with_the_dense_path_under_hadamard(self):
+        # H is orthogonal, so conjugating by it keeps the Kronecker caps that
+        # interpret uses: every term's matrix is H^out . basis . H^-in
+        basis = cob_interp(basis_frobenius(2, COMPLEX))
+        dense = cob_interp(conjugate_presentation(basis_frobenius(2, COMPLEX), HADAMARD, HADAMARD))
+        for seed in range(120):
+            rng = make_rng(seed)
+            term = random_cob_term(rng, n_in=rng.randrange(4))
+            n_in, n_out = (len(w) for w in typecheck(term, ZSIG))
+            want = compose(_kron_power(HADAMARD, n_out), compose(interpret(term, basis), _kron_power(HADAMARD, n_in)))
+            assert max_deviation(interpret(term, dense), want) <= 1e-9, seed
+
+    @pytest.mark.parametrize("tag", [COMPLEX, NAT], ids=["complex", "nat"])
+    def test_mixed_network_of_copies_and_boxes(self, tag):
+        # each layer copies the wire into boxes f and g and merges them back, so
+        # column j of its matrix is f[:, j] * g[:, j]; over complex g is a rank-one
+        # phase pattern, which keeps each layer unitary, and over nat entries are 1 or 2
+        rng, layers = np.random.default_rng(7), 200
+        sig, gens, term = cob_signature("Z"), {}, Id(Z)
+        want = np.eye(3, dtype=object if tag is NAT else complex)
+        for k in range(layers):
+            if tag is NAT:
+                f, g = rng.integers(1, 3, size=(2, 3, 3)).astype(object)
+            else:
+                f = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+                g = np.outer(*np.exp(1j * rng.uniform(0, 2 * np.pi, size=(2, 3))))
+            for name, m in ((f"f{k}", f), (f"g{k}", g)):
+                sig.declare_generator(name, Z, Z)
+                gens[name] = MatrixMorphism._raw(tag, m)
+            term = Seq(Seq(Spider("Z", 2, 1), Seq(Par(Gen(f"f{k}"), Gen(f"g{k}")), Spider("Z", 1, 2))), term)
+            want = (f * g).dot(want)
+        interp = Interpretation(tag, {"Z": 3}, gens, {"Z": basis_frobenius(3, tag)}, signature=sig)
+        for m in (interpret(term, interp), evaluate_graph(to_graph(term, sig), interp)):
+            if tag is NAT:
+                assert m.data.tolist() == want.tolist()
+            else:
+                assert np.allclose(m.data, want, rtol=0, atol=1e-9)

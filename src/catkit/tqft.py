@@ -71,8 +71,9 @@ class FrobeniusPresentation:
                     f"{name} must be {r}x{c} for dimension {d}, got {m.rows}x{m.cols}"
                 )
         join_tags(join_tags(self.delta.tag, self.eps.tag), join_tags(self.mu.tag, self.unit_e.tag))
-        eye = np.eye(d, dtype=self.delta.data.dtype)  # a comparison across dtypes costs numpy 0.25 MB
-        copy, ones = (eye[:, :, None] * eye[:, None]).ravel(), eye.sum(axis=0, dtype=eye.dtype)  # copy: delta or mu
+        dtype = self.delta.data.dtype  # a comparison across dtypes costs numpy 0.25 MB
+        copy = _copy3(d, dtype).ravel()  # delta and mu
+        ones = np.ones(d, dtype)  # eps and unit_e
         pairs = ((self.delta, copy), (self.mu, copy), (self.eps, ones), (self.unit_e, ones))
         object.__setattr__(self, "basis_copy", all(np.array_equal(m.data.ravel(), c) for m, c in pairs))
 
@@ -264,7 +265,8 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
     if interp.signature is not None:
         typecheck(term, interp.signature)
     wiring = Wiring(interp.atom_dim)  # a label's value is its dimension
-    dims, tensors, joined, dense = wiring.values, [], [], {}  # dense: each distinct spider built once
+    dims, tensors = wiring.values, []
+    joined = []  # one label of each copy spider
 
     def box(m, ins, outs, flip):
         # under an odd number of daggers the adjoint's axes run ins then outs
@@ -290,9 +292,7 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
             wiring.parent[labels[0] :] = [labels[0]] * len(labels)  # fresh labels are the last ones
             joined.append(labels[0])
             return labels[:k], labels[k : k + l]
-        if t not in dense:
-            dense[t] = spider_matrix(p, k, l)
-        return box(dense[t], wiring.fresh([p.dim] * k), wiring.fresh([p.dim] * l), flip)
+        return box(spider_matrix(p, k, l), wiring.fresh([p.dim] * k), wiring.fresh([p.dim] * l), flip)
 
     def regroup(outs, ins):
         # wires of generators typed only by their matrices regroup through an identity
@@ -303,30 +303,37 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
 
     ins, outs = wiring.walk(term, leaf, regroup)
     find = wiring.find
-    return _contract(interp.tag, tensors, outs, ins, {find(x): d for x, d in enumerate(dims)}, find, joined)
+    tensors = [(arr, [find(x) for x in labels]) for arr, labels in tensors]
+    wire_dims = {find(x): d for x, d in enumerate(dims)}
+    outputs = [find(x) for x in outs]
+    inputs = [find(x) for x in ins]
+    return _contract(interp.tag, tensors, outputs, inputs, wire_dims, {find(x) for x in joined})
 
 
-def _contract(tag, tensors, outputs, inputs, dims, find=None, joined=()) -> MatrixMorphism:
+def _copy3(d, dtype):
+    """The order-3 copy tensor of dimension d: 1 where all three indices agree."""
+    eye = np.eye(d, dtype=dtype)
+    return eye[:, :, None] * eye[:, None]
+
+
+def _contract(tag, tensors, outputs, inputs, dims, joined=()) -> MatrixMorphism:
     """Contract a network of labelled tensors to the matrix inputs -> outputs.
 
     tensors is a list of (array, labels) with one label per axis, outputs
-    and inputs are the boundary labels in order, find (if given) maps each
-    label to its wire and dims each wire to its dimension.  A wire has two
-    ends, tensor axes or boundary slots, so one no tensor holds is an
-    identity between two slots or a closed loop.  The wires of the labels
-    in joined, tied by copy spiders, may have any count; _fan_out rewrites
-    them.  Pairs of tensors sharing a label are contracted greedily,
-    smallest result first, as in opt_einsum's greedy path.  numpy's boolean
-    dot is the or-of-ands product, so booleans contract exactly with no
-    case of their own.  Floating-point contraction runs with numpy's
-    warnings off; a result with an inf or nan entry raises ValueError.
+    and inputs are the boundary labels in order, and dims maps every label
+    to its dimension.  A label is a wire with two ends, each a tensor axis
+    or a boundary slot, so one no tensor holds is an identity between two
+    slots or a closed loop.  The labels in joined, tied by copy spiders,
+    may have any number of ends; _fan_out rewrites them.  Pairs of tensors
+    sharing a label are contracted greedily, smallest result first, as in
+    opt_einsum's greedy path.  numpy's boolean dot is the or-of-ands
+    product, so booleans contract exactly with no case of their own.
+    Floating-point contraction runs with numpy's warnings off, and a
+    result with an inf or nan entry raises ValueError instead.
     """
-    if find is not None:
-        tensors = [(arr, [find(x) for x in labels]) for arr, labels in tensors]
-        outputs, inputs = [find(x) for x in outputs], [find(x) for x in inputs]
     boundary = outputs + inputs
     if joined:
-        tensors, boundary = _fan_out(tag.ops.dtype, tensors, boundary, dims, {find(x) for x in joined})
+        tensors, boundary = _fan_out(tag.ops.dtype, tensors, boundary, dims, joined)
     if len(tensors) == 1 and len(set(tensors[0][1])) == len(boundary) == len(dims):
         # one tensor holding each wire once, its other end on the boundary, is a
         # transpose with no arithmetic to guard; errstate and the engine's
@@ -353,7 +360,8 @@ def _fan_out(dtype, tensors, boundary, dims, joined):
     wires tied by m - 2 order-3 copy tensors chained by more fresh wires
     (added to dims), so no copy tensor exceeds d^3 however wide a spider.
     """
-    holders, extra = [list(boundary)] + [list(labels) for _, labels in tensors], []
+    holders = [list(boundary)] + [list(labels) for _, labels in tensors]
+    extra = []
     ends = {x: [] for x in joined}
     for h, labels in enumerate(holders):
         for i, x in enumerate(labels):
@@ -365,8 +373,9 @@ def _fan_out(dtype, tensors, boundary, dims, joined):
             extra.append((np.ones(d, dtype), [x]))
         elif m > 2:
             fresh = [(x, j) for j in range(2 * m - 4)]
-            legs, links = [x] + fresh[: m - 1], [x] + fresh[m - 1 :] + [fresh[m - 2]]
-            copy = np.eye(d, dtype=dtype)[:, :, None] * np.eye(d, dtype=dtype)[:, None]
+            legs = [x] + fresh[: m - 1]
+            links = [x] + fresh[m - 1 :] + [fresh[m - 2]]
+            copy = _copy3(d, dtype)
             extra += [(copy, [links[j - 1], legs[j], links[j]]) for j in range(1, m - 1)]
             for (h, i), y in zip(at[1:], legs[1:]):
                 holders[h][i] = y
@@ -642,24 +651,32 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
     words = graph.output_types + graph.input_types
     dims = {wid: interp.atom_dim(atom) for wid, (atom, _) in zip(outputs + inputs, words)}
     dims.update((len(graph.wires) + k, interp.atom_dim(atom)) for k, atom in enumerate(graph.loops))
-    tensors, dense, copies, joined = [], {}, None, []  # dense: each distinct spider tensor built once
+    tensors = []
+    parent = None  # union-find over wire ids, then loops, then legless spiders; made by the first copy spider
+    joined = []  # one label of each copy spider
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     for nid, node in enumerate(graph.nodes):
         labels = [wire_at[("n", nid, port)] for port in range(node.n_ports)]
         if isinstance(node, SpiderNode):
             p = interp.frobenius_data[node.atom]
             if p.basis_copy:
-                if copies is None:  # copy spiders join labels: wire ids, then loops, then legless spiders
-                    copies = Wiring(None)
-                    copies.fresh([None] * (len(graph.wires) + len(graph.loops)))
-                labels = labels or copies.fresh([None])
+                if parent is None:
+                    parent = list(range(len(graph.wires) + len(graph.loops)))
+                if not labels:
+                    labels = [len(parent)]
+                    parent.append(labels[0])
+                root = find(labels[0])
                 for x in labels[1:]:
-                    copies.parent[copies.find(x)] = copies.find(labels[0])
+                    parent[find(x)] = root
                 dims.update((x, p.dim) for x in labels)
-                joined.append(labels[0])
+                joined.append(root)
                 continue
-            if node not in dense:
-                dense[node] = spider_matrix(p, node.degree, 0, node.genus).data.reshape([p.dim] * node.degree)
-            arr = dense[node]
+            arr = spider_matrix(p, node.degree, 0, node.genus).data.reshape([p.dim] * node.degree)
         else:
             m = interp.gen_matrices.get(node.name)
             if m is None:
@@ -671,6 +688,10 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
             arr = m.data.reshape([interp.atom_dim(atom) for atom, _ in node.cod.factors + node.dom.factors])
         dims.update(zip(labels, arr.shape))
         tensors.append((arr, labels))
-    if copies is not None:
-        dims = {copies.find(x): d for x, d in dims.items()}
-    return _contract(tag, tensors, outputs, inputs, dims, copies and copies.find, joined)
+    if parent is None:
+        return _contract(tag, tensors, outputs, inputs, dims)
+    tensors = [(arr, [find(x) for x in labels]) for arr, labels in tensors]
+    dims = {find(x): d for x, d in dims.items()}
+    outputs = [find(x) for x in outputs]
+    inputs = [find(x) for x in inputs]
+    return _contract(tag, tensors, outputs, inputs, dims, {find(x) for x in joined})

@@ -778,22 +778,6 @@ class TestCopySpiders:
         assert interpret(Par(Spider("Z", 0, 0), loop), interp) == nine
         assert evaluate_graph(spheres, interp) == nine
 
-    def test_dense_spiders_are_built_once_per_call(self, monkeypatch):
-        import catkit.tqft
-
-        built = []
-        monkeypatch.setattr(catkit.tqft, "spider_matrix", lambda p, *shape: built.append(shape) or spider_matrix(p, *shape))
-        p = _random_conjugated_basis(2, make_rng(4))  # not a copy, and not symmetric in its legs
-        merge, split = spider_matrix(p, 2, 1), spider_matrix(p, 1, 2)
-        term = Seq(Par(Spider("Z", 2, 1), Spider("Z", 2, 1)), Par(Spider("Z", 1, 2), Spider("Z", 1, 2)))
-        assert interpret(term, cob_interp(p)) == compose(tensor(merge, merge), tensor(split, split))
-        assert sorted(built) == [(1, 2), (2, 1)]
-        built.clear()
-        x = cob_interp(xor_frobenius(COMPLEX))
-        pants = Par(Spider("Z", 1, 2), Spider("Z", 1, 2))
-        assert evaluate_graph(to_graph(pants, ZSIG), x) == interpret(pants, x)
-        assert built == [(3, 0, 0), (1, 2)]
-
     def test_copy_path_agrees_with_the_dense_path_under_hadamard(self):
         # H is orthogonal, so conjugating by it keeps the Kronecker caps that
         # interpret uses: every term's matrix is H^out . basis . H^-in

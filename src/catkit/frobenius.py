@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .diagram.graphs import OpenGraph, SpiderNode, Wiring
-from .diagram.terms import Cap, Cup, Dagger, Gen, Id, Par, Seq, Signature, Spider, Swap, TypeMismatch, typecheck
+from .diagram.terms import Gen, Signature, Spider, TypeMismatch, typecheck
 
 
 def cob_signature(atom="A"):
@@ -224,65 +224,6 @@ def _walk(term):
 def term_atoms(term):
     """Atom names appearing in a generator-free term."""
     return _walk(term)[0]
-
-
-def reverse_term(term):
-    """Turn a generator-free term end for end: spider legs swap roles.
-
-    This is reversal of the underlying surface, not a matrix adjoint,
-    so it stays meaningful for presentations without dagger structure.
-    Bends assume a self-dual atom (cup and cap trade places).  The
-    input must already be dagger-free; see strip_daggers.
-    """
-    return _rebuild(term, reverse=True)
-
-
-def strip_daggers(term):
-    """Rewrite every dagger into a structural reversal of its body."""
-    return _rebuild(term, reverse=False)
-
-
-def _rebuild(term, reverse):
-    """Copy a term, reversing each piece that sits under an odd parity.
-
-    The parity starts odd when reverse is set, and there a dagger is
-    rejected as a leaf; otherwise each dagger flips it and is dropped.
-    A reversed Seq visits and keeps its stages in the opposite order.
-    """
-    done = []
-    todo = [(term, reverse, False)]
-    while todo:
-        t, flip, expanded = todo.pop()
-        if expanded:
-            done.append(type(t)(done.pop(-2), done.pop()))
-        elif isinstance(t, Dagger) and not reverse:
-            todo.append((t.inner, not flip, False))
-        elif isinstance(t, Seq):
-            first, second = (t.before, t.after) if flip else (t.after, t.before)
-            todo += [(t, flip, True), (second, flip, False), (first, flip, False)]
-        elif isinstance(t, Par):
-            todo += [(t, flip, True), (t.right, flip, False), (t.left, flip, False)]
-        else:
-            done.append(_reverse_leaf(t) if flip else t)
-    return done.pop()
-
-
-def _reverse_leaf(term):
-    if isinstance(term, Spider):
-        return Spider(term.atom, term.legs_out, term.legs_in)
-    if isinstance(term, Id):
-        return term
-    if isinstance(term, Swap):
-        return Swap(term.right, term.left)
-    if isinstance(term, Cup):
-        return Cap(term.atom)
-    if isinstance(term, Cap):
-        return Cup(term.atom)
-    if isinstance(term, Gen):
-        raise ValueError(
-            f"unsupported foreign generator {term.name!r} in a cobordism term"
-        )
-    raise TypeError(f"not a dagger-free term: {term!r}")
 
 
 def _single_atom(terms_atoms, sig):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagram import Gen, ObjectWord, OpenGraph, Signature, SpiderNode, UnknownName, typecheck
 from .diagram.graphs import Wiring
-from .frobenius import cob_signature, strip_daggers, term_atoms
+from .frobenius import cob_signature, term_atoms
 from .lawcheck import LawReport, law_report
 from .matcat import (
     MatrixMorphism,
@@ -257,10 +257,11 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
     ``to_graph`` uses too, so depth costs no recursion.  Generators and
     spiders become tensors whose axes are wire labels; identities,
     symmetries, cups, caps, sequential composition and the spiders of a
-    basis-copy presentation only create or join labels.  A dagger takes
-    the adjoint of every tensor below it and exchanges its input and
-    output labels.  Without a signature a generator is one wire of its
-    matrix's size on each side.
+    basis-copy presentation only create or join labels.  A dagger
+    exchanges the input and output labels below it: a generator there
+    takes its matrix's adjoint, a spider is the same spider reversed, as
+    every other layer reads it.  Without a signature a generator is one
+    wire of its matrix's size on each side.
     """
     if interp.signature is not None:
         typecheck(term, interp.signature)
@@ -269,9 +270,9 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
     joined = []  # one label of each copy spider
 
     def box(m, ins, outs, flip):
-        # under an odd number of daggers the adjoint's axes run ins then outs
+        # under an odd number of daggers the matrix's axes run ins then outs
         labels = ins + outs if flip else outs + ins
-        tensors.append(((dagger(m) if flip else m).data.reshape([dims[x] for x in labels]), labels))
+        tensors.append((m.data.reshape([dims[x] for x in labels]), labels))
         return ins, outs
 
     def leaf(t, flip):
@@ -279,6 +280,7 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
             m = interp.gen_matrices.get(t.name)
             if m is None:
                 raise UnknownName(f"no matrix assigned to generator {t.name!r}")
+            m = dagger(m) if flip else m
             if interp.signature is None:
                 return box(m, wiring.fresh([m.cols]), wiring.fresh([m.rows]), flip)
             decl = interp.signature.generators[t.name]
@@ -287,12 +289,13 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
         if p is None:
             raise UnknownName(f"no frobenius data for atom {t.atom!r}")
         k, l = t.legs_in, t.legs_out
-        if p.basis_copy:  # a copy spider is its own adjoint; with no legs it is a label with no ends
+        if p.basis_copy:  # a copy spider is its own reversal; with no legs it is a label with no ends
             labels = wiring.fresh([p.dim] * max(1, k + l))
             wiring.parent[labels[0] :] = [labels[0]] * len(labels)  # fresh labels are the last ones
             joined.append(labels[0])
             return labels[:k], labels[k : k + l]
-        return box(spider_matrix(p, k, l), wiring.fresh([p.dim] * k), wiring.fresh([p.dim] * l), flip)
+        m = spider_matrix(p, l, k) if flip else spider_matrix(p, k, l)  # a daggered spider is reversed
+        return box(m, wiring.fresh([p.dim] * k), wiring.fresh([p.dim] * l), flip)
 
     def regroup(outs, ins):
         # wires of generators typed only by their matrices regroup through an identity
@@ -432,9 +435,9 @@ def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
     """Evaluate a single-atom cobordism term from one presentation.
 
     The presentation must verify (including its claimed flags) before any
-    evaluation happens.  Daggers flip the underlying surface end for
-    end, so they are removed structurally up front; a matrix adjoint
-    would only agree for presentations with dagger structure.
+    evaluation happens.  A dagger turns the surface end for end:
+    ``interpret`` reads a daggered spider as the reversed spider, so no
+    dagger structure is needed.
     """
     report = verify_frobenius(p)
     if not report.ok:
@@ -444,7 +447,6 @@ def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
     if len(atoms) > 1:
         raise ValueError(f"expected a single atom, found {sorted(atoms)}")
     atom = atoms.pop() if atoms else "A"
-    term = strip_daggers(term)
     interp = Interpretation(
         tag=p.tag,
         object_dims={atom: p.dim},
@@ -531,13 +533,14 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
     object_dims = {}
     element_names = {}
     for atom, value in section("objects").items():
-        if isinstance(value, int):
+        names = [str(x) for x in value] if isinstance(value, list) else []
+        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
             object_dims[atom] = value
-        elif isinstance(value, list):
-            object_dims[atom] = len(value)
-            element_names[atom] = [str(x) for x in value]
+        elif isinstance(value, list) and len(set(names)) == len(names):
+            object_dims[atom] = len(names)
+            element_names[atom] = names
         else:
-            raise ValueError(f"object {atom!r} needs a dimension or element list")
+            raise ValueError(f"objects.{atom}: needs a dimension >= 0 or distinct element names, got {value!r}")
 
     def matrix(where, entries):
         try:

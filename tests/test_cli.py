@@ -45,6 +45,9 @@ REL_INTERP = {
     },
 }
 
+# building R's matrix needs A's dimension, so a bad one must be rejected before it
+ONE_PAIR_EACH = {"R": {"rel": [[0, 0]]}, "Rp": {"rel": [[0, 0]]}}
+
 DIM3 = {"semiring": "complex", "objects": {"Z": 3}, "frobenius": {"Z": "basis"}}
 
 # the presentation of TestLaws.test_nan_deviation_is_a_failure: delta . delta
@@ -300,8 +303,29 @@ class TestEval:
                 {"semiring": "bool", "objects": {"A": 2, "B": 2, "C": 3}, "generators": {"R": {"rel": 5}}},
                 "generators.R.rel: must be a list of [x, y] pairs",
             ),
+            (
+                {"semiring": "bool", "objects": {"A": True, "B": 2, "C": 3}, "generators": ONE_PAIR_EACH},
+                "objects.A: needs a dimension >= 0 or distinct element names, got True",
+            ),
+            (
+                {"semiring": "bool", "objects": {"A": -1, "B": 2, "C": 3}, "generators": ONE_PAIR_EACH},
+                "objects.A: needs a dimension >= 0 or distinct element names, got -1",
+            ),
+            (
+                {"semiring": "bool", "objects": {"A": ["x", "x"], "B": 2, "C": 3}, "generators": ONE_PAIR_EACH},
+                "objects.A: needs a dimension >= 0 or distinct element names, got ['x', 'x']",
+            ),
         ],
-        ids=["top-level-list", "objects-string", "generators-list", "frobenius-list", "rel-number"],
+        ids=[
+            "top-level-list",
+            "objects-string",
+            "generators-list",
+            "frobenius-list",
+            "rel-number",
+            "objects-bool",
+            "objects-negative",
+            "objects-repeated-name",
+        ],
     )
     def test_bad_section_type_names_the_key(self, files, tmp_path, capsys, data, where):
         bad = tmp_path / "bad.json"

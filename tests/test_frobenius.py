@@ -37,9 +37,7 @@ from catkit.frobenius import (
     fuse,
     fuse_trace,
     mu,
-    reverse_term,
     spiderize,
-    strip_daggers,
     term_atoms,
     unit,
 )
@@ -395,44 +393,6 @@ class TestHighGenus:
         assert (fuse(g, special=True).nodes, fuse(g, special=True).wires) == ((SpiderNode("Z", 0, 0),), ())
 
 
-class TestReversal:
-    def test_spider_legs_swap(self):
-        assert reverse_term(delta("Z")) == mu("Z")
-        assert reverse_term(eps("Z")) == unit("Z")
-
-    def test_bends_and_structure(self):
-        w = ObjectWord((("W", False),))
-        assert reverse_term(Cup("Z")) == Cap("Z")
-        assert reverse_term(Cap("Z")) == Cup("Z")
-        assert reverse_term(Swap(Z, w)) == Swap(w, Z)
-        t = Seq(mu("Z"), Par(Id(Z), delta("Z")))
-        assert reverse_term(t) == Seq(Par(Id(Z), mu("Z")), delta("Z"))
-
-    def test_foreign_generator_rejected(self):
-        with pytest.raises(ValueError, match="foreign generator"):
-            reverse_term(Gen("f"))
-
-    def test_strip_daggers_matches_types(self):
-        for seed in range(10):
-            rng = make_rng(seed)
-            t = Dagger(random_cob_term(rng, n_in=rng.randrange(3)))
-            stripped = strip_daggers(t)
-            assert "Dagger" not in repr(stripped)
-            assert typecheck(stripped, ZSIG) == typecheck(t, ZSIG)
-
-    def test_reversal_is_an_involution(self):
-        for seed in range(10):
-            rng = make_rng(seed)
-            t = strip_daggers(random_cob_term(rng, n_in=rng.randrange(3)))
-            assert reverse_term(reverse_term(t)) == t
-
-    def test_stripping_preserves_the_surface(self):
-        for seed in range(10):
-            rng = make_rng(seed)
-            t = random_cob_term(rng, n_in=rng.randrange(3))
-            assert eq_cob(strip_daggers(t), t)
-
-
 class TestEqCob:
     def test_handle_differs_from_cylinder(self):
         assert not eq_cob(HANDLE, CYLINDER)
@@ -451,8 +411,15 @@ class TestEqCob:
         assert eq_cob(Seq(mu("Z"), Swap(Z, Z)), mu("Z"))
 
     def test_dagger_mirrors_a_spider(self):
-        assert eq_cob(Dagger(delta("Z")), mu("Z"))
-        assert eq_cob(Dagger(TORUS), TORUS)
+        mirrored = [
+            (delta("Z"), mu("Z")),
+            (eps("Z"), unit("Z")),
+            (Cup("Z"), Cap("Z")),
+            (Cap("Z"), Cup("Z")),
+            (TORUS, TORUS),
+        ]
+        for t, reversed_ in mirrored:
+            assert eq_cob(Dagger(t), reversed_), t
 
     def test_sphere_is_not_torus(self):
         assert not eq_cob(SPHERE, TORUS)
@@ -629,9 +596,5 @@ class TestDeepTerms:
         assert interpret(term, interp) == MatrixMorphism(COMPLEX, [[2]])
         assert classify_cob(term, ZSIG) == torus
         assert term_atoms(term) == {"Z"}
-        stripped = strip_daggers(term)
-        reversed_ = reverse_term(stripped)
-        for t in (stripped, reversed_):
-            assert typecheck(t, ZSIG) == (ObjectWord(), ObjectWord())
-            assert classify_cob(t, ZSIG) == torus
-            assert interpret(t, interp) == MatrixMorphism(COMPLEX, [[2]])
+        assert classify_cob(Dagger(term), ZSIG) == torus
+        assert evaluate_cob(Dagger(term), basis_frobenius(2)) == MatrixMorphism(COMPLEX, [[2]])

@@ -388,6 +388,18 @@ def _random_conjugated_basis(d, rng):
     return conjugate_presentation(basis_frobenius(d, COMPLEX), f, f_inv)
 
 
+def _complex_orthogonal_basis():
+    """Basis presentation conjugated by a complex-orthogonal, non-unitary O.
+
+    O O^T = 1 keeps the identity pairing and commutativity, so
+    evaluate_graph accepts it, but delta^dagger is not mu: a daggered
+    spider's adjoint and its reversal differ.
+    """
+    c, s = np.cosh(0.7), np.sinh(0.7)
+    o, o_t = cmat([[c, 1j * s], [-1j * s, c]]), cmat([[c, -1j * s], [1j * s, c]])
+    return conjugate_presentation(basis_frobenius(2, COMPLEX), o, o_t)
+
+
 class TestCobordismSoundness:
     def test_functoriality_of_evaluation(self):
         from catkit.diagram import typecheck
@@ -428,12 +440,17 @@ class TestCobordismSoundness:
     def test_dagger_means_surface_reversal(self):
         # the adjoint reading would break on presentations without
         # dagger structure; reversal keeps homeomorphic terms equal
+        mirrored = [
+            (Spider("Z", 0, 2), Spider("Z", 2, 0)),
+            (eps("Z"), unit("Z")),
+            (Cup("Z"), Cap("Z")),
+            (Cap("Z"), Cup("Z")),
+        ]
         q = _random_conjugated_basis(2, make_rng(11))
         assert not q.dagger
-        flipped_cup = Dagger(Spider("Z", 0, 2))
-        pairing = Spider("Z", 2, 0)
-        assert eq_cob(flipped_cup, pairing)
-        assert evaluate_cob(flipped_cup, q) == evaluate_cob(pairing, q)
+        for t, reversed_ in mirrored:
+            assert eq_cob(Dagger(t), reversed_)
+            assert evaluate_cob(Dagger(t), q) == evaluate_cob(reversed_, q), t
 
     def test_dagger_agrees_with_adjoint_for_dagger_presentations(self):
         p = basis_frobenius(3, COMPLEX)
@@ -524,6 +541,7 @@ class TestEvaluateGraph:
             basis_frobenius(2, COMPLEX),
             basis_frobenius(3, COMPLEX),
             xor_frobenius(COMPLEX),
+            _complex_orthogonal_basis(),  # no dagger structure: a daggered spider is not its adjoint
         ]
         for p in presentations:
             interp = cob_interp(p)
@@ -531,7 +549,9 @@ class TestEvaluateGraph:
                 rng = make_rng(seed)
                 t = random_cob_term(rng, n_in=rng.randrange(3))
                 g = to_graph(t, ZSIG)
-                assert evaluate_graph(g, interp) == interpret(t, interp), (p.dim, seed)
+                m = interpret(t, interp)
+                assert evaluate_graph(g, interp) == m, (p.dim, seed)
+                assert evaluate_cob(t, p) == m, (p.dim, seed)
 
     @pytest.mark.parametrize("tag", [COMPLEX, BOOL, NAT], ids=["complex", "bool", "nat"])
     def test_matches_interpret_on_box_corpus(self, tag):

@@ -2,7 +2,10 @@
 
 Exit codes are script-friendly: 0 for success or "equal", 1 for a
 semantic failure (type error, unknown name, "not equal", a law that
-broke), and 2 for I/O or parse problems.
+broke), and 2 for I/O or parse problems.  A type or name error says
+where it happened: ``FILE:LINE:COL:`` for a ``name(...)`` or
+``coname(...)`` read in, ``FILE: diagram 'NAME':`` for a named diagram
+being typed, fused, evaluated or classified.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -37,6 +41,14 @@ class Workspace:
         if term is None:
             raise UnknownName(f"no diagram named {name!r} in {self.path}")
         return term
+
+    @contextmanager
+    def about(self, name):
+        """Put the file and diagram `name` in front of a type or name error."""
+        try:
+            yield
+        except (TypeMismatch, UnknownName) as exc:
+            raise type(exc)(f"{self.path}: diagram {name!r}: {exc}") from exc
 
 
 def _read_text(path):
@@ -69,7 +81,10 @@ def _load_interpretation(path, data, signature=None, tolerance=None):
 
 
 def _load_workspace(args):
-    result = parse(_read_text(args.file))
+    try:
+        result = parse(_read_text(args.file))
+    except TypeMismatch as exc:  # from name(...) or coname(...), which parse positions
+        raise TypeMismatch(f"{args.file}:{exc.line}:{exc.col}: {exc}") from exc
     ws = Workspace(signature=result.signature, diagrams=result.diagrams, path=args.file)
     interp_path = getattr(args, "interp", None)
     if interp_path:
@@ -114,7 +129,8 @@ def _format_pairs(m, dom_labels, cod_labels):
 def cmd_check(args):
     ws = _load_workspace(args)
     for name, term in ws.diagrams.items():
-        dom, cod = typecheck(term, ws.signature)
+        with ws.about(name):
+            dom, cod = typecheck(term, ws.signature)
         print(f"{name} : {dom} -> {cod}")
     return 0
 
@@ -125,11 +141,12 @@ def cmd_eq(args):
     ws = _load_workspace(args)
     t1 = ws.diagram(args.first)
     t2 = ws.diagram(args.second)
-    g1 = to_graph(t1, ws.signature)
-    g2 = to_graph(t2, ws.signature)
-    if args.frobenius:
-        g1 = fuse(g1, special=args.special)
-        g2 = fuse(g2, special=args.special)
+    graphs = []
+    for name, term in ((args.first, t1), (args.second, t2)):
+        with ws.about(name):
+            graph = to_graph(term, ws.signature)
+            graphs.append(fuse(graph, special=args.special) if args.frobenius else graph)
+    g1, g2 = graphs
     if graph_eq(g1, g2):
         print("equal")
         return 0
@@ -144,7 +161,8 @@ def cmd_eval(args):
     if ws.interpretation is None:
         raise _IOFailure("eval needs --interp FILE")
     term = ws.diagram(args.diagram)
-    m = interpret(term, ws.interpretation)
+    with ws.about(args.diagram):
+        m = interpret(term, ws.interpretation)
     print(_format_matrix(m))
     if m.tag.kind == "bool":
         dom, cod = typecheck(term, ws.signature)
@@ -163,7 +181,9 @@ def cmd_classify(args):
 
     ws = _load_workspace(args)
     term = ws.diagram(args.diagram)
-    for line in classify_cob(term, ws.signature).render_lines():
+    with ws.about(args.diagram):
+        lines = classify_cob(term, ws.signature).render_lines()
+    for line in lines:
         print(line)
     return 0
 

@@ -23,6 +23,9 @@ position is worked out from the text only when a ParseError is raised.
 Expressions are read by one operator-precedence loop over an explicit
 stack of open ``(``, ``dg(``, ``name(`` and ``coname(`` frames, so no
 method recurses and nesting depth is not bounded by the recursion limit.
+Within one parse, equal leaf text gives one shared term: each generator
+and each built-in other than ``dg``, ``name`` and ``coname`` is built at
+its first occurrence only, so a parsed term is a DAG.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .terms import (
     Signature,
     Spider,
     Swap,
+    TypeMismatch,
     UNIT,
 )
 
@@ -98,11 +102,14 @@ def _is_name(tok):
     return tok[:1].isalpha() or tok[:1] == "_"
 
 
+def _position(text, offset):
+    """1-based line and column of a character offset; only "\\n" starts a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _error(message, text, offset):
-    """ParseError at a character offset: 1-based line and column, where
-    only "\\n" starts a line."""
-    line = text.count("\n", 0, offset) + 1
-    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+    """ParseError at a character offset."""
+    return ParseError(message, *_position(text, offset))
 
 
 def _offset(text, index):
@@ -141,10 +148,11 @@ class ParseResult:
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text) + [")"]  # so every tokens.index(")") succeeds
         self.pos = 0
         self.sig = Signature()
         self.diagrams = {}
+        self.leaves = {}  # generator name or built-in tokens up to ")" -> term
 
     def fail(self, message, at=None):
         """Raise ParseError at token index `at`, by default the next one."""
@@ -255,10 +263,10 @@ class _Parser:
     def expr(self):
         """Read an expression up to the first token that cannot go on it.
 
-        One frame per open bracket holds the bracket's keyword ("(" for a
-        plain one), the ">>" composite of the stages read so far and the
-        "x" product of the stage being read; the outermost frame's
-        keyword is None.
+        One frame per open bracket holds the token index of its keyword
+        (or of a plain "("), the ">>" composite of the stages read so far
+        and the "x" product of the stage being read; the outermost frame's
+        index is None.
         """
         tokens = self.tokens
         stack = []
@@ -266,11 +274,11 @@ class _Parser:
         while True:
             tok = tokens[self.pos]
             if tok in _OPENERS:
+                stack.append((opener, seq, par))
+                opener, seq, par = self.pos, None, None
                 self.pos += 1
                 if tok != "(":
                     self.expect("(")
-                stack.append((opener, seq, par))
-                opener, seq, par = tok, None, None
                 continue
             term = self.atom()
             while True:
@@ -288,24 +296,38 @@ class _Parser:
                 if opener is None:
                     return term
                 self.expect(")")
-                if opener == "dg":
+                keyword = tokens[opener]
+                if keyword == "dg":
                     term = Dagger(term)
-                elif opener == "name":
-                    term = terms.name(term, self.sig)
-                elif opener == "coname":
-                    term = terms.coname(term, self.sig)
+                elif keyword != "(":
+                    try:
+                        term = (terms.name if keyword == "name" else terms.coname)(term, self.sig)
+                    except TypeMismatch as exc:
+                        exc.line, exc.col = _position(self.text, _offset(self.text, opener))
+                        raise
                 opener, seq, par = stack.pop()
 
     def atom(self):
         """A generator, a named diagram or a built-in other than dg, name
-        and coname."""
+        and coname; each leaf text is built once, then looked up."""
         at = self.pos
-        tok = self.tokens[at]
+        tokens = self.tokens
+        tok = tokens[at]
         self.pos += 1
+        term = self.leaves.get(tok)
+        if term is not None:
+            return term
         if tok in self.sig.generators:
-            return Gen(tok)
+            term = self.leaves[tok] = Gen(tok)
+            return term
         if tok in self.diagrams:
             return self.diagrams[tok]
+        end = tokens.index(")", at)  # a built-in's arguments hold no bracket
+        key = tuple(tokens[at:end])
+        term = self.leaves.get(key)
+        if term is not None:
+            self.pos = end + 1
+            return term
         if tok == "id":
             self.expect("(")
             term = Id(self.word())
@@ -331,13 +353,16 @@ class _Parser:
         else:
             self.fail(f"unknown identifier {tok!r}", at)
         self.expect(")")
+        self.leaves[key] = term
         return term
 
 
 def parse(text):
     """Parse a module of declarations into a ParseResult.
 
-    Raises ParseError (with .line and .col) for malformed input and
-    lets TypeMismatch from derived-term helpers propagate.
+    Equal leaf text yields one shared term object per call, so a parsed
+    term is a DAG.  Raises ParseError (with .line and .col) for malformed
+    input.  A TypeMismatch from name(...) or coname(...) propagates with
+    .line and .col set to that keyword's position.
     """
     return _Parser(text).parse_module()

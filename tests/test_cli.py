@@ -121,6 +121,26 @@ class TestCheck:
         assert code == 1
         assert "B" in err and "A" in err
 
+    def test_type_error_names_file_and_diagram(self, tmp_path, capsys):
+        p = tmp_path / "e.cat"
+        p.write_text("gen f : A -> B;\ndiag d = f;\ndiag e = d >> d;\n")
+        code, out, err = run(capsys, "check", str(p))
+        assert (code, out) == (1, "d : A -> B\n")
+        assert err == f"error: {p}: diagram 'e': cannot compose: first stage produces B but second expects A\n"
+
+    @pytest.mark.parametrize(
+        "source, col", [("name(f x f)", 3), ("dg(f) >> coname(f x f)", 12)], ids=["name", "coname"]
+    )
+    def test_derived_form_type_error_is_positioned(self, tmp_path, capsys, source, col):
+        p = tmp_path / "n.cat"
+        p.write_text(f"gen f : A x A -> A;\ndiag d =\n  {source};\n")
+        code, out, err = run(capsys, "check", str(p))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {p}:3:{col}: transpose, name, and coname support terms typed between "
+            "single atoms, got A x A x A x A -> A x A\n"
+        )
+
 
 class TestEq:
     def test_interchange_sides_are_equal(self, files, capsys):
@@ -166,6 +186,13 @@ class TestEq:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert "spider legs require a frobenius atom" in err
+
+    def test_type_error_names_file_and_diagram(self, tmp_path, capsys):
+        p = tmp_path / "plain.cat"
+        p.write_text("object W;\ndiag w = id(W);\ndiag s = spider(W, 1, 1);\n")
+        code, out, err = run(capsys, "eq", str(p), "w", "s")
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: diagram 's': spider legs require a frobenius atom, got 'W'\n"
 
 
 class TestEval:
@@ -334,6 +361,15 @@ class TestEval:
         assert code == 1
         assert err.splitlines() == [f"error: {bad}: {where}"]
 
+    def test_unassigned_generator_names_file_and_diagram(self, tmp_path, capsys):
+        p = tmp_path / "f.cat"
+        p.write_text("gen f : A -> A;\ndiag d = f >> f;\n")
+        interp = tmp_path / "a.json"
+        interp.write_text(json.dumps({"semiring": "complex", "objects": {"A": 2}}))
+        code, out, err = run(capsys, "eval", str(p), "d", "--interp", str(interp))
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: diagram 'd': no matrix assigned to generator 'f'\n"
+
     def test_missing_interp_flag_is_a_usage_error(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", files["surfaces.cat"], "snake"])
@@ -362,6 +398,13 @@ class TestClassify:
         code, _, err = run(capsys, "classify", files["boxes.cat"], "stacked")
         assert code == 1
         assert "generator" in err
+
+    def test_spider_on_a_plain_atom_names_file_and_diagram(self, tmp_path, capsys):
+        p = tmp_path / "plain.cat"
+        p.write_text("object W;\ndiag s = spider(W, 1, 1);\n")
+        code, out, err = run(capsys, "classify", str(p), "s")
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: diagram 's': spider legs require a frobenius atom, got 'W'\n"
 
 
 # 600 handles in one flat chain: 1202 sequential stages

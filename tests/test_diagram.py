@@ -60,6 +60,46 @@ def eq_terms(t1, t2, sig):
     return graph_eq(to_graph(t1, sig), to_graph(t2, sig))
 
 
+def signature_text(sig):
+    """Declarations that rebuild sig's objects and generators."""
+    objects = [
+        f"object {d.name}{' frobenius' * d.frobenius}{' selfdual' * d.self_dual};\n"
+        for d in sig.objects.values()
+    ]
+    gens = [f"gen {d.name} : {d.dom} -> {d.cod};\n" for d in sig.generators.values()]
+    return "".join(objects + gens)
+
+
+def term_text(t):
+    """Source text that parses back to t; every composite is bracketed."""
+    if isinstance(t, Seq):
+        return f"({term_text(t.before)} >> {term_text(t.after)})"
+    if isinstance(t, Par):
+        return f"({term_text(t.left)} x {term_text(t.right)})"
+    if isinstance(t, Dagger):
+        return f"dg({term_text(t.inner)})"
+    if isinstance(t, Gen):
+        return t.name
+    if isinstance(t, Id):
+        return f"id({t.word})"
+    if isinstance(t, Swap):
+        return f"swap({t.left}, {t.right})"
+    if isinstance(t, Spider):
+        return f"spider({t.atom}, {t.legs_in}, {t.legs_out})"
+    return f"{type(t).__name__.lower()}({t.atom})"
+
+
+def leaves(t):
+    """Every leaf occurrence of t: first stage first, left factor first."""
+    if isinstance(t, Seq):
+        return leaves(t.before) + leaves(t.after)
+    if isinstance(t, Par):
+        return leaves(t.left) + leaves(t.right)
+    if isinstance(t, Dagger):
+        return leaves(t.inner)
+    return [t]
+
+
 def brute_force_eq(g1, g2):
     """Graph equality by trying every label-preserving node bijection.
 
@@ -310,6 +350,46 @@ class TestParser:
         with pytest.raises(TypeMismatch):
             parse("gen p : I -> A x B; d = name(p);")
 
+    def test_type_error_from_derived_form_is_positioned(self):
+        with pytest.raises(TypeMismatch) as excinfo:
+            parse("gen p : I -> A x B;\nd = dg(p) >>\n  coname(p);")
+        assert (excinfo.value.line, excinfo.value.col) == (3, 3)
+
+    def test_printed_corpus_parses_back(self):
+        sig = base_sig()
+        originals = {}
+        for seed in range(150):
+            rng = corpus.make_rng(seed)
+            term = corpus.random_term(sig, rng, depth=rng.choice([2, 3, 4]))
+            cob = corpus.random_cob_term(rng, rng.randrange(4), rng.randrange(1, 6))
+            for i, t in enumerate((term, cob)):
+                originals[f"t{seed}_{i}"] = t
+                originals[f"r{seed}_{i}"] = corpus.rewrite_randomly(t, sig, rng)[0]
+        text = signature_text(sig) + "".join(
+            f"diag {name_} = {term_text(t)};\n" for name_, t in originals.items()
+        )
+        res = parse(text)
+        assert len(originals) == 600
+        assert res.diagrams == originals
+        # equal leaf text is one object, across diagrams too
+        shared = {}
+        for term in res.diagrams.values():
+            for leaf in leaves(term):
+                assert shared.setdefault(term_text(leaf), leaf) is leaf
+        assert len(shared) > 20
+
+    def test_equal_leaf_text_is_one_object(self):
+        res = parse(
+            "object Z frobenius; gen f : A -> A;"
+            "d = f >> id(A x A*) >> spider(Z, 1, 1) >> cup(A);"
+            "e = cup(A) x f x id(A x A*) x spider(Z, 1, 1) x spider(Z, 01, 1);"
+        )
+        (d0, d1, d2, d3), (e0, e1, e2, e3, e4) = map(leaves, res.diagrams.values())
+        assert (e0, e1, e2, e3) == (d3, d0, d1, d2)
+        assert e0 is d3 and e1 is d0 and e2 is d1 and e3 is d2
+        # equal values written differently are equal but not shared
+        assert e4 == e3 and e4 is not e3
+
     def test_composition_and_tensor_associate_left(self):
         res = parse(
             "gen a : A -> A; gen b : A -> A; gen c : A -> A;"
@@ -362,11 +442,18 @@ class TestParseErrorPositions:
             ("gen f : A -> B; d = f - f;", "unexpected character '-'", 1, 23),
             # every character is checked before any statement is read
             ("object A; object A; $", "unexpected character '$'", 1, 21),
+            # a malformed leaf after an identical well-formed prefix
+            ("d = id(A) >> id(A x);", "expected an object name, found ')'", 1, 20),
+            ("d = cup(A) >> cup(A", "expected ')', found 'end of input'", 1, 20),
+            (
+                "object Z frobenius; d = spider(Z,1,1) >> spider(Z,1,;",
+                "expected a leg count, found ';'", 1, 53,
+            ),
         ],
         ids=[
             "after-comment", "after-tab", "crlf", "end", "end-after-comment", "open-paren",
             "spider-args", "reserved", "missing-factor", "half", "dollar", "lone-minus",
-            "scan-first",
+            "scan-first", "id-after-id", "cup-after-cup", "spider-after-spider",
         ],
     )
     def test_message_line_and_column(self, text, message, line, col):

@@ -4,8 +4,8 @@ Exit codes are script-friendly: 0 for success or "equal", 1 for a
 semantic failure (type error, unknown name, "not equal", a law that
 broke), and 2 for I/O or parse problems.  A type or name error says
 where it happened: ``FILE:LINE:COL:`` for a ``name(...)`` or
-``coname(...)`` read in, ``FILE: diagram 'NAME':`` for a named diagram
-being typed, fused, evaluated or classified.
+``coname(...)`` read in, ``FILE: diagram 'NAME':`` for a type, name or
+value error in a named diagram being typed, fused, evaluated or classified.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class Workspace:
 
     @contextmanager
     def about(self, name):
-        """Put the file and diagram `name` in front of a type or name error."""
+        """Put the file and diagram `name` in front of a type, name or value error."""
         try:
             yield
-        except (TypeMismatch, UnknownName) as exc:
+        except (TypeMismatch, UnknownName, ValueError) as exc:
             raise type(exc)(f"{self.path}: diagram {name!r}: {exc}") from exc
 
 

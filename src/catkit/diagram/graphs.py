@@ -1,11 +1,11 @@
 """Port-graph normal form for diagram terms.
 
-``Wiring.walk`` flattens a term to wire labels with one explicit stack:
-identities, symmetries and duality bends only make labels, sequential
-composition joins labels by union-find, daggers flip a parity handed to
-the leaves, and generators and spiders are left to the caller.  It is
-the one traversal behind ``to_graph`` here, ``tqft.interpret``, and
-``frobenius.classify_cob`` and ``term_atoms``.
+``Wiring.walk`` flattens a term to wire labels with one explicit stack,
+typing it on the way: identities, symmetries and duality bends only make
+labels, sequential composition checks and joins them by union-find,
+daggers flip a parity handed to the leaves, and generators and spiders
+are left to the caller.  It is the one pass over a term behind
+``to_graph`` here, ``tqft.interpret`` and ``frobenius.classify_cob``.
 
 ``to_graph`` turns the walk into an open graph whose wires record only
 connectivity: each union-find class with two ends is one wire, and a
@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .terms import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap, typecheck
+from .terms import Cap, Cup, Dagger, DiagramTerm, Gen, Id, Par, Seq, Spider, Swap, leaf_type, mismatch
 
 
 @dataclass(frozen=True)
@@ -114,58 +114,82 @@ class Wiring:
             parent[x] = x = parent[parent[x]]
         return x
 
-    def walk(self, term, leaf, regroup=None):
-        """Flatten a term; return the labels of its inputs and outputs.
+    def walk(self, term, leaf, sig=None, regroup=None):
+        """Flatten a term; return its input labels, output labels, and
+        domain and codomain factor tuples.
 
         leaf(t, flip) turns a Gen or Spider into (input labels, output
         labels) as the leaf itself is typed; flip is true under an odd
         number of daggers, and the daggers above exchange the two lists.
         Sequential composition joins the labels it glues pairwise; where
         their values differ, regroup(outputs, inputs) is called instead.
+        Given a signature, each subterm is typed when it is finished, a
+        leaf before leaf() sees it, so the first type error is raised
+        where ``typecheck`` raises it; without one both tuples are empty.
         """
-        done = []  # (ins, outs) of each finished subterm
-        todo = [(term, False, False)]
+        done = []  # (ins, outs, dom, cod) of each finished subterm
+        by_id, by_value = {}, {}  # leaf types; leaves of different classes are never equal
+        parent, values, find = self.parent, self.values, self.find
+        todo = [(term, False)]  # (subterm, dagger parity) to visit, or (composite, its class) to finish
         while todo:
-            t, flip, expanded = todo.pop()
-            if isinstance(t, Seq) and not expanded:
-                todo += [(t, flip, True), (t.after, flip, False), (t.before, flip, False)]
-            elif isinstance(t, Par) and not expanded:
-                todo += [(t, flip, True), (t.right, flip, False), (t.left, flip, False)]
-            elif isinstance(t, Dagger) and not expanded:
-                todo += [(t, flip, True), (t.inner, not flip, False)]
-            elif isinstance(t, Seq):
-                (ins, mids), (mids2, outs) = done.pop(-2), done.pop()
-                values = self.values
+            t, flip = todo.pop()
+            if flip is Seq:
+                mids2, outs, expected, cod = done.pop()
+                ins, mids, dom, produced = done[-1]
+                if produced != expected:
+                    raise mismatch(produced, expected)
                 if regroup is not None and [values[x] for x in mids] != [values[y] for y in mids2]:
                     regroup(mids, mids2)
                 else:
                     for x, y in zip(mids, mids2):
-                        self.parent[self.find(x)] = self.find(y)
-                done.append((ins, outs))
+                        parent[find(x)] = find(y)
+                done[-1] = ins, outs, dom, cod
+            elif flip is Par:
+                ins2, outs2, dom2, cod2 = done.pop()
+                ins, outs, dom, cod = done[-1]
+                done[-1] = ins + ins2, outs + outs2, dom + dom2, cod + cod2
+            elif flip is Dagger:
+                ins, outs, dom, cod = done[-1]
+                done[-1] = outs, ins, cod, dom
+            elif isinstance(t, Seq):
+                todo += ((t, Seq), (t.after, flip), (t.before, flip))
             elif isinstance(t, Par):
-                (ins, outs), (ins2, outs2) = done.pop(-2), done.pop()
-                done.append((ins + ins2, outs + outs2))
+                todo += ((t, Par), (t.right, flip), (t.left, flip))
             elif isinstance(t, Dagger):
-                done.append(done.pop()[::-1])
-            elif isinstance(t, (Gen, Spider)):
-                done.append(leaf(t, flip))
-            elif isinstance(t, Id):
-                labels = self.word(t.word)
-                done.append((labels, labels))
-            elif isinstance(t, Swap):
-                left, right = self.word(t.left), self.word(t.right)
-                done.append((left + right, right + left))
-            elif isinstance(t, (Cup, Cap)):
-                labels = self.fresh([self.of_atom(t.atom)]) * 2
-                done.append(([], labels) if isinstance(t, Cup) else (labels, []))
+                todo += ((t, Dagger), (t.inner, not flip))
             else:
-                raise TypeError(f"not a diagram term: {t!r}")
+                if sig is None:
+                    types = ((), ())
+                elif isinstance(t, Spider):  # the commonest leaf: its fields are a cheaper key than its id
+                    key = (t.atom, t.legs_in, t.legs_out)
+                    types = by_value.get(key) or by_value.setdefault(key, leaf_type(t, sig))
+                else:
+                    types = by_id.get(id(t))
+                    if types is None:
+                        if isinstance(t, Gen) or not isinstance(t, DiagramTerm):
+                            # a generator's type is one signature lookup already; a stray list is unhashable
+                            types = leaf_type(t, sig)
+                        else:
+                            types = by_value.get(t) or by_value.setdefault(t, leaf_type(t, sig))
+                        by_id[id(t)] = types
+                if isinstance(t, (Gen, Spider)):
+                    ins, outs = leaf(t, flip)
+                elif isinstance(t, Id):
+                    ins = outs = self.word(t.word)
+                elif isinstance(t, Swap):
+                    left, right = self.word(t.left), self.word(t.right)
+                    ins, outs = left + right, right + left
+                elif isinstance(t, (Cup, Cap)):
+                    labels = self.fresh([self.of_atom(t.atom)]) * 2
+                    ins, outs = ([], labels) if isinstance(t, Cup) else (labels, [])
+                else:
+                    raise TypeError(f"not a diagram term: {t!r}")
+                done.append((ins, outs) + types)
         return done.pop()
 
 
 def to_graph(term, sig):
-    """Flatten a term into its open-graph normal form."""
-    dom, cod = typecheck(term, sig)
+    """Flatten a term into its open-graph normal form, typing it on the way."""
     wiring = Wiring(lambda atom: atom)  # a label's value is its atom
     nodes, ports = [], []
 
@@ -182,7 +206,7 @@ def to_graph(term, sig):
         ports.append(outs + ins if flip else ins + outs)
         return ins, outs
 
-    ins, outs = wiring.walk(term, leaf)
+    ins, outs, dom, cod = wiring.walk(term, leaf, sig)
     labelled = [(("i", k), x) for k, x in enumerate(ins)]
     labelled += [(("n", nid, p), x) for nid, labels in enumerate(ports) for p, x in enumerate(labels)]
     labelled += [(("o", k), x) for k, x in enumerate(outs)]
@@ -193,8 +217,8 @@ def to_graph(term, sig):
     return OpenGraph(
         nodes=tuple(nodes),
         wires=tuple(tuple(pair) for pair in ends.values()),
-        input_types=dom.factors,
-        output_types=cod.factors,
+        input_types=dom,
+        output_types=cod,
         loops=tuple(sorted(wiring.values[r] for r in roots - ends.keys())),
     )
 

@@ -46,10 +46,6 @@ class ObjectWord:
     def tensor(self, other):
         return ObjectWord(self.factors + other.factors)
 
-    def dual(self):
-        """Reversed word with every factor's variance flipped."""
-        return ObjectWord(tuple((a, not d) for a, d in reversed(self.factors)))
-
     def __len__(self):
         return len(self.factors)
 
@@ -115,12 +111,6 @@ class Signature:
             self.objects[name] = ObjectDecl(name)
         return self.objects[name]
 
-    def is_self_dual(self, atom):
-        return self.objects[atom].self_dual
-
-    def is_frobenius(self, atom):
-        return self.objects[atom].frobenius
-
     def normalize(self, word):
         """Erase the dual mark on self-dual atoms."""
         factors = []
@@ -130,10 +120,6 @@ class Signature:
                 raise UnknownName(f"unknown object {atom!r}")
             factors.append((atom, dual and not decl.self_dual))
         return ObjectWord(tuple(factors))
-
-    def dual_atom(self, atom):
-        """Single-factor word for the dual of an atom."""
-        return self.normalize(ObjectWord.atom(atom, dual=True))
 
 
 class DiagramTerm:
@@ -215,12 +201,14 @@ def typecheck(term, sig):
 
     Raises TypeMismatch when sequential composition does not line up or
     a spider sits on a non-frobenius atom, and UnknownName for
-    undeclared generators or atoms.  The term is walked with an explicit
-    stack, and a subterm shared by several parents is typed once.  So is
-    each distinct value of a spider, identity, swap or bend leaf, since
-    its type depends only on its fields and the signature.
+    undeclared generators or atoms.  ``Wiring.walk`` types a term as it
+    flattens it, so the layers that walk a term do not call this; it is
+    for ``catkit check``, transpose, name and coname, and terms sharing
+    subterms.  The explicit stack here types a subterm shared by several
+    parents once, and each distinct value of a spider, identity, swap or
+    bend leaf once, since its type depends only on its fields.
     """
-    types = {}  # id(subterm) -> (dom, cod); the term keeps every id alive
+    types = {}  # id(subterm) -> (dom, cod) factor tuples; the term keeps every id alive
     leaves = {}  # leaf -> (dom, cod); leaves of different classes are never equal
     todo = [(term, False)]
     while todo:
@@ -231,72 +219,66 @@ def typecheck(term, sig):
             if not expanded:
                 todo += [(t, True), (t.after, False), (t.before, False)]
                 continue
-            (bdom, bcod), (adom, acod) = types[id(t.before)], types[id(t.after)]
-            if bcod != adom:
-                raise TypeMismatch(
-                    f"cannot compose: first stage produces {bcod} "
-                    f"but second expects {adom}"
-                )
-            types[id(t)] = bdom, acod
+            (dom, produced), (expected, cod) = types[id(t.before)], types[id(t.after)]
+            if produced != expected:
+                raise mismatch(produced, expected)
+            types[id(t)] = dom, cod
         elif isinstance(t, Par):
             if not expanded:
                 todo += [(t, True), (t.right, False), (t.left, False)]
                 continue
             (ldom, lcod), (rdom, rcod) = types[id(t.left)], types[id(t.right)]
-            types[id(t)] = ldom.tensor(rdom), lcod.tensor(rcod)
+            types[id(t)] = ldom + rdom, lcod + rcod
         elif isinstance(t, Dagger):
             if not expanded:
                 todo += [(t, True), (t.inner, False)]
                 continue
-            dom, cod = types[id(t.inner)]
-            types[id(t)] = cod, dom
+            types[id(t)] = types[id(t.inner)][::-1]
         elif isinstance(t, Gen) or not isinstance(t, DiagramTerm):
             # a generator's type is one signature lookup already; a stray list is unhashable
-            types[id(t)] = _leaf_type(t, sig)
+            types[id(t)] = leaf_type(t, sig)
         else:
             leaf = leaves.get(t)
             if leaf is None:
-                leaf = leaves[t] = _leaf_type(t, sig)
+                leaf = leaves[t] = leaf_type(t, sig)
             types[id(t)] = leaf
-    return types[id(term)]
+    return tuple(map(ObjectWord, types[id(term)]))
 
 
-def _leaf_type(term, sig):
+def mismatch(produced, expected):
+    """The error for a composition whose stages meet on different factors."""
+    return TypeMismatch(
+        f"cannot compose: first stage produces {ObjectWord(produced)} "
+        f"but second expects {ObjectWord(expected)}"
+    )
+
+
+def leaf_type(term, sig):
+    """The (dom, cod) factor tuples of a leaf of a term."""
     if isinstance(term, Gen):
         decl = sig.generators.get(term.name)
         if decl is None:
             raise UnknownName(f"unknown generator {term.name!r}")
-        return decl.dom, decl.cod
+        return decl.dom.factors, decl.cod.factors
     if isinstance(term, Id):
-        word = sig.normalize(term.word)
+        word = sig.normalize(term.word).factors
         return word, word
     if isinstance(term, Swap):
-        left = sig.normalize(term.left)
-        right = sig.normalize(term.right)
-        return left.tensor(right), right.tensor(left)
+        left, right = sig.normalize(term.left).factors, sig.normalize(term.right).factors
+        return left + right, right + left
     if isinstance(term, Cup):
-        cod = sig.normalize(
-            ObjectWord(((term.atom, True), (term.atom, False)))
-        )
-        return UNIT, cod
+        return (), sig.normalize(ObjectWord(((term.atom, True), (term.atom, False)))).factors
     if isinstance(term, Cap):
-        dom = sig.normalize(
-            ObjectWord(((term.atom, False), (term.atom, True)))
-        )
-        return dom, UNIT
+        return sig.normalize(ObjectWord(((term.atom, False), (term.atom, True)))).factors, ()
     if isinstance(term, Spider):
         decl = sig.objects.get(term.atom)
         if decl is None:
             raise UnknownName(f"unknown object {term.atom!r}")
         if not decl.frobenius:
-            raise TypeMismatch(
-                f"spider legs require a frobenius atom, got {term.atom!r}"
-            )
+            raise TypeMismatch(f"spider legs require a frobenius atom, got {term.atom!r}")
         if term.legs_in < 0 or term.legs_out < 0:
             raise TypeMismatch("spider leg counts must be nonnegative")
-        dom = ObjectWord(((term.atom, False),) * term.legs_in)
-        cod = ObjectWord(((term.atom, False),) * term.legs_out)
-        return dom, cod
+        return ((term.atom, False),) * term.legs_in, ((term.atom, False),) * term.legs_out
     raise TypeError(f"not a diagram term: {term!r}")
 
 
@@ -316,24 +298,13 @@ def _dual_word(sig, factor):
     return sig.normalize(ObjectWord.atom(atom, not dual))
 
 
-def _eta(sig, factor):
-    """Bend typed I -> dual(factor) x factor."""
+def _bends(sig, factor):
+    """Bends typed I -> dual(factor) x factor and factor x dual(factor) -> I."""
     atom, dual = factor
     if not dual:
-        return Cup(atom)
-    plain = sig.normalize(ObjectWord.atom(atom))
-    starred = sig.normalize(ObjectWord.atom(atom, True))
-    return Seq(Swap(starred, plain), Cup(atom))
-
-
-def _eps(sig, factor):
-    """Bend typed factor x dual(factor) -> I."""
-    atom, dual = factor
-    if not dual:
-        return Cap(atom)
-    plain = sig.normalize(ObjectWord.atom(atom))
-    starred = sig.normalize(ObjectWord.atom(atom, True))
-    return Seq(Cap(atom), Swap(starred, plain))
+        return Cup(atom), Cap(atom)
+    swap = Swap(sig.normalize(ObjectWord.atom(atom, True)), sig.normalize(ObjectWord.atom(atom)))
+    return Seq(swap, Cup(atom)), Seq(Cap(atom), swap)
 
 
 def transpose(term, sig):
@@ -341,19 +312,19 @@ def transpose(term, sig):
     a, b = _endpoints(term, sig)
     a_star = _dual_word(sig, a)
     b_star = _dual_word(sig, b)
-    bottom = Par(_eta(sig, a), Id(b_star))
+    bottom = Par(_bends(sig, a)[0], Id(b_star))
     middle = Par(Id(a_star), Par(term, Id(b_star)))
-    top = Par(Id(a_star), _eps(sig, b))
+    top = Par(Id(a_star), _bends(sig, b)[1])
     return Seq(top, Seq(middle, bottom))
 
 
 def name(term, sig):
     """State I -> A* x B encoding a term t: A -> B."""
     a, _ = _endpoints(term, sig)
-    return Seq(Par(Id(_dual_word(sig, a)), term), _eta(sig, a))
+    return Seq(Par(Id(_dual_word(sig, a)), term), _bends(sig, a)[0])
 
 
 def coname(term, sig):
     """Effect A x B* -> I encoding a term t: A -> B."""
     _, b = _endpoints(term, sig)
-    return Seq(_eps(sig, b), Par(term, Id(_dual_word(sig, b))))
+    return Seq(_bends(sig, b)[1], Par(term, Id(_dual_word(sig, b))))

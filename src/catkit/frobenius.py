@@ -3,16 +3,14 @@
 A connected surface is fixed by its genus and boundary circles.  A
 (k, l) spider of genus g has Euler characteristic 2 - k - l - 2g and a
 wire 0, so ``classify_cob`` reads each piece off one ``Wiring.walk``
-over the term, the walk ``to_graph`` and ``tqft.interpret`` use too:
-a spider is one wire label carrying its chi, each union-find class of
-labels is a piece, and its genus is (2 - chi - b) / 2 for b boundary
-circles.  No port graph is built.  ``term_atoms`` reads the same walk.
-``fuse`` merges each cluster of adjacent same-atom spiders in one
-union-find pass (its cycles become genus, or vanish when the structure
-is special) and splices out degree-2 handle-free spiders;
+over the term, which types the term as it goes: a spider is one wire
+label carrying its chi, each union-find class of labels is a piece, and
+its genus is (2 - chi - b) / 2 for b boundary circles.  No port graph
+is built.  ``fuse`` merges each cluster of adjacent same-atom spiders
+in one union-find pass (its cycles become genus, or vanish when the
+structure is special) and splices out degree-2 handle-free spiders;
 ``fuse_trace`` returns that pass's steps: each wire merged or closed
-into a handle, then each spider spliced.
-"""
+into a handle, then each spider spliced."""
 
 from __future__ import annotations
 
@@ -21,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .diagram.graphs import OpenGraph, SpiderNode, Wiring
-from .diagram.terms import Gen, Signature, Spider, TypeMismatch, typecheck
+from .diagram.terms import Gen, ObjectDecl, ObjectWord, Signature, Spider, TypeMismatch
 
 
 def cob_signature(atom="A"):
@@ -49,24 +47,6 @@ def mu(atom="A"):
 def unit(atom="A"):
     """Unit spider, no legs in and 1 out."""
     return Spider(atom, 0, 1)
-
-
-def spiderize(graph, sig):
-    """Check a graph is ready for spider fusion and hand it back.
-
-    Diagram flattening already renders frobenius nodes as spiders and
-    duality bends as bare connectivity, so the content is unchanged;
-    this validates that every spider sits on an atom flagged frobenius.
-    Boxes are opaque bystanders and allowed.
-    """
-    for node in graph.nodes:
-        if isinstance(node, SpiderNode):
-            decl = sig.objects.get(node.atom)
-            if decl is None or not decl.frobenius:
-                raise ValueError(
-                    f"spider node on non-frobenius atom {node.atom!r}"
-                )
-    return graph
 
 
 def _fusion(graph, special):
@@ -182,33 +162,30 @@ class CobordismClass:
         return [c.render() for c in self.components]
 
 
-def _walk(term):
-    """Atoms and sorted components of a generator-free term, from one wiring walk.
+def _walk(term, sig):
+    """Atoms, sorted components, first foreign generator and type of a
+    term, from one wiring walk typed against sig (untyped if None).
 
-    Each spider is one wire label, every leg of it, and records its
-    Euler characteristic 2 - k - l against that label.  So each
-    union-find class is one connected piece, and its genus is
-    (2 - chi - b) / 2 for its b boundary slots; a class with neither a
-    spider nor a slot is a closed circle of bare wire, which comes out
-    as a torus.  The term's type is not checked.
+    Each spider is one wire label, every leg of it, recording its Euler
+    characteristic 2 - k - l.  So each union-find class is one piece,
+    of genus (2 - chi - b) / 2 for its b boundary slots; a class with no
+    spider and no slot is a closed circle of bare wire, a torus.  An
+    untyped walk raises at a generator, a typed one names the first.
     """
-    atoms = set()
-
-    def of_atom(atom):
-        atoms.add(atom)
-        return atom
-
-    wiring = Wiring(of_atom)
-    spiders = []  # (label, chi) per spider
+    atoms, spiders, foreign = set(), [], []  # spiders: (label, chi) per spider
+    wiring = Wiring(lambda atom: atoms.add(atom) or atom)
 
     def leaf(t, flip):
         if isinstance(t, Gen):
-            raise ValueError(f"unsupported foreign generator {t.name!r} in a cobordism term")
-        [x] = wiring.fresh([of_atom(t.atom)])
+            if sig is None:
+                raise _foreign(t.name)
+            foreign.append(t.name)
+            return [], []
+        [x] = wiring.fresh([wiring.of_atom(t.atom)])
         spiders.append((x, 2 - t.legs_in - t.legs_out))
         return [x] * t.legs_in, [x] * t.legs_out
 
-    ins, outs = wiring.walk(term, leaf)
+    ins, outs, dom, cod = wiring.walk(term, leaf, sig)
     find = wiring.find
     pieces = {find(x): [[], [], 0] for x in range(len(wiring.values))}  # inputs, outputs, chi
     for k, x in enumerate(ins):
@@ -218,24 +195,43 @@ def _walk(term):
     for x, c in spiders:
         pieces[find(x)][2] += c
     comps = [ComponentClass(tuple(i), tuple(o), (2 - c - len(i) - len(o)) // 2) for i, o, c in pieces.values()]
-    return atoms, tuple(sorted(comps, key=lambda c: (c.inputs, c.outputs, c.genus)))
+    return atoms, tuple(sorted(comps, key=lambda c: (c.inputs, c.outputs, c.genus))), foreign[:1], (dom, cod)
 
 
-def term_atoms(term):
-    """Atom names appearing in a generator-free term."""
-    return _walk(term)[0]
+class _EveryAtom(dict):
+    def get(self, atom, default=None):  # every atom is self-dual and frobenius
+        return ObjectDecl(atom, frobenius=True, self_dual=True)
 
 
-def _single_atom(terms_atoms, sig):
-    atoms = set(terms_atoms)
+# cob_signature(atom) for every atom at once: a term over one atom types
+# against it as against the cobordism signature of that atom
+COB_ATOMS = Signature()
+COB_ATOMS.objects = _EveryAtom()
+
+
+def _foreign(name):
+    return ValueError(f"unsupported foreign generator {name!r} in a cobordism term")
+
+
+def _single_atom(atoms, sig, foreign=()):
+    """A walk's one atom, else sig's first frobenius atom, else "A"; a
+    foreign generator the walk named is reported first."""
+    if foreign:
+        raise _foreign(foreign[0])
     if len(atoms) > 1:
         raise ValueError(f"expected a single atom, found {sorted(atoms)}")
     if atoms:
-        return atoms.pop()
-    for name, decl in sig.objects.items():
-        if decl.frobenius:
-            return name
-    return "A"
+        return next(iter(atoms))
+    return next((name for name, decl in sig.objects.items() if decl.frobenius), "A")
+
+
+def cob_atom(terms, sig=None):
+    """The one atom of generator-free terms, from an untyped walk of each.
+
+    The typed callers rerun this when their walk fails: its faults come
+    before a type error.
+    """
+    return _single_atom(set().union(*(_walk(t, None)[0] for t in terms)), sig or Signature())
 
 
 def classify_cob(term, sig=None):
@@ -243,32 +239,35 @@ def classify_cob(term, sig=None):
 
     The term may use spiders, identities, swaps, cups, caps, and
     daggers; generator boxes are unsupported.  Closed pieces appear as
-    components with empty boundary lists.  One wiring walk gives the
-    atoms and the components (see _walk) and no port graph is built;
-    the term is then typed once.
+    components with empty boundary lists.  One wiring walk, typed as it
+    goes, gives the atoms and the components (see _walk); no port graph
+    is built.  Without a signature the term is typed against the
+    cobordism signature of its own atom.
     """
-    atoms, comps = _walk(term)
-    atom = _single_atom(atoms, sig or Signature())
-    typecheck(term, sig or cob_signature(atom))
-    return CobordismClass(atom, comps)
+    try:
+        atoms, comps, foreign, _ = _walk(term, sig or COB_ATOMS)
+    except Exception:
+        cob_atom([term], sig)  # a generator, a non-term or a second atom is reported first
+        raise
+    return CobordismClass(_single_atom(atoms, sig or Signature(), foreign), comps)
 
 
 def eq_cob(t1, t2, sig=None):
     """Homeomorphism equality for two terms with matching boundaries.
 
-    Each term is walked once and typed once.
+    Each term is walked once, typed as it goes; the boundaries are
+    compared before either term's generators or atoms are checked.
     """
-    walks = None
-    if sig is None:
-        walks = [_walk(t1), _walk(t2)]
-        sig = cob_signature(_single_atom(walks[0][0] | walks[1][0], Signature()))
-    type1 = typecheck(t1, sig)
-    type2 = typecheck(t2, sig)
-    if type1 != type2:
-        raise TypeMismatch(
-            f"boundary mismatch: {type1[0]} -> {type1[1]} "
-            f"vs {type2[0]} -> {type2[1]}"
-        )
-    # lazily, so each term's walk and atom check come before the next term's
-    first, second = (CobordismClass(_single_atom(atoms, sig), comps) for atoms, comps in walks or map(_walk, (t1, t2)))
+    try:
+        walks = [_walk(t, sig or COB_ATOMS) for t in (t1, t2)]
+    except Exception:
+        if sig is None:  # as in classify_cob; with a signature, types come first
+            cob_atom([t1, t2])
+        raise
+    sig = sig or cob_signature(_single_atom(walks[0][0] | walks[1][0], Signature()))
+    if walks[0][3] != walks[1][3]:
+        (dom1, cod1), (dom2, cod2) = (map(ObjectWord, w[3]) for w in walks)
+        raise TypeMismatch(f"boundary mismatch: {dom1} -> {cod1} vs {dom2} -> {cod2}")
+    # lazily, so the first term's generator and atom checks come before the second's
+    first, second = (CobordismClass(_single_atom(atoms, sig, foreign), comps) for atoms, comps, foreign, _ in walks)
     return first == second

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagram import Gen, ObjectWord, OpenGraph, Signature, SpiderNode, UnknownName, typecheck
 from .diagram.graphs import Wiring
-from .frobenius import cob_signature, term_atoms
+from .frobenius import COB_ATOMS, cob_atom
 from .lawcheck import LawReport, law_report
 from .matcat import (
     MatrixMorphism,
@@ -44,6 +44,8 @@ class FrobeniusPresentation:
     promises checked by verify_frobenius, not facts enforced here.  Only the
     shapes are validated on construction.  basis_copy is measured: delta is
     exactly the basis copy map, mu its transpose, eps and unit_e all ones.
+    So is pairing_deviation, the distance of the pairing eps . mu from the
+    identity pairing, which evaluate_graph checks.
     """
 
     dim: int
@@ -55,6 +57,7 @@ class FrobeniusPresentation:
     special: bool = False
     dagger: bool = False
     basis_copy: bool = field(init=False, repr=False, compare=False)
+    pairing_deviation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.dim
@@ -76,6 +79,9 @@ class FrobeniusPresentation:
         ones = np.ones(d, dtype)  # eps and unit_e
         pairs = ((self.delta, copy), (self.mu, copy), (self.eps, ones), (self.unit_e, ones))
         object.__setattr__(self, "basis_copy", all(np.array_equal(m.data.ravel(), c) for m, c in pairs))
+        with np.errstate(all="ignore"):  # overflowing data fails the check, not construction
+            deviation = max_deviation(compose(self.eps, self.mu), counit_eps(self.tag, d))
+        object.__setattr__(self, "pairing_deviation", deviation)
 
     @property
     def tag(self) -> SemiringTag:
@@ -253,19 +259,30 @@ class Interpretation:
 def interpret(term, interp: Interpretation) -> MatrixMorphism:
     """Evaluate a term to its matrix.
 
-    The term is flattened by ``Wiring.walk``, the explicit-stack walk that
-    ``to_graph`` uses too, so depth costs no recursion.  Generators and
-    spiders become tensors whose axes are wire labels; identities,
-    symmetries, cups, caps, sequential composition and the spiders of a
-    basis-copy presentation only create or join labels.  A dagger
-    exchanges the input and output labels below it: a generator there
-    takes its matrix's adjoint, a spider is the same spider reversed, as
-    every other layer reads it.  Without a signature a generator is one
-    wire of its matrix's size on each side.
+    The term is flattened, and typed against the signature if there is
+    one, by ``Wiring.walk``, the explicit-stack walk of ``to_graph``.
+    Generators and spiders become tensors whose axes are wire labels;
+    identities, symmetries, cups, caps, sequential composition and the
+    spiders of a basis-copy presentation only create or join labels.  A
+    dagger exchanges the input and output labels below it: a generator
+    there takes its matrix's adjoint, a spider is the same spider
+    reversed, as every other layer reads it.  Without a signature a
+    generator is one wire of its matrix's size on each side.
     """
-    if interp.signature is not None:
-        typecheck(term, interp.signature)
-    wiring = Wiring(interp.atom_dim)  # a label's value is its dimension
+    sig = interp.signature
+    try:
+        net = _flatten(term, interp.tag, sig, interp.atom_dim, interp.gen_matrices, interp.frobenius_data.get)
+    except UnknownName:
+        if sig is not None:
+            typecheck(term, sig)  # a type error anywhere is reported before missing data
+        raise
+    return _contract(interp.tag, *net)
+
+
+def _flatten(term, tag, sig, atom_dim, matrices, presentation):
+    """The term's tensor network, as _contract takes it, from each atom's
+    dimension and Frobenius presentation (or None) and the matrices."""
+    wiring = Wiring(atom_dim)  # a label's value is its dimension
     dims, tensors = wiring.values, []
     joined = []  # one label of each copy spider
 
@@ -277,15 +294,15 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
 
     def leaf(t, flip):
         if isinstance(t, Gen):
-            m = interp.gen_matrices.get(t.name)
+            m = matrices.get(t.name)
             if m is None:
                 raise UnknownName(f"no matrix assigned to generator {t.name!r}")
             m = dagger(m) if flip else m
-            if interp.signature is None:
+            if sig is None:
                 return box(m, wiring.fresh([m.cols]), wiring.fresh([m.rows]), flip)
-            decl = interp.signature.generators[t.name]
+            decl = sig.generators[t.name]
             return box(m, wiring.word(decl.dom), wiring.word(decl.cod), flip)
-        p = interp.frobenius_data.get(t.atom)
+        p = presentation(t.atom)
         if p is None:
             raise UnknownName(f"no frobenius data for atom {t.atom!r}")
         k, l = t.legs_in, t.legs_out
@@ -302,15 +319,16 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
         n, m = math.prod(dims[x] for x in outs), math.prod(dims[y] for y in ins)
         if n != m:
             raise ShapeMismatch(f"cannot compose: first stage has dimension {n}, second expects {m}")
-        box(MatrixMorphism.identity(interp.tag, n), outs, ins, False)
+        box(MatrixMorphism.identity(tag, n), outs, ins, False)
 
-    ins, outs = wiring.walk(term, leaf, regroup)
-    find = wiring.find
-    tensors = [(arr, [find(x) for x in labels]) for arr, labels in tensors]
-    wire_dims = {find(x): d for x, d in enumerate(dims)}
-    outputs = [find(x) for x in outs]
-    inputs = [find(x) for x in ins]
-    return _contract(interp.tag, tensors, outputs, inputs, wire_dims, {find(x) for x in joined})
+    ins, outs, _, _ = wiring.walk(term, leaf, sig, regroup)
+    return _rooted(wiring.find, tensors, outs, ins, enumerate(dims), joined)
+
+
+def _rooted(find, tensors, outputs, inputs, dims, joined):
+    """_contract's arguments with each wire label replaced by its root under find."""
+    tensors = [(arr, [*map(find, labels)]) for arr, labels in tensors]
+    return tensors, [*map(find, outputs)], [*map(find, inputs)], {find(x): d for x, d in dims}, {*map(find, joined)}
 
 
 def _copy3(d, dtype):
@@ -443,17 +461,15 @@ def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
     if not report.ok:
         bad = ", ".join(e.name for e in report.surprises())
         raise ValueError(f"presentation failed verification: {bad}")
-    atoms = term_atoms(term)
+    atoms = set()  # every atom is p's object, and the walk collects them
+    try:
+        net = _flatten(term, p.tag, COB_ATOMS, lambda a: atoms.add(a) or p.dim, {}, lambda a: atoms.add(a) or p)
+    except Exception:
+        cob_atom([term])  # the walk's own faults and the atom check come before a type error
+        raise
     if len(atoms) > 1:
         raise ValueError(f"expected a single atom, found {sorted(atoms)}")
-    atom = atoms.pop() if atoms else "A"
-    interp = Interpretation(
-        tag=p.tag,
-        object_dims={atom: p.dim},
-        frobenius_data={atom: p},
-        signature=cob_signature(atom),
-    )
-    return interpret(term, interp)
+    return _contract(p.tag, *net)
 
 
 def check_frobenius_morphism(
@@ -641,8 +657,7 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
         p = interp.frobenius_data.get(atom)
         if p is None:
             raise UnknownName(f"no frobenius data for atom {atom!r}")
-        pairing = compose(p.eps, p.mu)
-        if not p.commutative or max_deviation(pairing, counit_eps(tag, p.dim)) > tag.tolerance:
+        if not p.commutative or p.pairing_deviation > tag.tolerance:
             raise ValueError(
                 f"presentation for {atom!r} is directional; "
                 "graph contraction needs a commutative presentation with the identity pairing"
@@ -655,27 +670,20 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
     dims = {wid: interp.atom_dim(atom) for wid, (atom, _) in zip(outputs + inputs, words)}
     dims.update((len(graph.wires) + k, interp.atom_dim(atom)) for k, atom in enumerate(graph.loops))
     tensors = []
-    parent = None  # union-find over wire ids, then loops, then legless spiders; made by the first copy spider
+    wires = None  # union-find over wire ids, then loops, then legless copy spiders; made by the first copy spider
     joined = []  # one label of each copy spider
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     for nid, node in enumerate(graph.nodes):
         labels = [wire_at[("n", nid, port)] for port in range(node.n_ports)]
         if isinstance(node, SpiderNode):
             p = interp.frobenius_data[node.atom]
             if p.basis_copy:
-                if parent is None:
-                    parent = list(range(len(graph.wires) + len(graph.loops)))
-                if not labels:
-                    labels = [len(parent)]
-                    parent.append(labels[0])
-                root = find(labels[0])
+                if wires is None:
+                    wires = Wiring(None)
+                    wires.fresh([None] * (len(graph.wires) + len(graph.loops)))
+                labels = labels or wires.fresh([None])
+                root = wires.find(labels[0])
                 for x in labels[1:]:
-                    parent[find(x)] = root
+                    wires.parent[wires.find(x)] = root
                 dims.update((x, p.dim) for x in labels)
                 joined.append(root)
                 continue
@@ -691,10 +699,6 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
             arr = m.data.reshape([interp.atom_dim(atom) for atom, _ in node.cod.factors + node.dom.factors])
         dims.update(zip(labels, arr.shape))
         tensors.append((arr, labels))
-    if parent is None:
+    if wires is None:
         return _contract(tag, tensors, outputs, inputs, dims)
-    tensors = [(arr, [find(x) for x in labels]) for arr, labels in tensors]
-    dims = {find(x): d for x, d in dims.items()}
-    outputs = [find(x) for x in outputs]
-    inputs = [find(x) for x in inputs]
-    return _contract(tag, tensors, outputs, inputs, dims, {find(x) for x in joined})
+    return _contract(tag, *_rooted(wires.find, tensors, outputs, inputs, dims.items(), joined))

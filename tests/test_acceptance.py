@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from catkit.diagram import Gen, Id, ObjectWord, Par, Seq, Spider, graph_eq, to_graph, typecheck
-from catkit.frobenius import classify_cob, cob_signature, delta, eps, eq_cob, fuse, mu, spiderize, unit
+from catkit.frobenius import cob_signature, delta, eps, eq_cob, fuse, mu, unit
 from catkit.lawcheck import (
     LawEntry,
     LawReport,
@@ -35,12 +35,9 @@ from catkit.matcat import (
 )
 from catkit.scalars import BOOL, COMPLEX, NAT
 from catkit.tqft import (
-    Interpretation,
     basis_frobenius,
     conjugate_presentation,
     evaluate_cob,
-    evaluate_graph,
-    interpret,
     verify_frobenius,
     xor_frobenius,
 )

@@ -268,6 +268,16 @@ class TestEval:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "inf or nan" in err
 
+    def test_complex_overflow_names_file_and_diagram(self, tmp_path, capsys):
+        handles = " >> ".join(["spider(Z, 1, 2) >> spider(Z, 2, 1)"] * 1100)
+        p = tmp_path / "g.cat"
+        p.write_text(f"object Z frobenius selfdual;\ndiag g = spider(Z, 0, 1) >> {handles} >> spider(Z, 1, 0);\n")
+        xor = {"delta": [[1, 0], [0, 1], [0, 1], [1, 0]], "eps": [[1, 0]], "mu": [[1, 0, 0, 1], [0, 1, 1, 0]], "e": [[1], [0]]}
+        (tmp_path / "xor.json").write_text(json.dumps({"semiring": "complex", "objects": {"Z": 2}, "frobenius": {"Z": xor}}))
+        code, out, err = run(capsys, "eval", str(p), "g", "--interp", str(tmp_path / "xor.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: diagram 'g': complex contraction overflowed: the result has inf or nan entries\n"
+
     @pytest.mark.parametrize(
         "data, where",
         [
@@ -397,7 +407,15 @@ class TestClassify:
     def test_foreign_generator_is_semantic_failure(self, files, capsys):
         code, _, err = run(capsys, "classify", files["boxes.cat"], "stacked")
         assert code == 1
-        assert "generator" in err
+        assert err == f"error: {files['boxes.cat']}: diagram 'stacked': unsupported foreign generator 'f' in a cobordism term\n"
+
+    def test_foreign_generator_names_file_and_diagram(self, tmp_path, capsys):
+        # f types as a box of the signature, so the walk meets it after typing it
+        p = tmp_path / "boxed.cat"
+        p.write_text("object Z frobenius selfdual;\ngen f : Z -> Z;\ndiag b = spider(Z, 0, 1) >> f >> spider(Z, 1, 0);\n")
+        code, out, err = run(capsys, "classify", str(p), "b")
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: diagram 'b': unsupported foreign generator 'f' in a cobordism term\n"
 
     def test_spider_on_a_plain_atom_names_file_and_diagram(self, tmp_path, capsys):
         p = tmp_path / "plain.cat"

@@ -34,6 +34,7 @@ from catkit.diagram import (
     transpose,
     typecheck,
 )
+from catkit.diagram.graphs import Wiring
 from catkit.frobenius import fuse
 
 A = ObjectWord.of("A")
@@ -89,6 +90,12 @@ def term_text(t):
     return f"{type(t).__name__.lower()}({t.atom})"
 
 
+def nodes(t):
+    """Every node occurrence of t, composites included."""
+    kids = {Seq: ("before", "after"), Par: ("left", "right"), Dagger: ("inner",)}.get(type(t), ())
+    return [t] + [x for k in kids for x in nodes(getattr(t, k))]
+
+
 def leaves(t):
     """Every leaf occurrence of t: first stage first, left factor first."""
     if isinstance(t, Seq):
@@ -98,6 +105,37 @@ def leaves(t):
     if isinstance(t, Dagger):
         return leaves(t.inner)
     return [t]
+
+
+def printed_corpus():
+    """600 random box terms and cobordisms, as drawn and randomly rewritten,
+    over base_sig(); returns the terms by name and their text."""
+    sig = base_sig()
+    originals = {}
+    for seed in range(150):
+        rng = corpus.make_rng(seed)
+        term = corpus.random_term(sig, rng, depth=rng.choice([2, 3, 4]))
+        cob = corpus.random_cob_term(rng, rng.randrange(4), rng.randrange(1, 6))
+        for i, t in enumerate((term, cob)):
+            originals[f"t{seed}_{i}"] = t
+            originals[f"r{seed}_{i}"] = corpus.rewrite_randomly(t, sig, rng)[0]
+    text = signature_text(sig) + "".join(f"diag {name_} = {term_text(t)};\n" for name_, t in originals.items())
+    return originals, text
+
+
+def walk_words(term, sig):
+    """The domain and codomain words a typed wiring walk reads off a term."""
+    wiring = Wiring(lambda atom: atom)
+
+    def leaf(t, flip):
+        if isinstance(t, Gen):
+            decl = sig.generators[t.name]
+            return wiring.word(decl.dom), wiring.word(decl.cod)
+        return wiring.fresh([t.atom] * t.legs_in), wiring.fresh([t.atom] * t.legs_out)
+
+    ins, outs, dom, cod = wiring.walk(term, leaf, sig)
+    assert [wiring.values[x] for x in ins + outs] == [atom for atom, _ in dom + cod]
+    return ObjectWord(dom), ObjectWord(cod)
 
 
 def brute_force_eq(g1, g2):
@@ -271,6 +309,53 @@ class TestTypecheck:
             typecheck(term, sig)
 
 
+class TestTypedWalk:
+    """Wiring.walk types a term as it flattens it, exactly as typecheck does."""
+
+    def test_random_terms(self):
+        sig, cob_sig = base_sig(), corpus.cob_test_signature()
+        kinds = Counter()
+        for seed in range(300):
+            rng = corpus.make_rng(seed)
+            term = corpus.random_term(sig, rng, depth=rng.choice([2, 3, 4]))
+            cob = corpus.random_cob_term(rng, rng.randrange(4), rng.randrange(1, 6))
+            for t, s in ((term, sig), (corpus.rewrite_randomly(term, sig, rng)[0], sig), (cob, cob_sig)):
+                assert walk_words(t, s) == typecheck(t, s), seed
+                g = to_graph(t, s)
+                assert (ObjectWord(g.input_types), ObjectWord(g.output_types)) == typecheck(t, s), seed
+                kinds.update(type(x).__name__ + getattr(x, "atom", "") for x in nodes(t))
+        # daggers, swaps, and bends on an atom that is not self-dual are all exercised
+        assert min(kinds["Dagger"], kinds["Swap"], kinds["CupP"], kinds["CapP"], kinds["SpiderZ"]) > 20, kinds
+
+    def test_printed_corpus(self):
+        # parsed terms are DAGs whose equal leaves are one object
+        originals, text = printed_corpus()
+        res = parse(text)
+        for name_, t in res.diagrams.items():
+            assert walk_words(t, res.signature) == typecheck(t, res.signature), name_
+            assert walk_words(originals[name_], res.signature) == typecheck(t, res.signature), name_
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            Seq(Gen("h"), Gen("f")),
+            Dagger(Seq(Gen("f"), Gen("f"))),
+            Par(Id(A), Seq(Cap("P"), Cup("P"))),
+            Seq(Spider("Z", 2, 0), Seq(Par(Cup("P"), Id(Z)), Spider("Z", 0, 1))),
+            Spider("A", 1, 1),
+            Spider("Z", 1, -1),
+            Id(ObjectWord.of("nope")),
+            Gen("nope"),
+            Par(Gen("f"), [1, 2]),
+        ],
+    )
+    def test_errors(self, sig, term):
+        with pytest.raises(Exception) as expected:
+            typecheck(term, sig)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            walk_words(term, sig)
+
+
 class TestParser:
     def test_gen_then_dagger_composition(self):
         res = parse("gen f : A -> B; d = f >> dg(f);")
@@ -356,18 +441,7 @@ class TestParser:
         assert (excinfo.value.line, excinfo.value.col) == (3, 3)
 
     def test_printed_corpus_parses_back(self):
-        sig = base_sig()
-        originals = {}
-        for seed in range(150):
-            rng = corpus.make_rng(seed)
-            term = corpus.random_term(sig, rng, depth=rng.choice([2, 3, 4]))
-            cob = corpus.random_cob_term(rng, rng.randrange(4), rng.randrange(1, 6))
-            for i, t in enumerate((term, cob)):
-                originals[f"t{seed}_{i}"] = t
-                originals[f"r{seed}_{i}"] = corpus.rewrite_randomly(t, sig, rng)[0]
-        text = signature_text(sig) + "".join(
-            f"diag {name_} = {term_text(t)};\n" for name_, t in originals.items()
-        )
+        originals, text = printed_corpus()
         res = parse(text)
         assert len(originals) == 600
         assert res.diagrams == originals

@@ -37,8 +37,6 @@ from catkit.frobenius import (
     fuse,
     fuse_trace,
     mu,
-    spiderize,
-    term_atoms,
     unit,
 )
 from catkit.matcat import MatrixMorphism
@@ -59,7 +57,7 @@ PANTS = mu("Z")
 
 
 def fused(term, special=False):
-    return fuse(spiderize(to_graph(term, ZSIG), ZSIG), special=special)
+    return fuse(to_graph(term, ZSIG), special=special)
 
 
 class TestTermBuilders:
@@ -70,27 +68,6 @@ class TestTermBuilders:
         assert typecheck(mu("Z"), ZSIG) == (zz, Z)
         assert typecheck(eps("Z"), ZSIG) == (Z, empty)
         assert typecheck(unit("Z"), ZSIG) == (empty, Z)
-
-    def test_atom_collection(self):
-        assert term_atoms(TORUS) == {"Z"}
-        assert term_atoms(Par(Id(Z), Spider("W", 1, 1))) == {"Z", "W"}
-        with pytest.raises(ValueError, match="foreign generator"):
-            term_atoms(Gen("f"))
-
-
-class TestSpiderize:
-    def test_accepts_frobenius_atoms(self):
-        g = to_graph(HANDLE, ZSIG)
-        assert spiderize(g, ZSIG) is g
-
-    def test_rejects_spiders_on_plain_atoms(self):
-        sig = standard_signature()
-        g = to_graph(Gen("f"), sig)
-        assert spiderize(g, sig) is g
-        # same graph judged against a signature where A has no structure
-        bad = to_graph(Spider("A", 1, 1), cob_signature("A"))
-        with pytest.raises(ValueError, match="non-frobenius"):
-            spiderize(bad, sig)
 
 
 class TestFuse:
@@ -255,7 +232,7 @@ class TestFusePreservesMeaning:
         for seed in range(12):
             rng = make_rng(seed)
             term = random_cob_term(rng, n_in=rng.randrange(3))
-            g = spiderize(to_graph(term, ZSIG), ZSIG)
+            g = to_graph(term, ZSIG)
             expected = interpret(term, interp)
             assert evaluate_graph(fuse(g), interp) == expected, seed
 
@@ -266,13 +243,13 @@ class TestFusePreservesMeaning:
         for seed in range(12):
             rng = make_rng(seed)
             term = random_cob_term(rng, n_in=rng.randrange(3))
-            g = spiderize(to_graph(term, ZSIG), ZSIG)
+            g = to_graph(term, ZSIG)
             assert evaluate_graph(fuse(g, special=True), interp) == interpret(term, interp)
 
     def test_special_fuse_changes_meaning_for_non_special(self):
         x = xor_frobenius(COMPLEX)
         interp = Interpretation(x.tag, {"Z": 2}, frobenius_data={"Z": x}, signature=ZSIG)
-        g = spiderize(to_graph(TORUS, ZSIG), ZSIG)
+        g = to_graph(TORUS, ZSIG)
         assert evaluate_graph(fuse(g), interp) == MatrixMorphism(COMPLEX, [[2]])
         assert evaluate_graph(fuse(g, special=True), interp) == MatrixMorphism(COMPLEX, [[1]])
 
@@ -554,7 +531,7 @@ class TestClassifyErrors:
 
         monkeypatch.setattr(graphs, "to_graph", boom)
         monkeypatch.setattr(frobenius, "to_graph", boom, raising=False)
-        for name in ("spiderize", "_fusion", "OpenGraph"):
+        for name in ("_fusion", "OpenGraph"):
             monkeypatch.setattr(frobenius, name, boom)
         assert classify_cob(TORUS, ZSIG).components == (ComponentClass((), (), 1),)
         assert classify_cob(Seq(Cap("Z"), Cup("Z"))).components == (ComponentClass((), (), 1),)
@@ -595,6 +572,5 @@ class TestDeepTerms:
         assert (len(g.nodes), len(g.wires), g.loops) == (2, 2, ())
         assert interpret(term, interp) == MatrixMorphism(COMPLEX, [[2]])
         assert classify_cob(term, ZSIG) == torus
-        assert term_atoms(term) == {"Z"}
         assert classify_cob(Dagger(term), ZSIG) == torus
         assert evaluate_cob(Dagger(term), basis_frobenius(2)) == MatrixMorphism(COMPLEX, [[2]])

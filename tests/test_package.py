@@ -23,7 +23,7 @@ HOMES = {
         "to_graph",
         "typecheck",
     ],
-    "frobenius": ["classify_cob", "cob_signature", "eq_cob", "fuse", "spiderize"],
+    "frobenius": ["classify_cob", "cob_signature", "eq_cob", "fuse"],
     "lawcheck": ["LAW_MANIFEST", "LawEntry", "LawReport", "assert_expected", "merge_reports"],
     "tqft": [
         "FrobeniusPresentation",

@@ -1,6 +1,7 @@
 """Interpretations: frozen presentation oracles, functor laws, graph contraction."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from catkit.diagram import (
     to_graph,
     typecheck,
 )
-from catkit.frobenius import cob_signature, delta, eps, eq_cob, fuse, mu, spiderize, unit
+from catkit.frobenius import cob_signature, delta, eps, eq_cob, mu, unit
 from catkit.lawcheck import flip_entry
 from catkit.matcat import MatrixMorphism, ShapeMismatch, compose, dagger, max_deviation, swap_matrix, tensor
 from catkit.scalars import BOOL, COMPLEX, NAT
@@ -594,6 +595,22 @@ class TestEvaluateGraph:
         with pytest.raises(ValueError, match="directional"):
             evaluate_graph(g, interp)
 
+    def test_pairing_is_measured_once_per_presentation(self, monkeypatch):
+        import catkit.tqft as tqft
+
+        p = basis_frobenius(2, COMPLEX)
+        assert p.pairing_deviation == 0.0
+        assert _random_conjugated_basis(2, make_rng(3)).pairing_deviation > 1e-3
+        interp = cob_interp(p)
+        g = to_graph(Seq(Spider("Z", 1, 0), Seq(Spider("Z", 2, 1), Seq(Spider("Z", 1, 2), Spider("Z", 0, 1)))), ZSIG)
+
+        def boom(*args):
+            raise AssertionError("evaluate_graph measured the pairing again")
+
+        monkeypatch.setattr(tqft, "compose", boom)
+        monkeypatch.setattr(tqft, "max_deviation", boom)
+        assert evaluate_graph(g, interp) == cmat([[2]])
+
     def test_empty_graph_is_the_unit_scalar(self):
         interp = cob_interp(basis_frobenius(2, COMPLEX))
         g = to_graph(Id(ObjectWord(())), ZSIG)
@@ -835,3 +852,105 @@ class TestCopySpiders:
                 assert m.data.tolist() == want.tolist()
             else:
                 assert np.allclose(m.data, want, rtol=0, atol=1e-9)
+
+
+A = ObjectWord.of("A")
+MISMATCH = Seq(mu("Z"), Spider("Z", 1, 1))
+MISMATCH_TEXT = "cannot compose: first stage produces Z but second expects Z x Z"
+NEGATIVE_TEXT = "spider leg counts must be nonnegative"
+
+
+def boxed_signature():
+    """Z frobenius and self-dual, A plain, B without a dimension; f and g : A -> A, g without a matrix."""
+    sig = cob_signature("Z")
+    sig.declare_object("A")
+    sig.declare_object("B")
+    sig.declare_generator("f", A, A)
+    sig.declare_generator("g", A, A)
+    return sig
+
+
+def boxed_interp():
+    p = xor_frobenius(COMPLEX)  # not basis-copy, so every spider is a spider_matrix
+    f = cmat([[0, 1], [1, 0]])
+    return Interpretation(COMPLEX, {"Z": 2, "A": 2}, {"f": f}, {"Z": p}, signature=boxed_signature())
+
+
+# (term, error, message) for each caller; in that order of precedence where a term has two faults
+TYPE_ERRORS = [
+    (MISMATCH, TypeMismatch, MISMATCH_TEXT),
+    (Dagger(Par(Id(Z), Seq(Spider("Z", 2, 0), Spider("Z", 0, 1)))), TypeMismatch, MISMATCH_TEXT),
+    (Gen("nope"), UnknownName, "unknown generator 'nope'"),
+    (Id(ObjectWord.of("Q")), UnknownName, "unknown object 'Q'"),
+    (Spider("Q", 1, 1), UnknownName, "unknown object 'Q'"),
+    (Spider("A", 1, 1), TypeMismatch, "spider legs require a frobenius atom, got 'A'"),
+    (Spider("Z", -1, 1), TypeMismatch, NEGATIVE_TEXT),
+    (42, TypeError, "not a diagram term: 42"),
+    (Par(Id(Z), [1]), TypeError, "not a diagram term: [1]"),
+    # a type error anywhere comes before a generator or atom with no data
+    (Seq(MISMATCH, Gen("g")), TypeMismatch, MISMATCH_TEXT),
+    (Seq(Gen("nope"), Id(ObjectWord.of("B"))), UnknownName, "unknown generator 'nope'"),
+    (Seq(Seq(Gen("g"), Gen("f")), Spider("Z", -1, 1)), TypeMismatch, NEGATIVE_TEXT),
+    (Seq(Spider("Z", 0, 0), Seq(Gen("g"), Gen("f"))), TypeMismatch, "cannot compose: first stage produces A but second expects I"),
+]
+INTERPRET_ERRORS = TYPE_ERRORS + [
+    (Gen("g"), UnknownName, "no matrix assigned to generator 'g'"),
+    (Par(Gen("f"), Id(ObjectWord.of("B"))), UnknownName, "no dimension declared for atom 'B'"),
+    (Seq(Gen("f"), Gen("g")), UnknownName, "no matrix assigned to generator 'g'"),
+]
+EVALUATE_COB_ERRORS = [
+    (MISMATCH, TypeMismatch, MISMATCH_TEXT),
+    (Gen("nope"), ValueError, "unsupported foreign generator 'nope' in a cobordism term"),
+    (Par(Spider("Z", 1, 1), Id(ObjectWord.of("Q"))), ValueError, "expected a single atom, found ['Q', 'Z']"),
+    (Spider("Z", -1, 1), TypeMismatch, NEGATIVE_TEXT),
+    (42, TypeError, "not a diagram term: 42"),
+    # the walk's own faults, then the atom check, come before a type error
+    (Seq(Gen("nope"), MISMATCH), ValueError, "unsupported foreign generator 'nope' in a cobordism term"),
+    (Seq(42, MISMATCH), TypeError, "not a diagram term: 42"),
+    (Par(MISMATCH, Id(ObjectWord.of("Q"))), ValueError, "expected a single atom, found ['Q', 'Z']"),
+    (Seq(Spider("Z", -1, 1), Spider("Z", 1, 1)), TypeMismatch, NEGATIVE_TEXT),
+]
+
+
+def _ids(table):
+    return [f"{k}-{error.__name__}" for k, (_, error, _) in enumerate(table)]
+
+
+class TestWalkErrors:
+    """Which fault each caller reports, and with what message."""
+
+    @pytest.mark.parametrize("term, error, message", TYPE_ERRORS, ids=_ids(TYPE_ERRORS))
+    def test_to_graph(self, term, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            to_graph(term, boxed_signature())
+
+    @pytest.mark.parametrize("term, error, message", INTERPRET_ERRORS, ids=_ids(INTERPRET_ERRORS))
+    def test_interpret(self, term, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            interpret(term, boxed_interp())
+
+    @pytest.mark.parametrize("term, error, message", EVALUATE_COB_ERRORS, ids=_ids(EVALUATE_COB_ERRORS))
+    @pytest.mark.parametrize("p", [basis_frobenius(3), xor_frobenius()], ids=["basis", "xor"])
+    def test_evaluate_cob(self, term, error, message, p):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            evaluate_cob(term, p)
+
+    def test_walk_callers_never_call_typecheck(self, monkeypatch):
+        import catkit.diagram as diagram
+        import catkit.diagram.graphs as graphs
+        import catkit.diagram.terms as terms
+        import catkit.frobenius as frobenius
+        import catkit.tqft as tqft
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a walk caller ran typecheck")
+
+        for module in (terms, diagram, graphs, frobenius, tqft):
+            monkeypatch.setattr(module, "typecheck", boom, raising=False)
+        term = closed_surface(3)
+        boxed = Par(Seq(Dagger(Gen("f")), Gen("f")), Seq(Spider("Z", 1, 2), Spider("Z", 0, 1)))
+        assert to_graph(boxed, boxed_signature()).output_types == (("A", False), ("Z", False), ("Z", False))
+        assert interpret(boxed, boxed_interp()) == tensor(MatrixMorphism.identity(COMPLEX, 2), cmat([[1], [0], [0], [1]]))
+        assert eq_cob(term, closed_surface(3), ZSIG) and eq_cob(term, closed_surface(3))
+        assert frobenius.classify_cob(term).components == frobenius.classify_cob(term, ZSIG).components
+        assert evaluate_cob(term, basis_frobenius(3)) == cmat([[3]])

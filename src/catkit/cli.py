@@ -4,8 +4,9 @@ Exit codes are script-friendly: 0 for success or "equal", 1 for a
 semantic failure (type error, unknown name, "not equal", a law that
 broke), and 2 for I/O or parse problems.  A type or name error says
 where it happened: ``FILE:LINE:COL:`` for a ``name(...)`` or
-``coname(...)`` read in, ``FILE: diagram 'NAME':`` for a type, name or
-value error in a named diagram being typed, fused, evaluated or classified.
+``coname(...)`` read in, ``FILE: diagram 'NAME':`` for a type, name,
+value, size or depth error in a named diagram being typed, fused,
+evaluated or classified.
 """
 
 from __future__ import annotations
@@ -44,11 +45,15 @@ class Workspace:
 
     @contextmanager
     def about(self, name):
-        """Put the file and diagram `name` in front of a type, name or value error."""
+        """Put the file and diagram `name` in front of a type, name, value, size or depth error."""
+        where = f"{self.path}: diagram {name!r}"
         try:
             yield
         except (TypeMismatch, UnknownName, ValueError) as exc:
-            raise type(exc)(f"{self.path}: diagram {name!r}: {exc}") from exc
+            raise type(exc)(f"{where}: {exc}") from exc
+        except (RecursionError, OverflowError, MemoryError) as exc:
+            exc.where = where  # main prints it in place of the bare file
+            raise
 
 
 def _read_text(path):
@@ -306,11 +311,11 @@ def main(argv=None):
     except (TypeMismatch, UnknownName, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        print(f"error: {path}: term nested too deeply for {args.command}", file=sys.stderr)
+    except RecursionError as exc:
+        print(f"error: {getattr(exc, 'where', path)}: term nested too deeply for {args.command}", file=sys.stderr)
         return 1
-    except (OverflowError, MemoryError):
-        print(f"error: {path}: term too large for {args.command}", file=sys.stderr)
+    except (OverflowError, MemoryError) as exc:
+        print(f"error: {getattr(exc, 'where', path)}: term too large for {args.command}", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,8 @@ typing it on the way: identities, symmetries and duality bends only make
 labels, sequential composition checks and joins them by union-find,
 daggers flip a parity handed to the leaves, and generators and spiders
 are left to the caller.  It is the one pass over a term behind
-``to_graph`` here, ``tqft.interpret`` and ``frobenius.classify_cob``.
+``to_graph`` here, ``frobenius.classify_cob`` and the term side of
+``tqft``'s tensor-network builder.
 
 ``to_graph`` turns the walk into an open graph whose wires record only
 connectivity: each union-find class with two ends is one wire, and a
@@ -114,22 +115,21 @@ class Wiring:
             parent[x] = x = parent[parent[x]]
         return x
 
-    def walk(self, term, leaf, sig=None, regroup=None):
+    def walk(self, term, leaf, sig=None):
         """Flatten a term; return its input labels, output labels, and
         domain and codomain factor tuples.
 
         leaf(t, flip) turns a Gen or Spider into (input labels, output
         labels) as the leaf itself is typed; flip is true under an odd
         number of daggers, and the daggers above exchange the two lists.
-        Sequential composition joins the labels it glues pairwise; where
-        their values differ, regroup(outputs, inputs) is called instead.
-        Given a signature, each subterm is typed when it is finished, a
-        leaf before leaf() sees it, so the first type error is raised
-        where ``typecheck`` raises it; without one both tuples are empty.
+        Sequential composition joins the labels it glues pairwise.  Each
+        subterm is typed against sig when finished, a leaf before leaf()
+        sees it, so the first type error is the one ``typecheck`` raises.
+        sig=None, for classification without one, leaves both tuples empty.
         """
         done = []  # (ins, outs, dom, cod) of each finished subterm
         by_id, by_value = {}, {}  # leaf types; leaves of different classes are never equal
-        parent, values, find = self.parent, self.values, self.find
+        parent, find = self.parent, self.find
         todo = [(term, False)]  # (subterm, dagger parity) to visit, or (composite, its class) to finish
         while todo:
             t, flip = todo.pop()
@@ -138,11 +138,8 @@ class Wiring:
                 ins, mids, dom, produced = done[-1]
                 if produced != expected:
                     raise mismatch(produced, expected)
-                if regroup is not None and [values[x] for x in mids] != [values[y] for y in mids2]:
-                    regroup(mids, mids2)
-                else:
-                    for x, y in zip(mids, mids2):
-                        parent[find(x)] = find(y)
+                for x, y in zip(mids, mids2):
+                    parent[find(x)] = find(y)
                 done[-1] = ins, outs, dom, cod
             elif flip is Par:
                 ins2, outs2, dom2, cod2 = done.pop()

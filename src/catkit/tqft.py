@@ -2,11 +2,11 @@
 
 An Interpretation assigns a dimension to every object atom, a matrix to
 every generator, and a Frobenius presentation to every atom that carries
-spiders.  interpret() turns a term, and evaluate_graph() a port graph,
-into one network of tensors labelled by wires, and a single contraction
-engine evaluates both, so rewrites are checked against the very semantics
-they are supposed to preserve.  evaluate_cob() is the special case of a
-single atom governed entirely by one verified Frobenius presentation.
+spiders; interpret() types terms against its signature.  One builder
+makes the tensor network, fed by interpret() and evaluate_cob() from a
+term's wiring walk and by evaluate_graph() from a graph's nodes, and one
+contraction engine evaluates it.  evaluate_cob() is the case of a single
+atom governed entirely by one verified Frobenius presentation.
 """
 
 from __future__ import annotations
@@ -257,78 +257,91 @@ class Interpretation:
 
 
 def interpret(term, interp: Interpretation) -> MatrixMorphism:
-    """Evaluate a term to its matrix.
+    """Evaluate a term to its matrix, typing it against the signature.
 
-    The term is flattened, and typed against the signature if there is
-    one, by ``Wiring.walk``, the explicit-stack walk of ``to_graph``.
-    Generators and spiders become tensors whose axes are wire labels;
-    identities, symmetries, cups, caps, sequential composition and the
-    spiders of a basis-copy presentation only create or join labels.  A
-    dagger exchanges the input and output labels below it: a generator
-    there takes its matrix's adjoint, a spider is the same spider
-    reversed, as every other layer reads it.  Without a signature a
-    generator is one wire of its matrix's size on each side.
+    ``Wiring.walk``, the explicit-stack walk of ``to_graph``, feeds the
+    term's leaves to the network builder: generators and spiders become
+    tensors on wire labels; identities, symmetries, cups, caps, sequential
+    composition and basis-copy spiders only create or join labels.  Under
+    a dagger a generator takes its matrix's adjoint and a spider is the
+    same spider reversed, as every other layer reads it.
     """
     sig = interp.signature
+    if sig is None:
+        raise ValueError("interpret needs a signature to type the term against")
     try:
-        net = _flatten(term, interp.tag, sig, interp.atom_dim, interp.gen_matrices, interp.frobenius_data.get)
+        net, ins, outs = _flatten(term, sig, interp.atom_dim, interp.gen_matrices, interp.frobenius_data.get)
     except UnknownName:
-        if sig is not None:
-            typecheck(term, sig)  # a type error anywhere is reported before missing data
+        typecheck(term, sig)  # a type error anywhere is reported before missing data
         raise
-    return _contract(interp.tag, *net)
+    return net.contract(interp.tag, outs, ins)
 
 
-def _flatten(term, tag, sig, atom_dim, matrices, presentation):
-    """The term's tensor network, as _contract takes it, from each atom's
-    dimension and Frobenius presentation (or None) and the matrices."""
-    wiring = Wiring(atom_dim)  # a label's value is its dimension
-    dims, tensors = wiring.values, []
-    joined = []  # one label of each copy spider
+class _Network(Wiring):
+    """A tensor network being built: wire labels valued by their dimension and
+    merged by union-find, its tensors, and one label of each copy spider."""
 
-    def box(m, ins, outs, flip):
-        # under an odd number of daggers the matrix's axes run ins then outs
-        labels = ins + outs if flip else outs + ins
-        tensors.append((m.data.reshape([dims[x] for x in labels]), labels))
-        return ins, outs
+    def __init__(self, atom_dim):
+        super().__init__(atom_dim)
+        self.tensors = []
+        self.joined = []
+
+    def box(self, m, dom, cod, daggered):
+        """m, or its adjoint, on axes cod then dom, the labels of the node's own sides."""
+        labels = cod + dom
+        values = self.values
+        self.tensors.append(((dagger(m) if daggered else m).data.reshape([values[x] for x in labels]), labels))
+
+    def spider(self, p, dom, cod, genus=0):
+        """The (len(dom), len(cod), genus) spider of p.  A copy spider joins
+        its legs (a special one ignores genus), and with none is a fresh label."""
+        if not p.basis_copy:
+            self.box(spider_matrix(p, len(dom), len(cod), genus), dom, cod, False)
+            return
+        labels = dom + cod or self.fresh([p.dim])
+        root = self.find(labels[0])
+        for x in labels[1:]:
+            self.parent[self.find(x)] = root
+        self.joined.append(root)
+
+    def contract(self, tag, outputs, inputs):
+        """The network's matrix inputs -> outputs, each label read as its root."""
+        parent = self.parent
+        dims = {x: d for x, d in enumerate(self.values) if parent[x] == x}
+        tensors, joined = self.tensors, self.joined
+        if len(dims) < len(parent):  # some label was joined to another
+            find = self.find
+            tensors = [(arr, [*map(find, labels)]) for arr, labels in tensors]
+            outputs, inputs, joined = [*map(find, outputs)], [*map(find, inputs)], {*map(find, joined)}
+        return _contract(tag, tensors, outputs, inputs, dims, joined)
+
+
+def _flatten(term, sig, atom_dim, matrices, presentation):
+    """The term's _Network, input labels and output labels, from each
+    atom's dimension and Frobenius presentation (or None) and the matrices."""
+    net = _Network(atom_dim)
 
     def leaf(t, flip):
         if isinstance(t, Gen):
             m = matrices.get(t.name)
             if m is None:
                 raise UnknownName(f"no matrix assigned to generator {t.name!r}")
-            m = dagger(m) if flip else m
-            if sig is None:
-                return box(m, wiring.fresh([m.cols]), wiring.fresh([m.rows]), flip)
             decl = sig.generators[t.name]
-            return box(m, wiring.word(decl.dom), wiring.word(decl.cod), flip)
-        p = presentation(t.atom)
-        if p is None:
-            raise UnknownName(f"no frobenius data for atom {t.atom!r}")
-        k, l = t.legs_in, t.legs_out
-        if p.basis_copy:  # a copy spider is its own reversal; with no legs it is a label with no ends
-            labels = wiring.fresh([p.dim] * max(1, k + l))
-            wiring.parent[labels[0] :] = [labels[0]] * len(labels)  # fresh labels are the last ones
-            joined.append(labels[0])
-            return labels[:k], labels[k : k + l]
-        m = spider_matrix(p, l, k) if flip else spider_matrix(p, k, l)  # a daggered spider is reversed
-        return box(m, wiring.fresh([p.dim] * k), wiring.fresh([p.dim] * l), flip)
+            ins, outs = net.word(decl.dom), net.word(decl.cod)
+        else:
+            p = presentation(t.atom)
+            if p is None:
+                raise UnknownName(f"no frobenius data for atom {t.atom!r}")
+            ins, outs = net.fresh([p.dim] * t.legs_in), net.fresh([p.dim] * t.legs_out)
+        dom, cod = (outs, ins) if flip else (ins, outs)  # under a dagger the outputs are the node's domain
+        if isinstance(t, Gen):
+            net.box(m, dom, cod, flip)
+        else:
+            net.spider(p, dom, cod)  # a daggered spider is the reversed spider
+        return ins, outs
 
-    def regroup(outs, ins):
-        # wires of generators typed only by their matrices regroup through an identity
-        n, m = math.prod(dims[x] for x in outs), math.prod(dims[y] for y in ins)
-        if n != m:
-            raise ShapeMismatch(f"cannot compose: first stage has dimension {n}, second expects {m}")
-        box(MatrixMorphism.identity(tag, n), outs, ins, False)
-
-    ins, outs, _, _ = wiring.walk(term, leaf, sig, regroup)
-    return _rooted(wiring.find, tensors, outs, ins, enumerate(dims), joined)
-
-
-def _rooted(find, tensors, outputs, inputs, dims, joined):
-    """_contract's arguments with each wire label replaced by its root under find."""
-    tensors = [(arr, [*map(find, labels)]) for arr, labels in tensors]
-    return tensors, [*map(find, outputs)], [*map(find, inputs)], {find(x): d for x, d in dims}, {*map(find, joined)}
+    ins, outs, _, _ = net.walk(term, leaf, sig)
+    return net, ins, outs
 
 
 def _copy3(d, dtype):
@@ -337,7 +350,7 @@ def _copy3(d, dtype):
     return eye[:, :, None] * eye[:, None]
 
 
-def _contract(tag, tensors, outputs, inputs, dims, joined=()) -> MatrixMorphism:
+def _contract(tag, tensors, outputs, inputs, dims, joined) -> MatrixMorphism:
     """Contract a network of labelled tensors to the matrix inputs -> outputs.
 
     tensors is a list of (array, labels) with one label per axis, outputs
@@ -463,13 +476,13 @@ def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
         raise ValueError(f"presentation failed verification: {bad}")
     atoms = set()  # every atom is p's object, and the walk collects them
     try:
-        net = _flatten(term, p.tag, COB_ATOMS, lambda a: atoms.add(a) or p.dim, {}, lambda a: atoms.add(a) or p)
+        net, ins, outs = _flatten(term, COB_ATOMS, lambda a: atoms.add(a) or p.dim, {}, lambda a: atoms.add(a) or p)
     except Exception:
         cob_atom([term])  # the walk's own faults and the atom check come before a type error
         raise
     if len(atoms) > 1:
         raise ValueError(f"expected a single atom, found {sorted(atoms)}")
-    return _contract(p.tag, *net)
+    return net.contract(p.tag, outs, ins)
 
 
 def check_frobenius_morphism(
@@ -651,54 +664,36 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
     orientation from the stored domain/codomain split, so no condition is
     needed for them.  A basis-copy spider joins the wires on its ports.
     """
-    tag = interp.tag
-    spider_atoms = {n.atom for n in graph.nodes if isinstance(n, SpiderNode)}
-    for atom in sorted(spider_atoms):
+    for atom in sorted({n.atom for n in graph.nodes if isinstance(n, SpiderNode)}):
         p = interp.frobenius_data.get(atom)
         if p is None:
             raise UnknownName(f"no frobenius data for atom {atom!r}")
-        if not p.commutative or p.pairing_deviation > tag.tolerance:
+        if not p.commutative or p.pairing_deviation > interp.tag.tolerance:
             raise ValueError(
                 f"presentation for {atom!r} is directional; "
                 "graph contraction needs a commutative presentation with the identity pairing"
             )
 
+    net = _Network(interp.atom_dim)  # one label per wire, then per loop
+    net.fresh([None] * len(graph.wires) + [interp.atom_dim(atom) for atom in graph.loops])
+    values = net.values
     wire_at = {end: wid for wid, ends in enumerate(graph.wires) for end in ends}
     outputs = [wire_at[("o", k)] for k in range(len(graph.output_types))]
     inputs = [wire_at[("i", k)] for k in range(len(graph.input_types))]
-    words = graph.output_types + graph.input_types
-    dims = {wid: interp.atom_dim(atom) for wid, (atom, _) in zip(outputs + inputs, words)}
-    dims.update((len(graph.wires) + k, interp.atom_dim(atom)) for k, atom in enumerate(graph.loops))
-    tensors = []
-    wires = None  # union-find over wire ids, then loops, then legless copy spiders; made by the first copy spider
-    joined = []  # one label of each copy spider
+    for x, (atom, _) in zip(outputs + inputs, graph.output_types + graph.input_types):
+        values[x] = interp.atom_dim(atom)
     for nid, node in enumerate(graph.nodes):
         labels = [wire_at[("n", nid, port)] for port in range(node.n_ports)]
-        if isinstance(node, SpiderNode):
-            p = interp.frobenius_data[node.atom]
-            if p.basis_copy:
-                if wires is None:
-                    wires = Wiring(None)
-                    wires.fresh([None] * (len(graph.wires) + len(graph.loops)))
-                labels = labels or wires.fresh([None])
-                root = wires.find(labels[0])
-                for x in labels[1:]:
-                    wires.parent[wires.find(x)] = root
-                dims.update((x, p.dim) for x in labels)
-                joined.append(root)
-                continue
-            arr = spider_matrix(p, node.degree, 0, node.genus).data.reshape([p.dim] * node.degree)
-        else:
-            m = interp.gen_matrices.get(node.name)
-            if m is None:
-                raise UnknownName(f"no matrix assigned to generator {node.name!r}")
-            if node.daggered:
-                m = dagger(m)
-            # ports run dom then cod; matrix axes run cod then dom
-            labels = labels[len(node.dom) :] + labels[: len(node.dom)]
-            arr = m.data.reshape([interp.atom_dim(atom) for atom, _ in node.cod.factors + node.dom.factors])
-        dims.update(zip(labels, arr.shape))
-        tensors.append((arr, labels))
-    if wires is None:
-        return _contract(tag, tensors, outputs, inputs, dims)
-    return _contract(tag, *_rooted(wires.find, tensors, outputs, inputs, dims.items(), joined))
+        spider = isinstance(node, SpiderNode)
+        ports = [(node.atom, False)] * node.degree if spider else node.dom.factors + node.cod.factors
+        for x, (atom, _) in zip(labels, ports):
+            values[x] = interp.atom_dim(atom)
+        if spider:
+            net.spider(interp.frobenius_data[node.atom], labels, [], node.genus)
+            continue
+        m = interp.gen_matrices.get(node.name)
+        if m is None:
+            raise UnknownName(f"no matrix assigned to generator {node.name!r}")
+        n = len(node.dom)  # ports run dom then cod
+        net.box(m, labels[:n], labels[n:], node.daggered)
+    return net.contract(interp.tag, outputs, inputs)

@@ -472,7 +472,24 @@ class TestDeepTerms:
         p = tmp_path / "big.cat"
         p.write_text("object Z frobenius selfdual;\ndiag big = spider(Z, 99999999999999999999, 0);\n")
         code, out, err = run(capsys, argv[0], str(p), *argv[1:])
-        assert (code, out, err) == (1, "", f"error: {p}: term too large for {argv[0]}\n")
+        assert (code, out, err) == (1, "", f"error: {p}: diagram 'big': term too large for {argv[0]}\n")
+
+    @pytest.mark.parametrize(
+        "error, where, what",
+        [(RecursionError, "typecheck", "nested too deeply"), (MemoryError, "typecheck", "too large"),
+         (RecursionError, "parse", "nested too deeply"), (OverflowError, "parse", "too large")],
+    )
+    def test_size_and_depth_failures_name_their_diagram(self, tmp_path, capsys, monkeypatch, error, where, what):
+        # inside a named diagram the line names it; outside one it names the file only
+        def fail(*args):
+            raise error()
+
+        p = tmp_path / "boxes.cat"
+        p.write_text(BOXES)
+        monkeypatch.setattr(f"catkit.cli.{where}", fail)
+        code, out, err = run(capsys, "check", str(p))
+        place = f"{p}: diagram 'stacked'" if where == "typecheck" else f"{p}"
+        assert (code, out, err) == (1, "", f"error: {place}: term {what} for check\n")
 
 
 class TestLaws:

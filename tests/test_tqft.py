@@ -242,14 +242,22 @@ class TestInterpret:
         assert interpret(Dagger(Gen("f")), interp) == dagger(f)
 
     def test_missing_generator_is_reported(self):
-        interp = Interpretation(COMPLEX, {"A": 2})
+        sig = Signature()
+        sig.declare_generator("mystery", A, A)
+        interp = Interpretation(COMPLEX, {"A": 2}, signature=sig)
         with pytest.raises(UnknownName, match="no matrix"):
             interpret(Gen("mystery"), interp)
 
     def test_missing_frobenius_data_is_reported(self):
-        interp = Interpretation(COMPLEX, {"Z": 2})
+        interp = Interpretation(COMPLEX, {"Z": 2}, signature=ZSIG)
         with pytest.raises(UnknownName, match="no frobenius data"):
             interpret(Spider("Z", 1, 1), interp)
+
+    def test_interpret_needs_a_signature(self):
+        interp = Interpretation(COMPLEX, {"Z": 2}, frobenius_data={"Z": basis_frobenius(2, COMPLEX)})
+        with pytest.raises(ValueError) as exc:
+            interpret(Spider("Z", 1, 1), interp)
+        assert str(exc.value) == "interpret needs a signature to type the term against"
 
     def test_type_errors_propagate_when_signature_known(self):
         sig = standard_signature()
@@ -272,8 +280,9 @@ class TestInterpret:
             Interpretation(COMPLEX, {"Z": 3}, frobenius_data={"Z": basis_frobenius(2, COMPLEX)})
 
     def test_deep_chain_needs_no_recursion(self):
-        # without a signature a generator is typed by its matrix alone
-        interp = Interpretation(NAT, {}, gen_matrices={"s": MatrixMorphism(NAT, [[1, 1], [0, 1]])})
+        sig = Signature()
+        sig.declare_generator("s", A, A)
+        interp = Interpretation(NAT, {"A": 2}, gen_matrices={"s": MatrixMorphism(NAT, [[1, 1], [0, 1]])}, signature=sig)
         term = Gen("s")
         for _ in range(1999):
             term = Seq(Gen("s"), term)
@@ -852,6 +861,30 @@ class TestCopySpiders:
                 assert m.data.tolist() == want.tolist()
             else:
                 assert np.allclose(m.data, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("tag", [COMPLEX, BOOL, NAT], ids=["complex", "bool", "nat"])
+    def test_every_orientation_agrees_with_the_graph(self, tag):
+        # a daggered non-square box, one-leg and legless copy spiders, a bare
+        # loop and boundary-to-boundary wires, each with its own matrix factor
+        a, b = ObjectWord.of("A"), ObjectWord.of("B")
+        sig = cob_signature("Z")
+        sig.declare_generator("h", a, b)
+        h = random_matrix(tag, 3, 2, make_rng(5))
+        p = basis_frobenius(2, tag)
+        interp = Interpretation(tag, {"A": 2, "B": 3}, {"h": h}, {"Z": p}, signature=sig)
+        loop = Seq(Cap("B"), Seq(Swap(ObjectWord.atom("B", True), b), Cup("B")))
+        term = Par(
+            Par(Seq(Gen("h"), Dagger(Gen("h"))), Dagger(Gen("h"))),
+            Par(Par(Dagger(Spider("Z", 0, 1)), Spider("Z", 0, 0)), Par(loop, Swap(a, Z))),
+        )
+        scalar = MatrixMorphism(tag, [[1 if tag is BOOL else 2 * 3]])
+        want = tensor(tensor(compose(h, dagger(h)), dagger(h)), tensor(tensor(p.eps, scalar), swap_matrix(tag, 2, 2)))
+        for m in (interpret(term, interp), evaluate_graph(to_graph(term, sig), interp)):
+            assert max_deviation(m, want) <= 1e-9
+        # a lone box joins nothing: the network is its matrix
+        for t, m in ((Gen("h"), h), (Dagger(Gen("h")), dagger(h))):
+            assert interpret(t, interp) == m
+            assert evaluate_graph(to_graph(t, sig), interp) == m
 
 
 A = ObjectWord.of("A")

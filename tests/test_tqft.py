@@ -1,7 +1,10 @@
 """Interpretations: frozen presentation oracles, functor laws, graph contraction."""
 
 import dataclasses
+import itertools
+import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1029,3 +1032,186 @@ class TestWalkErrors:
         assert eq_cob(term, closed_surface(3), ZSIG) and eq_cob(term, closed_surface(3))
         assert frobenius.classify_cob(term).components == frobenius.classify_cob(term, ZSIG).components
         assert evaluate_cob(term, basis_frobenius(3)) == cmat([[3]])
+
+
+LAYOUT_DIMS = {"A": 2, "B": 3, "Q": 2, "Z": 0}
+
+
+def layout_signature():
+    """Self-dual A, B, Q and Z (dimension 0) and the generators of the layout cases."""
+    sig = Signature()
+    for atom in LAYOUT_DIMS:
+        sig.declare_object(atom, self_dual=True)
+    w = ObjectWord.of
+    for name, dom, cod in [
+        ("f", w("A"), w("B")),
+        ("g", w("B"), w("A")),
+        ("h", w("A", "B"), w("B", "A")),
+        ("s", w(), w("A", "B")),
+        ("e", w("A", "B"), w()),
+        ("z", w("A", "Z"), w("A", "Z")),
+        ("s0", w(), w("Z")),
+        ("e0", w("Z"), w()),
+    ] + [(f"u{k}", w("Q", "Q"), w("Q", "Q")) for k in range(16)]:
+        sig.declare_generator(name, dom, cod)
+    return sig
+
+
+def layout_interp(sig, tag, seed):
+    """Random matrices for sig's generators; complex ones halved, so a width-8
+    brickwork's entries stay below 1e3 and the absolute tolerance is a fair test."""
+    interp = standard_interp(sig, tag, make_rng(seed), dims=LAYOUT_DIMS)
+    if tag is not COMPLEX:
+        return interp
+    halved = {name: MatrixMorphism._raw(tag, m.data / 2) for name, m in interp.gen_matrices.items()}
+    return Interpretation(tag, interp.object_dims, halved, signature=sig)
+
+
+def brickwork(width, depth=4):
+    """Layers of two-wire gates u0, u1, ... on Q wires, every other layer shifted by one wire."""
+    q, k, term = ObjectWord.of("Q"), 0, None
+    for layer in range(depth):
+        pieces, wire = [Id(q)] if layer % 2 else [], layer % 2
+        while wire + 2 <= width:
+            pieces.append(Gen(f"u{k}"))
+            k, wire = k + 1, wire + 2
+        if wire < width:
+            pieces.append(Id(q))
+        row = pieces[0]
+        for p in pieces[1:]:
+            row = Par(row, p)
+        term = row if term is None else Seq(row, term)
+    return term
+
+
+def matcat_reference(term, interp):
+    """term's matrix from matcat's compose and tensor, node by node."""
+    tag = interp.tag
+    if isinstance(term, Gen):
+        return interp.gen_matrices[term.name]
+    if isinstance(term, Id):
+        return MatrixMorphism.identity(tag, interp.word_dim(term.word))
+    if isinstance(term, Seq):
+        return compose(matcat_reference(term.after, interp), matcat_reference(term.before, interp))
+    if isinstance(term, Par):
+        return tensor(matcat_reference(term.left, interp), matcat_reference(term.right, interp))
+    if isinstance(term, Dagger):
+        return dagger(matcat_reference(term.inner, interp))
+    if isinstance(term, Swap):
+        return swap_matrix(tag, interp.word_dim(term.left), interp.word_dim(term.right))
+    d = interp.atom_dim(term.atom)
+    column = MatrixMorphism(tag, [[int(i == j)] for i in range(d) for j in range(d)], shape=(d * d, 1))
+    return column if isinstance(term, Cup) else dagger(column)
+
+
+def _loop(atom):
+    return Seq(Cap(atom), Cup(atom))
+
+
+LAYOUT_CASES = {
+    **{f"brickwork-{w}": brickwork(w) for w in range(4, 9)},
+    "chain": Seq(Gen("g"), Gen("f")),
+    "chain-reversed": Seq(Gen("f"), Gen("g")),
+    "box-between-wires": Seq(Par(Id(ObjectWord.of("B")), Gen("f")), Seq(Gen("h"), Par(Gen("g"), Id(ObjectWord.of("B"))))),
+    "repeated-labels": Par(Par(Id(ObjectWord.of("A")), Gen("f")), Id(ObjectWord.of("A"))),
+    "repeated-labels-chain": Par(Par(Id(ObjectWord.of("A")), Seq(Gen("g"), Gen("f"))), Id(ObjectWord.of("B"))),
+    "state": Seq(Gen("h"), Gen("s")),
+    "effect": Seq(Gen("e"), Dagger(Gen("h"))),
+    "closed": Seq(Gen("e"), Gen("s")),
+    "closed-beside-loop": Par(Seq(Gen("e"), Seq(Dagger(Gen("h")), Seq(Gen("h"), Gen("s")))), _loop("B")),
+    "dimension-0-wires": Seq(Gen("z"), Gen("z")),
+    "dimension-0-sum": Seq(Gen("e0"), Gen("s0")),
+    "dimension-0-loop": Par(Gen("f"), _loop("Z")),
+    "disconnected": Par(Gen("f"), Gen("g")),
+    "disconnected-chains": Par(Seq(Gen("g"), Gen("f")), Par(Gen("h"), Seq(Gen("f"), Gen("g")))),
+    "chain-beside-loop": Par(_loop("A"), Seq(Gen("g"), Gen("f"))),
+    "box-beside-loop": Par(Gen("h"), _loop("A")),
+    "swapped-box-beside-loop": Par(Seq(Swap(ObjectWord.of("B"), ObjectWord.of("A")), Gen("h")), _loop("A")),
+}
+SEMIRINGS = pytest.mark.parametrize("tag", [COMPLEX, BOOL, NAT], ids=["complex", "bool", "nat"])
+
+
+class TestResultLayout:
+    """The engine's last step writes the result straight into boundary order."""
+
+    @SEMIRINGS
+    @pytest.mark.parametrize("name", list(LAYOUT_CASES))
+    def test_entry_points_agree_with_matcat(self, name, tag):
+        sig = layout_signature()
+        interp = layout_interp(sig, tag, len(name))
+        term = LAYOUT_CASES[name]
+        want = matcat_reference(term, interp)
+        got = interpret(term, interp), evaluate_graph(to_graph(term, sig), interp)
+        for m in got:
+            assert m.data.shape == want.data.shape and m == want
+            assert m.data.dtype == tag.ops.dtype
+        if tag is NAT:
+            assert {type(v) for m in got for row in m.data.tolist() for v in row} <= {int}
+
+    def test_cases_reach_every_branch(self, monkeypatch):
+        seen = set()
+        last_step, assemble = tqft_module._last_step, tqft_module._assemble
+
+        def spy_last_step(x, y, shared, slot, dims):
+            free = sorted({*x[1], *y[1]}.difference(shared), key=slot.__getitem__)
+            on_x = [z in x[1] for z in free]
+            seen.add("no free label" if not free else "last slot on x" if on_x[-1] else "last slot on y")
+            if free and len(set(on_x)) == 1:
+                seen.add("one operand's labels all shared")
+            runs = [[*run] for _, run in itertools.groupby(free, x[1].__contains__)]
+            if len(runs) >= 3:
+                seen.add("batch")
+            # matmul's m is the widest run of the operand without the last slot
+            other = [i for i in range(len(runs) - 2, -1, -2)]
+            if other and max(other, key=lambda i: math.prod(dims[z] for z in runs[i])) != len(runs) - 2:
+                seen.add("widest run apart from the last")
+            if math.prod(dims[z] for z in shared) == 0:
+                seen.add("empty sum")
+            return last_step(x, y, shared, slot, dims)
+
+        def spy_assemble(dtype, parts, boundary):
+            factors = [fresh for _, labels, fresh in parts if labels]
+            scalars = len(parts) - len(factors)
+            seen.add("empty boundary" if not boundary else "one factor" if len(factors) == 1 else "factors")
+            if scalars and len(factors) == 1:
+                seen.add("scalar into a new array" if factors[0] else "scalar into a view")
+            if any(len(set(labels)) < len(labels) for _, labels, _ in parts):
+                seen.add("repeated label")
+            return assemble(dtype, parts, boundary)
+
+        monkeypatch.setattr(tqft_module, "_last_step", spy_last_step)
+        monkeypatch.setattr(tqft_module, "_assemble", spy_assemble)
+        sig = layout_signature()
+        for tag in (COMPLEX, BOOL, NAT):
+            interp = layout_interp(sig, tag, 0)
+            for term in LAYOUT_CASES.values():
+                interpret(term, interp)
+                evaluate_graph(to_graph(term, sig), interp)
+        assert seen == {
+            "no free label", "last slot on x", "last slot on y", "one operand's labels all shared", "batch",
+            "widest run apart from the last", "empty sum", "empty boundary",
+            "one factor", "factors", "scalar into a new array", "scalar into a view", "repeated label",
+        }
+
+    @pytest.mark.parametrize("entry", ["interpret", "evaluate_graph"])
+    def test_width_8_brickwork_allocates_little_beyond_its_result(self, entry):
+        # tracemalloc counts the bytes numpy asks for, so this holds whatever the allocator
+        sig = layout_signature()
+        interp = layout_interp(sig, COMPLEX, 8)
+        term = brickwork(8)
+        graph = to_graph(term, sig)
+        run = (lambda: interpret(term, interp)) if entry == "interpret" else (lambda: evaluate_graph(graph, interp))
+        run()  # anything built once and kept is not the contraction's
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert result.data.shape == (256, 256)
+        assert peak < 1.5 * result.data.nbytes

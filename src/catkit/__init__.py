@@ -8,15 +8,19 @@ Subpackages and modules:
 - diagram: the free dagger compact symmetric monoidal category over a
   signature, with a port-graph normal form deciding equality
 - frobenius: spider fusion and the 2-dimensional cobordism classifier
-- tqft: interpretations of diagrams as matrices, Frobenius
-  presentations, and cobordism evaluation
+- presentations: Frobenius presentations, their law checks, and
+  interpretations (the matrix data diagrams are read in)
+- tqft: the tensor network behind interpret, evaluate_graph and
+  evaluate_cob, the matrix evaluations of diagrams and cobordisms
 - lawcheck: a harness checking the equational laws, including the
   negative examples that must fail
 - cli: the catkit command-line front end
 
 Exports load on first use: ``import catkit`` imports none of the
-modules above, and ``catkit.parse`` imports only ``diagram``, so the
-symbolic layers never pull in numpy.
+modules above, ``catkit.parse`` imports only ``diagram``'s terms and
+parser, so the symbolic layers never pull in numpy, and the law battery
+(lawcheck and presentations) loads no parser, graph code or tensor
+network.
 """
 
 import importlib
@@ -38,32 +42,37 @@ _EXPORTS = {
     ),
     "frobenius": ("classify_cob", "cob_signature", "eq_cob", "fuse"),
     "lawcheck": ("LAW_MANIFEST", "LawEntry", "LawReport", "assert_expected", "merge_reports"),
-    "tqft": (
+    "presentations": (
         "FrobeniusPresentation",
         "Interpretation",
         "basis_frobenius",
-        "evaluate_cob",
-        "evaluate_graph",
-        "interpret",
         "interpretation_from_data",
         "verify_frobenius",
         "xor_frobenius",
     ),
+    "tqft": ("evaluate_cob", "evaluate_graph", "interpret"),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = list(_HOME)
 
 
-def __getattr__(name):
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value
-    return value
+def _lazy_exports(namespace, exports):
+    """__all__ and the PEP 562 __getattr__ and __dir__ of the package whose
+    globals are namespace, exporting each name of exports from its module."""
+    package = namespace["__name__"]
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        if name in exports:
+            return importlib.import_module(f".{name}", package)
+        if name not in home:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{home[name]}", package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *home, *exports})
+
+    return list(home), __getattr__, __dir__
 
 
-def __dir__():
-    return sorted({*globals(), *__all__, *_EXPORTS})
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -20,12 +20,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .diagram import ParseError, TypeMismatch, UnknownName, graph_eq, parse, to_graph, typecheck
+from .diagram.terms import ParseError, TypeMismatch, UnknownName
 
 # every other catkit module is imported by the commands that use it, so
-# check, eq and classify start without numpy
+# check, eq and classify start without numpy, and laws loads no parser,
+# graph code or contraction engine
 if TYPE_CHECKING:
-    from .tqft import Interpretation
+    from .presentations import Interpretation
 
 
 @dataclass
@@ -77,7 +78,7 @@ def _read_json(path):
 
 def _load_interpretation(path, data, signature=None, tolerance=None):
     """interpretation_from_data with the file's path in front of its errors."""
-    from .tqft import interpretation_from_data
+    from .presentations import interpretation_from_data
 
     try:
         return interpretation_from_data(data, signature, tolerance=tolerance)
@@ -86,6 +87,8 @@ def _load_interpretation(path, data, signature=None, tolerance=None):
 
 
 def _load_workspace(args):
+    from .diagram.parser import parse
+
     try:
         result = parse(_read_text(args.file))
     except TypeMismatch as exc:  # from name(...) or coname(...), which parse positions
@@ -132,6 +135,8 @@ def _format_pairs(m, dom_labels, cod_labels):
 
 
 def cmd_check(args):
+    from .diagram.terms import typecheck
+
     ws = _load_workspace(args)
     for name, term in ws.diagrams.items():
         with ws.about(name):
@@ -141,6 +146,7 @@ def cmd_check(args):
 
 
 def cmd_eq(args):
+    from .diagram.graphs import graph_eq, to_graph
     from .frobenius import fuse
 
     ws = _load_workspace(args)
@@ -205,7 +211,7 @@ def cmd_laws(args):
         negative_suite,
     )
     from .scalars import COMPLEX, complex_tag
-    from .tqft import Interpretation, basis_frobenius, hopf_group_z2, verify_frobenius
+    from .presentations import Interpretation, basis_frobenius, hopf_group_z2, verify_frobenius
 
     # overflowing data would make numpy warn on stderr; law_report
     # already fails the nan deviations such data produces

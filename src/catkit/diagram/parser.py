@@ -45,11 +45,11 @@ from .terms import (
     Cap,
     Cup,
     Dagger,
-    DiagramError,
     Gen,
     Id,
     ObjectWord,
     Par,
+    ParseError,
     Seq,
     Signature,
     Spider,
@@ -87,15 +87,6 @@ _PADDED = (";", ":", "=", ",", "(", ")", "*", "->", ">>")
 
 # Tokens that open an expression frame; all but "(" are followed by "(".
 _OPENERS = frozenset(["(", "dg", "name", "coname"])
-
-
-class ParseError(DiagramError):
-    """Syntax or name-resolution failure with a source position."""
-
-    def __init__(self, message, line, col):
-        super().__init__(message)
-        self.line = line
-        self.col = col
 
 
 def _scanner(text):

@@ -25,6 +25,15 @@ class UnknownName(DiagramError):
     """A term references a generator or atom missing from the signature."""
 
 
+class ParseError(DiagramError):
+    """Syntax or name-resolution failure with a source position."""
+
+    def __init__(self, message, line, col):
+        super().__init__(message)
+        self.line = line
+        self.col = col
+
+
 @dataclass(frozen=True)
 class ObjectWord:
     """Tensor word over atomic objects; the empty word is the unit I.

@@ -84,10 +84,16 @@ class MatrixMorphism:
         return ScalarValue(self.tag, self.data.item(i, j))
 
     def approx_eq(self, other: "MatrixMorphism") -> bool:
+        """Same shape, and no entry distance over the tolerance times
+        max(1, the largest |entry| of either operand); exact semirings
+        have tolerance 0.  A non-finite entry never compares equal."""
         tag = join_tags(self.tag, other.tag)
         if self.data.shape != other.data.shape:
             return False
-        return max_deviation(self, other) <= tag.tolerance
+        scale = 1.0
+        if not tag.exact and self.data.size:
+            scale = max(scale, float(np.abs(self.data).max()), float(np.abs(other.data).max()))
+        return max_deviation(self, other) / scale <= tag.tolerance
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixMorphism):

@@ -220,12 +220,13 @@ class TestEval:
 
     def test_pair_list_reads_the_words_interpret_typed(self, files, tmp_path, capsys, monkeypatch):
         # the pair list is labelled from interpret's own walk, with no second typecheck
-        import catkit.cli
+        import catkit.diagram.terms
 
         def refuse(*args):
             raise AssertionError("eval typed the diagram twice")
 
-        monkeypatch.setattr(catkit.cli, "typecheck", refuse)
+        # the commands import typecheck from its home when they run
+        monkeypatch.setattr(catkit.diagram.terms, "typecheck", refuse)
         (tmp_path / "rel.cat").write_text(RELATIONS + "diag back = dg(roundtrip);\n")
         code, out, _ = run(capsys, "eval", str(tmp_path / "rel.cat"), "back", "--interp", files["rel.json"])
         assert code == 0
@@ -499,7 +500,9 @@ class TestDeepTerms:
 
         p = tmp_path / "boxes.cat"
         p.write_text(BOXES)
-        monkeypatch.setattr(f"catkit.cli.{where}", fail)
+        # the commands import each function from its home when they run
+        home = {"typecheck": "catkit.diagram.terms", "parse": "catkit.diagram.parser"}[where]
+        monkeypatch.setattr(f"{home}.{where}", fail)
         code, out, err = run(capsys, "check", str(p))
         place = f"{p}: diagram 'stacked'" if where == "typecheck" else f"{p}"
         assert (code, out, err) == (1, "", f"error: {place}: term {what} for check\n")
@@ -620,14 +623,19 @@ class TestLaws:
         ]
 
 
-# runs catkit.cli.main in a fresh interpreter, then reports whether numpy loaded
+# runs catkit.cli.main in a fresh interpreter, then reports the catkit modules
+# it loaded (one line) and whether numpy loaded (the last line)
 NUMPY_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from catkit.cli import main
 code = main(sys.argv[2:])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("catkit"))))
 print(code, "numpy" in sys.modules)
 """
+
+# what the law battery does not use: the parser, graph code, fusion and the tensor network
+NOT_FOR_LAWS = ("catkit.diagram.parser", "catkit.diagram.graphs", "catkit.frobenius", "catkit.tqft")
 
 
 class TestImports:
@@ -644,6 +652,26 @@ class TestImports:
         ids=["check", "eq", "eq-frobenius", "classify", "eval"],
     )
     def test_numpy_loads_only_for_matrix_commands(self, files, argv, loads_numpy):
+        assert self.probe(files, argv)[-1] == f"0 {loads_numpy}"
+
+    @pytest.mark.parametrize(
+        "argv, unused",
+        [
+            (["laws"], NOT_FOR_LAWS),
+            (["laws", "--interp", "dim3.json", "--seed", "2"], NOT_FOR_LAWS),
+            (["check", "surfaces.cat"], ("catkit.diagram.graphs", "catkit.frobenius")),
+        ],
+        ids=["laws", "laws-interp", "check"],
+    )
+    def test_commands_load_no_module_they_do_not_use(self, files, argv, unused):
+        *_, modules, last = self.probe(files, argv)
+        assert last.startswith("0 ")
+        assert "catkit.cli" in modules.split()
+        assert set(unused).isdisjoint(modules.split())
+
+    @staticmethod
+    def probe(files, argv):
+        """NUMPY_PROBE's output lines for argv, file names resolved from files."""
         src = os.path.dirname(os.path.dirname(catkit.__file__))
         argv = [files.get(a, a) for a in argv]
         proc = subprocess.run(
@@ -653,4 +681,4 @@ class TestImports:
             timeout=60,
         )
         assert proc.stderr == ""
-        assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+        return proc.stdout.splitlines()

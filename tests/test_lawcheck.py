@@ -3,8 +3,10 @@
 import math
 import types
 
+import numpy as np
 import pytest
 
+from catkit import lawcheck
 from catkit.lawcheck import (
     LAW_MANIFEST,
     LawEntry,
@@ -56,6 +58,47 @@ class TestCoherence:
 
     def test_small_cap_still_passes(self):
         assert check_coherence(BOOL, max_dim=2).ok
+
+    def test_each_structural_matrix_is_built_once(self, monkeypatch):
+        sizes, pairs = [], []
+        identity, swap = MatrixMorphism.identity, lawcheck.swap_matrix
+
+        def counted_identity(tag, n):
+            sizes.append(n)
+            return identity(tag, n)
+
+        def counted_swap(tag, a, b):
+            pairs.append((a, b))
+            return swap(tag, a, b)
+
+        monkeypatch.setattr(MatrixMorphism, "identity", staticmethod(counted_identity))
+        monkeypatch.setattr(lawcheck, "swap_matrix", counted_swap)
+        assert check_coherence(COMPLEX).ok
+        assert sizes and len(sizes) == len(set(sizes))
+        assert pairs and len(pairs) == len(set(pairs))
+
+    def test_no_matrix_outlives_its_call(self, monkeypatch):
+        # a complex battery first, then every matrix of a bool battery is bool
+        seen = []
+
+        def spy(anchor, tol, laws, seed=None):
+            seen.extend(m for _, pairs in laws for _, lhs, rhs in pairs for m in (lhs, rhs))
+            return law_report(anchor, tol, laws, seed)
+
+        assert check_coherence(COMPLEX).ok
+        monkeypatch.setattr(lawcheck, "law_report", spy)
+        assert check_coherence(BOOL).ok
+        assert seen and all(m.tag == BOOL and m.data.dtype == np.bool_ for m in seen)
+
+    def test_mutants_still_fail_after_a_clean_battery(self):
+        for tag in ALL_TAGS:
+            assert check_coherence(tag).ok
+            assert check_naturality_squares(plain_interp(tag)).ok
+            assert check_compact_structure(tag).ok
+        assert not check_naturality_squares(plain_interp(), sigma_flip=(2, 3, 0, 1)).entry("symmetry-naturality").passed
+        assert not check_naturality_squares(plain_interp(), transpose_sigma=True).entry("symmetry-naturality").passed
+        assert not check_compact_structure(COMPLEX, eta_flip=(3, 1)).entry("snake-right").passed
+        assert check_coherence(COMPLEX).ok
 
 
 class TestNaturality:
@@ -294,6 +337,20 @@ class TestHelpers:
         assert flipped.entry(0, 1).value == 1
         assert m.entry(0, 1).value == 0
         assert flip_entry(flipped, 0, 1).entry(0, 1).value == 0
+
+    @pytest.mark.parametrize("tag", ALL_TAGS, ids=[t.kind for t in ALL_TAGS])
+    def test_random_matrix_matches_the_per_entry_constructor(self, tag):
+        import random
+
+        for rows, cols in [(3, 4), (1, 1), (0, 2), (2, 0)]:
+            rng, ref_rng = random.Random(5), random.Random(5)
+            m = random_matrix(tag, rows, cols, rng)
+            draw = tag.ops.draw
+            want = MatrixMorphism(tag, [[draw(ref_rng) for _ in range(cols)] for _ in range(rows)], shape=(rows, cols))
+            assert m.data.dtype == want.data.dtype and m.data.shape == want.data.shape
+            assert m.data.tolist() == want.data.tolist()
+            assert [type(v) for v in m.data.ravel()] == [type(v) for v in want.data.ravel()]
+            assert rng.getstate() == ref_rng.getstate()
 
     @pytest.mark.parametrize("tag", ALL_TAGS, ids=[t.kind for t in ALL_TAGS])
     def test_random_matrix_shape_and_tag(self, tag):

@@ -1,5 +1,6 @@
 """Matrix category: frozen oracles and algebraic invariants."""
 
+import math
 import random
 
 import numpy as np
@@ -61,6 +62,39 @@ class TestBooleanCalculus:
 
     def test_converse_is_transpose(self):
         assert dagger(bmat(R_PRIME)) == bmat([[1, 1, 0], [0, 1, 1]])
+
+
+class TestEquality:
+    """Complex == allows tolerance x max(1, largest |entry|); bool and nat are exact."""
+
+    def test_relative_error_past_the_tolerance_is_unequal(self):
+        big = cmat([[3e6, -1e6j], [2.5e6 + 1e6j, 7.0]])
+        off = MatrixMorphism._raw(COMPLEX, big.data.copy())
+        off.data[1, 1] += 3e6 * 1e-6  # one entry off by 1e-6 of the largest
+        assert off != big and big != off
+
+    def test_rounding_of_large_entries_is_equal(self):
+        big = cmat([[3e6, -1e6j], [2.5e6 + 1e6j, 7.0]])
+        near = MatrixMorphism._raw(COMPLEX, big.data.copy())
+        near.data[0, 0] += 3e6 * 1e-12  # far past 1e-9 absolute, within it relative
+        assert max_deviation(near, big) > COMPLEX.tolerance
+        assert near == big
+
+    def test_small_entries_keep_the_absolute_tolerance(self):
+        assert cmat([[0.5, 1e-10]]) == cmat([[0.5, 0]])
+        assert cmat([[0.5, 1e-8]]) != cmat([[0.5, 0]])
+
+    def test_non_finite_entries_are_never_equal(self):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for x in (math.inf, math.nan):
+                assert cmat([[x]]) != cmat([[x]])
+                assert cmat([[x, 1]]) != cmat([[1, 1]])
+
+    def test_exact_semirings_ignore_entry_size(self):
+        huge = 10**30
+        assert MatrixMorphism(NAT, [[huge, 1]]) != MatrixMorphism(NAT, [[huge, 0]])
+        assert MatrixMorphism(NAT, [[huge + 1]]) != MatrixMorphism(NAT, [[huge]])
+        assert bmat([[1, 0]]) != bmat([[1, 1]])
 
 
 class TestComposeTensor:

@@ -32,6 +32,7 @@ from catkit.diagram import (
 from catkit.frobenius import cob_signature, delta, eps, eq_cob, mu, unit
 from catkit.lawcheck import flip_entry
 from catkit.matcat import MatrixMorphism, ShapeMismatch, compose, dagger, max_deviation, swap_matrix, tensor
+from catkit import presentations
 from catkit import tqft as tqft_module
 from catkit.scalars import BOOL, COMPLEX, NAT
 from catkit.tqft import (
@@ -379,7 +380,7 @@ class TestEvaluateCob:
             calls.append(p)
             return verify_frobenius(p)
 
-        monkeypatch.setattr(tqft_module, "verify_frobenius", counted)
+        monkeypatch.setattr(presentations, "verify_frobenius", counted)  # the home verification calls
         torus = Seq(eps("Z"), Seq(mu("Z"), Seq(delta("Z"), unit("Z"))))
         p = xor_frobenius(COMPLEX)
         for _ in range(3):
@@ -650,8 +651,6 @@ class TestEvaluateGraph:
             evaluate_graph(g, interp)
 
     def test_pairing_is_measured_once_per_presentation(self, monkeypatch):
-        import catkit.tqft as tqft
-
         p = basis_frobenius(2, COMPLEX)
         assert p.pairing_deviation == 0.0
         assert _random_conjugated_basis(2, make_rng(3)).pairing_deviation > 1e-3
@@ -661,8 +660,9 @@ class TestEvaluateGraph:
         def boom(*args):
             raise AssertionError("evaluate_graph measured the pairing again")
 
-        monkeypatch.setattr(tqft, "compose", boom)
-        monkeypatch.setattr(tqft, "max_deviation", boom)
+        # the presentation measures its pairing where it is defined
+        monkeypatch.setattr(presentations, "compose", boom)
+        monkeypatch.setattr(presentations, "max_deviation", boom)
         assert evaluate_graph(g, interp) == cmat([[2]])
 
     def test_empty_graph_is_the_unit_scalar(self):
@@ -1059,7 +1059,8 @@ def layout_signature():
 
 def layout_interp(sig, tag, seed):
     """Random matrices for sig's generators; complex ones halved, so a width-8
-    brickwork's entries stay below 1e3 and the absolute tolerance is a fair test."""
+    brickwork's entries stay below 1e3 and its tolerance, scaled by the
+    largest entry, stays tight."""
     interp = standard_interp(sig, tag, make_rng(seed), dims=LAYOUT_DIMS)
     if tag is not COMPLEX:
         return interp
@@ -1192,6 +1193,17 @@ class TestResultLayout:
             "widest run apart from the last", "empty sum", "empty boundary",
             "one factor", "factors", "scalar into a new array", "scalar into a view", "repeated label",
         }
+
+    def test_width_8_brickwork_with_large_entries_equals_its_reference(self):
+        # unhalved gates give entries past 1e6, whose rounding alone exceeds an absolute 1e-9
+        sig = layout_signature()
+        interp = standard_interp(sig, COMPLEX, make_rng(8), dims=LAYOUT_DIMS)
+        term = brickwork(8)
+        want = matcat_reference(term, interp)
+        assert np.abs(want.data).max() > 1e6
+        for got in (interpret(term, interp), evaluate_graph(to_graph(term, sig), interp)):
+            assert max_deviation(got, want) > COMPLEX.tolerance
+            assert got == want
 
     @pytest.mark.parametrize("entry", ["interpret", "evaluate_graph"])
     def test_width_8_brickwork_allocates_little_beyond_its_result(self, entry):

@@ -152,11 +152,11 @@ def cmd_eq(args):
     ws = _load_workspace(args)
     t1 = ws.diagram(args.first)
     t2 = ws.diagram(args.second)
-    graphs = []
+    graphs, frobenius = [], {atom for atom, decl in ws.signature.objects.items() if decl.frobenius}
     for name, term in ((args.first, t1), (args.second, t2)):
         with ws.about(name):
             graph = to_graph(term, ws.signature)
-            graphs.append(fuse(graph, special=args.special) if args.frobenius else graph)
+            graphs.append(fuse(graph, args.special, frobenius) if args.frobenius else graph)
     g1, g2 = graphs
     if graph_eq(g1, g2):
         print("equal")
@@ -232,17 +232,14 @@ def cmd_laws(args):
             check_naturality_squares(nat_interp, seed=seed),
             check_scalar_laws(tag, seed=seed),
             check_compact_structure(tag),
+            check_hopf_bialgebra(*hopf_group_z2(COMPLEX)),
         ]
-        hopf, antipode = hopf_group_z2(COMPLEX)
-        reports.append(check_hopf_bialgebra(hopf, antipode))
         presentations = (
             list(interp.frobenius_data.values())
             if interp and interp.frobenius_data
             else [basis_frobenius(2, tag)]
         )
-        for p in presentations:
-            reports.append(verify_frobenius(p))
-        reports.append(negative_suite())
+        reports += [verify_frobenius(p) for p in presentations] + [negative_suite()]
         report = merge_reports(reports)
     print(report.render())
     if report.ok:

@@ -49,21 +49,22 @@ def unit(atom="A"):
     return Spider(atom, 0, 1)
 
 
-def _fusion(graph, special):
+def _fusion(graph, special, frobenius):
     """One union-find pass over the wires that join same-atom spiders.
 
     Returns each node's class root, each spider root's fused [degree,
     genus], the roots to splice out, the wires left over, and the steps,
-    indexed into the input graph: ("merge", wire) when a wire joins two
-    classes, ("handle", wire) when it closes a cycle, then ("splice",
-    node) for each class left with degree 2 and genus 0.  A merge keeps
-    the class of the wire's first end, as a one-site rewriter would.
+    indexed into the input graph: ("loop", k) for each loop on an atom in
+    frobenius, ("merge", wire) when a wire joins two classes, ("handle",
+    wire) when it closes a cycle, then ("splice", node) for each class left
+    with degree 2 and genus 0.  A merge keeps the class of the wire's first
+    end, as a one-site rewriter would.
     """
     nodes = graph.nodes
     atom = [n.atom if isinstance(n, SpiderNode) else None for n in nodes]
     parent = list(range(len(nodes)))
     merged = {nid: [n.degree, n.genus] for nid, n in enumerate(nodes) if atom[nid] is not None}
-    kept, steps = [], []
+    kept, steps = [], [("loop", k) for k, a in enumerate(graph.loops) if a in frobenius]
 
     def find(x):
         while parent[x] != x:
@@ -77,31 +78,30 @@ def _fusion(graph, special):
         x, y = find(a[1]), find(b[1])
         rec = merged[x]
         if x == y:  # each independent cycle of a cluster is a handle
-            rec[0] -= 2
-            rec[1] += 0 if special else 1
-            steps.append(("handle", wid))
+            (d, g), kind = (0, int(not special)), "handle"
         else:
             parent[y] = x
-            d, g = merged.pop(y)
-            rec[0] += d - 2
-            rec[1] += g
-            steps.append(("merge", wid))
+            (d, g), kind = merged.pop(y), "merge"
+        rec[0] += d - 2
+        rec[1] += g
+        steps.append((kind, wid))
     # no merged spider has a same-atom neighbour, so splicing one out makes no new site
     spliced = [r for r, dg in merged.items() if dg == [2, 0]]
     steps += [("splice", r) for r in spliced]
     return [find(x) for x in range(len(nodes))], merged, set(spliced), kept, steps
 
 
-def fuse(graph, special=False):
+def fuse(graph, special=False, frobenius=()):
     """Rewrite a spider graph to its fused normal form.
 
     Each cluster of adjacent same-atom spiders becomes one spider whose
     genus counts the cluster's independent cycles; with special=True a
     handle is the identity and adds no genus.  A fused spider left with
     two legs and no genus is spliced out into a plain wire.  Boxes keep
-    their ordered ports.
+    their ordered ports.  A loop of bare wire on an atom in frobenius is
+    a torus, or a sphere when special: a legless spider.
     """
-    roots, merged, spliced, kept, _ = _fusion(graph, special)
+    roots, merged, spliced, kept, _ = _fusion(graph, special, frobenius)
     nodes = graph.nodes
     keep = [nid for nid, r in enumerate(roots) if r == nid and r not in spliced]
     new = {nid: k for k, nid in enumerate(keep)}
@@ -125,16 +125,18 @@ def fuse(graph, special=False):
             b = half.pop(r)
         wires.append((end(a), end(b)))
     fused = tuple(SpiderNode(nodes[nid].atom, *merged[nid]) if nid in merged else nodes[nid] for nid in keep)
-    return OpenGraph(fused, tuple(wires), graph.input_types, graph.output_types, tuple(sorted(graph.loops)))
+    fused += tuple(SpiderNode(a, 0, int(not special)) for a in graph.loops if a in frobenius)
+    loops = tuple(sorted(a for a in graph.loops if a not in frobenius))
+    return OpenGraph(fused, tuple(wires), graph.input_types, graph.output_types, loops)
 
 
-def fuse_trace(graph, special=False):
+def fuse_trace(graph, special=False, frobenius=()):
     """The steps of fuse's one pass, in order (see _fusion).
 
-    A merge or handle names a wire of the input graph, a splice names
-    the input node that stands for its fused class.
+    A loop names an entry of the input graph's loops, a merge or handle
+    one of its wires, and a splice the node standing for a fused class.
     """
-    return _fusion(graph, special)[-1]
+    return _fusion(graph, special, frobenius)[-1]
 
 
 @dataclass(frozen=True)

@@ -61,14 +61,12 @@ class _Network(Wiring):
 
     def __init__(self, atom_dim):
         super().__init__(atom_dim)
-        self.tensors = []
-        self.joined = []
+        self.tensors, self.joined = [], []
 
     def box(self, m, dom, cod, daggered):
         """m, or its adjoint, on axes cod then dom, the labels of the node's own sides."""
         labels = cod + dom
-        values = self.values
-        self.tensors.append(((dagger(m) if daggered else m).data.reshape([values[x] for x in labels]), labels))
+        self.tensors.append(((dagger(m) if daggered else m).data.reshape([self.values[x] for x in labels]), labels))
 
     def spider(self, p, dom, cod, genus=0):
         """The (len(dom), len(cod), genus) spider of p.  A copy spider joins
@@ -83,7 +81,22 @@ class _Network(Wiring):
         self.joined.append(root)
 
     def contract(self, tag, outputs, inputs):
-        """The network's matrix inputs -> outputs, each label read as its root."""
+        """The network's matrix inputs -> outputs, each label read as its root.
+
+        A label is a wire with two ends, each a tensor axis or a boundary
+        slot, so one no tensor holds is an identity between two slots or a
+        closed loop.  The labels joined by copy spiders may have any number
+        of ends; _fan_out rewrites them.  Pairs of tensors sharing a label
+        are contracted greedily, smallest result first, as in opt_einsum's
+        greedy path, each by one matmul; tensordot only traces a label both
+        of whose ends are on one tensor.  The engine writes the result in
+        boundary order, outputs then inputs, C-contiguous, so the reshape
+        to a matrix is a view and the result is the only full-size array it
+        allocates.  numpy's boolean dot and matmul are the or-of-ands
+        product, so booleans contract exactly with no case of their own.
+        Floating-point contraction runs with numpy's warnings off, and a
+        result with an inf or nan entry raises ValueError instead.
+        """
         parent = self.parent
         dims = {x: d for x, d in enumerate(self.values) if parent[x] == x}
         tensors, joined = self.tensors, self.joined
@@ -91,7 +104,23 @@ class _Network(Wiring):
             find = self.find
             tensors = [(arr, [*map(find, labels)]) for arr, labels in tensors]
             outputs, inputs, joined = [*map(find, outputs)], [*map(find, inputs)], {*map(find, joined)}
-        return _contract(tag, tensors, outputs, inputs, dims, joined)
+        boundary = outputs + inputs
+        if joined:
+            tensors, boundary = _fan_out(tag.ops.dtype, tensors, boundary, dims, joined)
+        if len(tensors) == 1 and len(set(tensors[0][1])) == len(boundary) == len(dims):
+            # one tensor holding each wire once, its other end on the boundary, is a
+            # transpose with no arithmetic to guard; errstate and the engine's
+            # bookkeeping would make a single-gate circuit about a fifth slower
+            arr, labels = tensors[0]
+            data = arr.transpose([labels.index(x) for x in boundary])
+        else:
+            with np.errstate(all="ignore"):  # exact semirings raise no numpy warnings
+                data = _network(tag.ops.dtype, tensors, boundary, dims)
+        data = data.reshape(math.prod(dims[x] for x in outputs), math.prod(dims[x] for x in inputs))
+        # checked on the float halves of each entry, about twice as fast as on complex values
+        if not tag.exact and not np.isfinite(data.ravel().view(np.float64)).all():
+            raise ValueError(f"{tag.kind} contraction overflowed: the result has inf or nan entries")
+        return MatrixMorphism._raw(tag, data)
 
 
 def _flatten(term, sig, atom_dim, matrices, presentation):
@@ -122,47 +151,6 @@ def _flatten(term, sig, atom_dim, matrices, presentation):
     return (net, *net.walk(term, leaf, sig))
 
 
-
-
-def _contract(tag, tensors, outputs, inputs, dims, joined) -> MatrixMorphism:
-    """Contract a network of labelled tensors to the matrix inputs -> outputs.
-
-    tensors is a list of (array, labels) with one label per axis, outputs
-    and inputs are the boundary labels in order, and dims maps every label
-    to its dimension.  A label is a wire with two ends, each a tensor axis
-    or a boundary slot, so one no tensor holds is an identity between two
-    slots or a closed loop.  The labels in joined, tied by copy spiders,
-    may have any number of ends; _fan_out rewrites them.  Pairs of tensors
-    sharing a label are contracted greedily, smallest result first, as in
-    opt_einsum's greedy path.  The engine writes the result in boundary
-    order, outputs then inputs, C-contiguous, so the reshape to a matrix
-    is a view and the result is the only full-size array it allocates.
-    numpy's boolean dot and matmul are the or-of-ands product, so booleans
-    contract exactly with no case of their own.
-    Floating-point contraction runs with numpy's warnings off, and a
-    result with an inf or nan entry raises ValueError instead.
-    """
-    boundary = outputs + inputs
-    if joined:
-        tensors, boundary = _fan_out(tag.ops.dtype, tensors, boundary, dims, joined)
-    if len(tensors) == 1 and len(set(tensors[0][1])) == len(boundary) == len(dims):
-        # one tensor holding each wire once, its other end on the boundary, is a
-        # transpose with no arithmetic to guard; errstate and the engine's
-        # bookkeeping would make a single-gate circuit about a fifth slower
-        arr, labels = tensors[0]
-        data = arr.transpose([labels.index(x) for x in boundary])
-    elif tag.exact:
-        data = _network(tag.ops.dtype, tensors, boundary, dims)
-    else:
-        with np.errstate(all="ignore"):
-            data = _network(tag.ops.dtype, tensors, boundary, dims)
-    data = data.reshape(math.prod(dims[x] for x in outputs), math.prod(dims[x] for x in inputs))
-    # checked on the float halves of each entry, about twice as fast as on complex values
-    if not tag.exact and not np.isfinite(data.ravel().view(np.float64)).all():
-        raise ValueError(f"{tag.kind} contraction overflowed: the result has inf or nan entries")
-    return MatrixMorphism._raw(tag, data)
-
-
 def _fan_out(dtype, tensors, boundary, dims, joined):
     """Rewrite the joined wires with m != 2 ends; return tensors and boundary.
 
@@ -172,8 +160,7 @@ def _fan_out(dtype, tensors, boundary, dims, joined):
     (added to dims), so no copy tensor exceeds d^3 however wide a spider.
     """
     holders = [list(boundary)] + [list(labels) for _, labels in tensors]
-    extra = []
-    ends = {x: [] for x in joined}
+    extra, ends = [], {x: [] for x in joined}
     for h, labels in enumerate(holders):
         for i, x in enumerate(labels):
             if x in ends:
@@ -195,32 +182,36 @@ def _fan_out(dtype, tensors, boundary, dims, joined):
 
 
 def _network(dtype, tensors, boundary, dims):
-    """_contract's network as one array with an axis per boundary slot, in order.
+    """contract's network as one array with an axis per boundary slot, in order.
 
+    A live tensor keeps its labels as a list, one per axis, and as a set.
     A contraction whose free labels are all boundary slots is the last of
     its connected part: _last_step writes it in slot order, and _assemble
     multiplies the parts into the result's layout, with no full-size
-    temporary.
+    temporary.  Every other contraction is _pair's one matmul.
     """
     held = {x for _, labels in tensors for x in labels}
-    ends = set(boundary)
-    live, owners, heap, keys, last = {}, {}, [], itertools.count(), []
+    ends, slot = set(boundary), {x: i for i, x in enumerate(boundary)}
+    live, owners, heap, keys, parts = {}, {}, [], itertools.count(), []
 
     def add(arr, labels):
-        for x in {x for x in labels if labels.count(x) == 2 and x not in ends}:
-            # both ends on one tensor: a trace, or the identity of a closed loop
-            i = labels.index(x)
-            j = labels.index(x, i + 1)
-            arr = np.tensordot(arr, np.eye(dims[x], dtype=dtype), axes=((i, j), (0, 1)))
-            labels = labels[:i] + labels[i + 1 : j] + labels[j + 1 :]
-        key, mine, near = next(keys), set(labels), set()
-        live[key] = (arr, labels)
+        mine = set(labels)
+        if len(mine) < len(labels):  # both ends on one tensor: a trace, or the identity of a closed loop
+            for x in [x for x in mine if labels.count(x) == 2 and x not in ends]:
+                i, j = (k for k, z in enumerate(labels) if z == x)
+                arr = np.tensordot(arr, np.eye(dims[x], dtype=dtype), axes=((i, j), (0, 1)))
+                labels = labels[:i] + labels[i + 1 : j] + labels[j + 1 :]
+                mine.remove(x)
+        key, near = next(keys), set()
+        live[key] = (arr, labels, mine)
         for x in mine:
             others = [k for k in owners.get(x, ()) if k in live]
             owners[x] = others + [key]
             near.update(others)
         for k in near:
-            size = math.prod(map(dims.__getitem__, mine.symmetric_difference(live[k][1])))
+            size = 1  # of the pair's result
+            for x in mine ^ live[k][2]:
+                size *= dims[x]
             heapq.heappush(heap, (size, k, key))
 
     for arr, labels in tensors:
@@ -231,18 +222,30 @@ def _network(dtype, tensors, boundary, dims):
     while heap:
         _, a, b = heapq.heappop(heap)
         if a in live and b in live:
-            pair = live.pop(a), live.pop(b)
-            (x_arr, x_labels), (y_arr, y_labels) = pair
-            shared = [x for x in x_labels if x in y_labels]
-            free = [x for x in x_labels + y_labels if x not in shared]
-            if ends.issuperset(free):
-                last.append((*pair, shared))
-                continue
-            axes = ([x_labels.index(x) for x in shared], [y_labels.index(x) for x in shared])
-            add(np.tensordot(x_arr, y_arr, axes=axes), free)
-    slot = {x: i for i, x in enumerate(boundary)}
-    parts = [(*_last_step(x, y, shared, slot, dims), True) for x, y, shared in last]
-    return _assemble(dtype, parts + [(arr, labels, False) for arr, labels in live.values()], boundary)
+            x, y = live.pop(a), live.pop(b)
+            if ends.issuperset(x[2] ^ y[2]):
+                parts.append((*_last_step(x[:2], y[:2], [z for z in x[1] if z in y[2]], slot, dims), True))
+            else:
+                add(*_pair(x, y))
+    return _assemble(dtype, parts + [(arr, labels, False) for arr, labels, _ in live.values()], boundary)
+
+
+def _pair(x, y):
+    """x and y, each (array, labels, label set), contracted by one matmul:
+    x as its free labels by the shared ones, times y as the shared ones by
+    its free labels, transposing neither if already in that order."""
+    (x_arr, x_labels, x_set), (y_arr, y_labels, y_set) = x, y
+    shared = [z for z in x_labels if z in y_set]
+    x_order = [z for z in x_labels if z not in y_set] + shared
+    y_order = shared + [z for z in y_labels if z not in x_set]
+    if x_order != x_labels:
+        x_arr = x_arr.transpose([x_labels.index(z) for z in x_order])
+    if y_order != y_labels:
+        y_arr = y_arr.transpose([y_labels.index(z) for z in y_order])
+    i, j = len(x_order) - len(shared), len(shared)
+    m, k, n = math.prod(x_arr.shape[:i]), math.prod(x_arr.shape[i:]), math.prod(y_arr.shape[j:])
+    product = x_arr.reshape(m, k) @ y_arr.reshape(k, n)
+    return product.reshape(x_arr.shape[:i] + y_arr.shape[j:]), x_order[:i] + y_order[j:]
 
 
 def _last_step(x, y, shared, slot, dims):
@@ -338,8 +341,6 @@ def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
     return net.contract(p.tag, outs, ins)
 
 
-
-
 def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
     """Contract an open graph to its matrix.
 
@@ -377,10 +378,9 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
             values[x] = interp.atom_dim(atom)
         if spider:
             net.spider(interp.frobenius_data[node.atom], labels, [], node.genus)
-            continue
-        m = interp.gen_matrices.get(node.name)
-        if m is None:
+        elif (m := interp.gen_matrices.get(node.name)) is None:
             raise UnknownName(f"no matrix assigned to generator {node.name!r}")
-        n = len(node.dom)  # ports run dom then cod
-        net.box(m, labels[:n], labels[n:], node.daggered)
+        else:
+            n = len(node.dom)  # ports run dom then cod
+            net.box(m, labels[:n], labels[n:], node.daggered)
     return net.contract(interp.tag, outputs, inputs)

@@ -195,6 +195,43 @@ class TestEq:
         assert err == f"error: {p}: diagram 's': spider legs require a frobenius atom, got 'W'\n"
 
 
+LOOPS = """
+object Z frobenius selfdual;
+object W selfdual;
+diag loop = cup(Z) >> cap(Z);
+diag torus = spider(Z, 0, 1) >> spider(Z, 1, 2) >> spider(Z, 2, 1) >> spider(Z, 1, 0);
+diag sphere = spider(Z, 0, 1) >> spider(Z, 1, 0);
+diag wloop = cup(W) >> cap(W);
+diag wloop2 = dg(cup(W) >> cap(W));
+"""
+
+BARE_LOOP_CASES = [
+    (["eq", "loop", "torus", "--frobenius"], 0, "equal\n"),
+    (["eq", "loop", "sphere", "--frobenius"], 1, "not equal\n"),
+    (["eq", "loop", "sphere", "--frobenius", "--special"], 0, "equal\n"),
+    (["eq", "torus", "sphere", "--frobenius", "--special"], 0, "equal\n"),
+    (["classify", "loop"], 0, "component(in=[], out=[], genus=1)\n"),
+    (["classify", "torus"], 0, "component(in=[], out=[], genus=1)\n"),
+    (["eval", "loop", "--interp"], 0, "3\n"),
+    (["eval", "torus", "--interp"], 0, "3\n"),
+    # a loop on an atom without Frobenius structure stays a loop
+    (["eq", "wloop", "wloop2", "--frobenius"], 0, "equal\n"),
+    (["eq", "wloop", "loop", "--frobenius"], 1, "not equal\n"),
+    (["eq", "wloop", "sphere", "--frobenius", "--special"], 1, "not equal\n"),
+]
+
+
+class TestBareLoop:
+    """A closed loop of bare wire on a Frobenius atom is a torus to every command."""
+
+    @pytest.mark.parametrize("argv, code, want", BARE_LOOP_CASES, ids=[" ".join(c[0]) for c in BARE_LOOP_CASES])
+    def test_whole_stdout(self, tmp_path, capsys, files, argv, code, want):
+        p = tmp_path / "loops.cat"
+        p.write_text(LOOPS)
+        argv = argv[:1] + [str(p)] + argv[1:] + ([files["dim3.json"]] if argv[-1] == "--interp" else [])
+        assert run(capsys, *argv) == (code, want, "")
+
+
 class TestEval:
     def test_snake_is_identity(self, files, capsys):
         code, out, _ = run(

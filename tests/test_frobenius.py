@@ -219,6 +219,50 @@ class TestFuseTrace:
         assert fuse(g).nodes == (SpiderNode("Z", 0, n),)
 
 
+LOOP = Seq(Cap("Z"), Cup("Z"))
+
+
+class TestFuseLoops:
+    """A loop of bare wire on a Frobenius atom fuses to the closed surface it is."""
+
+    def test_loop_is_a_torus_or_when_special_a_sphere(self):
+        g = to_graph(Par(LOOP, CYLINDER), ZSIG)
+        assert fuse_trace(g, frobenius={"Z"}) == [("loop", 0)]
+        for special, genus in ((False, 1), (True, 0)):
+            out = fuse(g, special, frobenius={"Z"})
+            assert (out.nodes, out.loops) == ((SpiderNode("Z", 0, genus),), ())
+            assert graph_eq(out, fuse(to_graph(Par(TORUS, CYLINDER), ZSIG), special))
+        assert fuse(g).loops == ("Z",)  # no atom named Frobenius: the loop stays
+
+    def test_loop_on_another_atom_equals_only_a_loop(self):
+        sig = cob_signature("Z")
+        sig.declare_object("W", self_dual=True)
+        w_loop = to_graph(Seq(Cap("W"), Cup("W")), sig)
+        out = fuse(w_loop, frobenius={"Z"})
+        assert (out.nodes, out.loops) == ((), ("W",))
+        assert graph_eq(out, fuse(to_graph(Dagger(Seq(Cap("W"), Cup("W"))), sig), frobenius={"Z"}))
+        for other in (LOOP, TORUS, SPHERE, Par(LOOP, Seq(Cap("W"), Cup("W")))):
+            for special in (False, True):
+                assert not graph_eq(out, fuse(to_graph(other, sig), special, frobenius={"Z"})), (other, special)
+
+    def test_eq_cob_agrees_with_fused_graph_eq_on_random_terms(self):
+        # the comparison `catkit eq --frobenius` makes, against homeomorphism
+        by_type, loops = defaultdict(list), 0
+        for seed in range(400):
+            rng = make_rng(seed)
+            term = random_cob_term(rng, n_in=rng.randrange(4), n_layers=rng.randint(1, 5))
+            g = to_graph(term, ZSIG)
+            loops += len(g.loops)
+            by_type[typecheck(term, ZSIG)].append((term, fuse(g, frobenius={"Z"})))
+        equal_pairs = 0
+        for terms in by_type.values():
+            for (t1, g1), (t2, g2) in itertools.combinations(terms, 2):
+                same = eq_cob(t1, t2)
+                equal_pairs += same
+                assert graph_eq(g1, g2) == same, (t1, t2)
+        assert loops > 0 and equal_pairs >= 1000  # bare loops occur, and equality is exercised
+
+
 class TestFusePreservesMeaning:
     # fusing spiders must not change the matrix a graph denotes
 

@@ -1109,6 +1109,13 @@ def _loop(atom):
     return Seq(Cap(atom), Cup(atom))
 
 
+def _traced_h():
+    """h : A x B -> B x A with its B output fed back to its B input: A -> A."""
+    a, b = ObjectWord.of("A"), ObjectWord.of("B")
+    feed = Seq(Par(Gen("h"), Id(b)), Par(Id(a), Cup("B")))
+    return Seq(Par(Id(a), Cap("B")), Seq(Par(Swap(b, a), Id(b)), feed))
+
+
 LAYOUT_CASES = {
     **{f"brickwork-{w}": brickwork(w) for w in range(4, 9)},
     "chain": Seq(Gen("g"), Gen("f")),
@@ -1128,6 +1135,9 @@ LAYOUT_CASES = {
     "chain-beside-loop": Par(_loop("A"), Seq(Gen("g"), Gen("f"))),
     "box-beside-loop": Par(Gen("h"), _loop("A")),
     "swapped-box-beside-loop": Par(Seq(Swap(ObjectWord.of("B"), ObjectWord.of("A")), Gen("h")), _loop("A")),
+    "traced-box": Seq(Gen("f"), Seq(_traced_h(), Gen("g"))),
+    "dimension-0-chain": Seq(Gen("z"), Seq(Gen("z"), Gen("z"))),
+    "long-chain": Seq(Gen("g"), Seq(Gen("f"), Seq(Gen("g"), Seq(Gen("f"), Seq(Gen("g"), Gen("f")))))),
 }
 SEMIRINGS = pytest.mark.parametrize("tag", [COMPLEX, BOOL, NAT], ids=["complex", "bool", "nat"])
 
@@ -1193,6 +1203,61 @@ class TestResultLayout:
             "widest run apart from the last", "empty sum", "empty boundary",
             "one factor", "factors", "scalar into a new array", "scalar into a view", "repeated label",
         }
+
+    def test_cases_reach_every_pairwise_branch(self, monkeypatch):
+        # every step but a part's last is one matmul, and tensordot only traces a label
+        # both of whose ends are on one tensor; no product repeats a label, since each
+        # wire has two ends, so the trace is reached as a tensor is first added
+        seen = set()
+        pair, tensordot = tqft_module._pair, np.tensordot
+
+        def spy_pair(x, y):
+            (x_arr, x_labels, _), (_, y_labels, y_set) = x, y
+            shared = [z for z in x_labels if z in y_set]
+            x_free, y_free = [z for z in x_labels if z not in shared], [z for z in y_labels if z not in shared]
+            seen.add("x transposed" if x_free + shared != x_labels else "x in order")
+            seen.add("y transposed" if shared + y_free != y_labels else "y in order")
+            if not x_free or not y_free:
+                seen.add("an operand with no free label")
+            if math.prod(x_arr.shape[x_labels.index(z)] for z in shared) == 0:
+                seen.add("empty sum")
+            return pair(x, y)
+
+        def spy_tensordot(a, b, axes):
+            assert b.shape == (len(b),) * 2 and (b == np.eye(len(b), dtype=b.dtype)).all() and axes[1] == (0, 1)
+            seen.add("repeated label traced")
+            return tensordot(a, b, axes)
+
+        monkeypatch.setattr(tqft_module, "_pair", spy_pair)
+        sig = layout_signature()
+        for tag in (COMPLEX, BOOL, NAT):
+            interp = layout_interp(sig, tag, 0)
+            for term in LAYOUT_CASES.values():
+                graph = to_graph(term, sig)
+                with monkeypatch.context() as m:
+                    m.setattr(np, "tensordot", spy_tensordot)
+                    interpret(term, interp)
+                    evaluate_graph(graph, interp)
+        assert seen == {
+            "x transposed", "x in order", "y transposed", "y in order", "an operand with no free label", "empty sum",
+            "repeated label traced",
+        }
+
+    @SEMIRINGS
+    @pytest.mark.parametrize("name", ["long-chain", "brickwork-6", "brickwork-8"])
+    def test_three_or_more_pairwise_steps_agree_with_matcat(self, name, tag, monkeypatch):
+        steps = []
+        pair = tqft_module._pair
+        monkeypatch.setattr(tqft_module, "_pair", lambda x, y: steps.append(1) or pair(x, y))
+        sig = layout_signature()
+        interp = layout_interp(sig, tag, 3)
+        term = LAYOUT_CASES[name]
+        want = matcat_reference(term, interp)
+        for run in (lambda: interpret(term, interp), lambda: evaluate_graph(to_graph(term, sig), interp)):
+            steps.clear()
+            got = run()
+            assert len(steps) >= 3
+            assert got.data.shape == want.data.shape and got.data.dtype == tag.ops.dtype and got == want
 
     def test_width_8_brickwork_with_large_entries_equals_its_reference(self):
         # unhalved gates give entries past 1e6, whose rounding alone exceeds an absolute 1e-9

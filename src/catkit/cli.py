@@ -103,13 +103,10 @@ def _load_workspace(args):
 
 def _format_matrix(m):
     text = m.tag.ops.text
+    rows = m.data.tolist()  # plain Python bools, ints or complexes
     if m.rows == 1 and m.cols == 1:
-        return text(m.entry(0, 0).value)
-    rows = []
-    for i in range(m.rows):
-        cells = ", ".join(text(m.entry(i, j).value) for j in range(m.cols))
-        rows.append(f"[{cells}]")
-    return "[" + ", ".join(rows) + "]"
+        return text(rows[0][0])
+    return "[" + ", ".join("[" + ", ".join(map(text, row)) + "]" for row in rows) + "]"
 
 
 def _word_labels(word, interp):
@@ -125,12 +122,8 @@ def _word_labels(word, interp):
 
 
 def _format_pairs(m, dom_labels, cod_labels):
-    pairs = [
-        f"({dom_labels[j]}, {cod_labels[i]})"
-        for j in range(m.cols)
-        for i in range(m.rows)
-        if m.entry(i, j).value
-    ]
+    rows = m.data.tolist()
+    pairs = [f"({dom_labels[j]}, {cod_labels[i]})" for j in range(m.cols) for i in range(m.rows) if rows[i][j]]
     return "{" + ", ".join(pairs) + "}"
 
 

@@ -61,15 +61,11 @@ def _fusion(graph, special, frobenius):
     end, as a one-site rewriter would.
     """
     nodes = graph.nodes
-    atom = [n.atom if isinstance(n, SpiderNode) else None for n in nodes]
-    parent = list(range(len(nodes)))
+    classes = Wiring(None)  # one label per node, valued by its spider atom or None
+    classes.fresh([n.atom if isinstance(n, SpiderNode) else None for n in nodes])
+    atom, parent, find = classes.values, classes.parent, classes.find
     merged = {nid: [n.degree, n.genus] for nid, n in enumerate(nodes) if atom[nid] is not None}
     kept, steps = [], [("loop", k) for k, a in enumerate(graph.loops) if a in frobenius]
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
 
     for wid, (a, b) in enumerate(graph.wires):
         if not (a[0] == b[0] == "n" and atom[a[1]] is not None and atom[a[1]] == atom[b[1]]):

@@ -125,13 +125,6 @@ def random_matrix(tag: SemiringTag, rows: int, cols: int, rng: random.Random) ->
     return MatrixMorphism._raw(tag, data.reshape(rows, cols))
 
 
-def flip_entry(m: MatrixMorphism, i: int, j: int) -> MatrixMorphism:
-    """Toggle one entry between zero and one (mutation testing helper)."""
-    data = m.data.copy()
-    data[i, j] = 0 if data[i, j] else 1
-    return MatrixMorphism._raw(m.tag, data)
-
-
 def law_report(anchor: str, tol: float, laws, seed: int | None = None) -> LawReport:
     """Report on (name, [(label, lhs, rhs), ...]) equations, one entry each.
 
@@ -221,30 +214,15 @@ def check_coherence(tag: SemiringTag, max_dim: int = 3) -> LawReport:
     )
 
 
-def check_naturality_squares(
-    interp,
-    samples: int = 5,
-    seed: int = 7,
-    transpose_sigma: bool = False,
-    sigma_flip: tuple[int, int, int, int] | None = None,
-) -> LawReport:
+def check_naturality_squares(interp, samples: int = 5, seed: int = 7) -> LawReport:
     """Naturality of the symmetry, associator and unit isos on random matrices.
 
     Dimensions come from the interpretation's object dimensions; matrices are
-    freshly sampled.  transpose_sigma and sigma_flip inject deliberate bugs
-    into the symmetry so the harness can prove it would notice one.
+    freshly sampled.
     """
     tag = interp.tag
     pool = sorted(set(interp.object_dims.values())) or [2, 3]
     rng = random.Random(seed)
-
-    def sigma(a, b):
-        m = swap_matrix(tag, a, b)
-        if transpose_sigma:
-            m = dagger(m)
-        if sigma_flip is not None and sigma_flip[:2] == (a, b):
-            m = flip_entry(m, sigma_flip[2], sigma_flip[3])
-        return m
 
     def ident(n):
         return MatrixMorphism.identity(tag, n)
@@ -255,8 +233,8 @@ def check_naturality_squares(
             c, d = rng.choice(pool), rng.choice(pool)
             f = random_matrix(tag, c, a, rng)
             g = random_matrix(tag, d, b, rng)
-            lhs = compose(sigma(c, d), tensor(f, g))
-            rhs = compose(tensor(g, f), sigma(a, b))
+            lhs = compose(swap_matrix(tag, c, d), tensor(f, g))
+            rhs = compose(tensor(g, f), swap_matrix(tag, a, b))
             sym.append(("dims (%d,%d)->(%d,%d) sample %d" % (a, b, c, d, s), lhs, rhs))
     asc = []
     for a, b, c in itertools.product(pool, repeat=3):
@@ -325,22 +303,8 @@ def check_scalar_laws(tag: SemiringTag, samples: int = 100, seed: int = 11) -> L
     )
 
 
-def check_compact_structure(
-    tag: SemiringTag,
-    dims=range(7),
-    eta_flip: tuple[int, int] | None = None,
-) -> LawReport:
-    """Snake equations, dagger compatibility of the compact pair, circle value.
-
-    eta_flip=(n, i) corrupts entry i of the cup at dimension n, for mutation
-    coverage.
-    """
-
-    def eta_at(n):
-        m = unit_eta(tag, n)
-        if eta_flip is not None and eta_flip[0] == n:
-            m = flip_entry(m, eta_flip[1], 0)
-        return m
+def check_compact_structure(tag: SemiringTag, dims=range(7)) -> LawReport:
+    """Snake equations, dagger compatibility of the compact pair, circle value."""
 
     def ident(n):
         return MatrixMorphism.identity(tag, n)
@@ -350,7 +314,7 @@ def check_compact_structure(
     dag = []
     circ = []
     for n in dims:
-        eta = eta_at(n)
+        eta = unit_eta(tag, n)
         eps = counit_eps(tag, n)
         lhs = compose(tensor(eps, ident(n)), tensor(ident(n), eta))
         snake_r.append(("dim %d" % n, lhs, ident(n)))

@@ -27,14 +27,16 @@ from .scalars import COMPLEX, DEFAULT_TOLERANCE, SemiringTag, join_tags
 class FrobeniusPresentation:
     """Comonoid (delta, eps) and monoid (mu, unit_e) matrices on one object.
 
-    The flags record which optional laws the presentation claims; they are
-    promises checked by verify_frobenius, not facts enforced here.  Only the
-    shapes are validated on construction.  basis_copy is measured: delta is
-    exactly the basis copy map, mu its transpose, eps and unit_e all ones.
-    So is pairing_deviation, the distance of the pairing eps . mu from the
-    identity pairing, which evaluate_graph checks.  verification, the
-    verify_frobenius report that evaluate_cob requires to pass, is measured
-    on first use and kept; neither is compared or printed.
+    Only the shapes are validated on construction; everything else is
+    measured from the matrices.  basis_copy: delta is exactly the basis
+    copy map, mu its transpose, eps and unit_e all ones.  pairing_deviation:
+    the distance of the pairing eps . mu from the identity pairing.
+    commutative, special and dagger: whether the commutativity, speciality
+    and dagger-structure equations of flag_report pass.  evaluate_graph
+    checks commutative and pairing_deviation.  flag_report and
+    verification, the verify_frobenius report that evaluate_cob requires
+    to pass, are measured on first use and kept; none of these is compared
+    or printed.
     """
 
     dim: int
@@ -42,9 +44,6 @@ class FrobeniusPresentation:
     eps: MatrixMorphism
     mu: MatrixMorphism
     unit_e: MatrixMorphism
-    commutative: bool = False
-    special: bool = False
-    dagger: bool = False
     basis_copy: bool = field(init=False, repr=False, compare=False)
     pairing_deviation: float = field(init=False, repr=False, compare=False)
 
@@ -77,6 +76,24 @@ class FrobeniusPresentation:
         return self.delta.tag
 
     @cached_property
+    def flag_report(self) -> LawReport:
+        """The commutativity, speciality and dagger-structure equations, measured once."""
+        with np.errstate(all="ignore"):  # overflowing data fails its equations
+            return law_report("frobenius", self.tag.tolerance, _flag_laws(self))
+
+    @property
+    def commutative(self) -> bool:
+        return self.flag_report.entries[0].passed
+
+    @property
+    def special(self) -> bool:
+        return self.flag_report.entries[1].passed
+
+    @property
+    def dagger(self) -> bool:
+        return self.flag_report.entries[2].passed
+
+    @cached_property
     def verification(self) -> LawReport:
         """verify_frobenius(self), measured once; dataclasses.replace measures afresh."""
         return verify_frobenius(self)
@@ -86,23 +103,14 @@ def basis_frobenius(d: int, tag: SemiringTag = COMPLEX) -> FrobeniusPresentation
     """The copy/delete presentation attached to the standard basis.
 
     delta copies basis vectors, eps deletes them, and the monoid half is the
-    adjoint pair; every optional flag holds.
+    adjoint pair; it is commutative, special and dagger.
     """
     delta = MatrixMorphism.zeros(tag, d * d, d)
     one = scalars.one(tag).value
     for i in range(d):
         delta.data[i * d + i, i] = one
     eps = MatrixMorphism(tag, [[1] * d], shape=(1, d))
-    return FrobeniusPresentation(
-        dim=d,
-        delta=delta,
-        eps=eps,
-        mu=dagger(delta),
-        unit_e=dagger(eps),
-        commutative=True,
-        special=True,
-        dagger=True,
-    )
+    return FrobeniusPresentation(d, delta, eps, dagger(delta), dagger(eps))
 
 
 def xor_frobenius(tag: SemiringTag = COMPLEX) -> FrobeniusPresentation:
@@ -116,16 +124,7 @@ def xor_frobenius(tag: SemiringTag = COMPLEX) -> FrobeniusPresentation:
     eps = MatrixMorphism(tag, [[1, 0]])
     mu = MatrixMorphism(tag, [[1, 0, 0, 1], [0, 1, 1, 0]])
     unit_e = MatrixMorphism(tag, [[1], [0]])
-    return FrobeniusPresentation(
-        dim=2,
-        delta=delta,
-        eps=eps,
-        mu=mu,
-        unit_e=unit_e,
-        commutative=True,
-        special=(tag.kind == "bool"),
-        dagger=True,
-    )
+    return FrobeniusPresentation(2, delta, eps, mu, unit_e)
 
 
 def hopf_group_z2(tag: SemiringTag = COMPLEX):
@@ -145,7 +144,7 @@ def hopf_group_z2(tag: SemiringTag = COMPLEX):
 
 
 def _flag_laws(p: FrobeniusPresentation) -> list:
-    """The commutativity, speciality and dagger-structure equations, in flag order."""
+    """The commutativity, speciality and dagger-structure equations."""
     sigma = swap_matrix(p.tag, p.dim, p.dim)
     return [
         ("commutativity", [(None, compose(sigma, p.delta), p.delta), (None, compose(p.mu, sigma), p.mu)]),
@@ -155,7 +154,8 @@ def _flag_laws(p: FrobeniusPresentation) -> list:
 
 
 def verify_frobenius(p: FrobeniusPresentation) -> LawReport:
-    """Check the (co)monoid, Frobenius, and flagged laws as matrix equations.
+    """Check the (co)monoid and Frobenius laws as matrix equations, followed
+    by the passing entries of p.flag_report.
 
     Failures are report entries, never exceptions, so unverifiable data over
     restrictive semirings is reported rather than rejected.
@@ -175,9 +175,9 @@ def verify_frobenius(p: FrobeniusPresentation) -> LawReport:
         ("frobenius-left", compose(tensor(ident, p.mu), tensor(p.delta, ident)), frob_mid),
         ("frobenius-right", compose(tensor(p.mu, ident), tensor(ident, p.delta)), frob_mid),
     ]
-    laws = [(name, [(None, lhs, rhs)]) for name, lhs, rhs in checks]
-    laws += [law for law, claimed in zip(_flag_laws(p), (p.commutative, p.special, p.dagger)) if claimed]
-    return law_report("frobenius", tag.tolerance, laws)
+    report = law_report("frobenius", tag.tolerance, [(name, [(None, lhs, rhs)]) for name, lhs, rhs in checks])
+    report.entries += [e for e in p.flag_report.entries if e.passed]
+    return report
 
 
 def spider_matrix(p: FrobeniusPresentation, k: int, l: int, genus: int = 0) -> MatrixMorphism:
@@ -280,8 +280,8 @@ def conjugate_presentation(
 ) -> FrobeniusPresentation:
     """Transport a presentation along an invertible change of basis.
 
-    Commutativity and speciality survive conjugation; the dagger flag is
-    dropped since it only survives unitary changes of basis.
+    Commutativity and speciality survive conjugation; dagger structure
+    survives only a unitary change of basis.  Each is measured afresh.
     """
     tag = p.tag
     ident = MatrixMorphism.identity(tag, p.dim)
@@ -296,7 +296,6 @@ def conjugate_presentation(
         eps=compose(p.eps, f_inv),
         mu=compose(f, compose(p.mu, tensor(f_inv, f_inv))),
         unit_e=compose(f, p.unit_e),
-        dagger=False,
     )
 
 
@@ -308,8 +307,8 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
     lists (complex entries may be [re, im] pairs) or, over booleans, to
     {"rel": [[x, y], ...]} pair lists resolved against element names;
     "frobenius" mapping atoms to "basis" or to explicit delta/eps/mu/e
-    matrices, whose optional flags are measured from the data.  A
-    tolerance applies to complex data only; exact semirings reject one.
+    matrices.  A tolerance applies to complex data only; exact semirings
+    reject one.
     """
     if not isinstance(data, dict):
         raise ValueError("interpretation: must be a JSON object")
@@ -407,12 +406,9 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
             raise ValueError(f"frobenius.{atom}: missing {', '.join(missing)}")
         delta, eps, mu, unit_e = (matrix(f"frobenius.{atom}.{k}", value[k]) for k in keys)
         try:
-            p = FrobeniusPresentation(delta.cols, delta, eps, mu, unit_e)
+            frobenius_data[atom] = FrobeniusPresentation(delta.cols, delta, eps, mu, unit_e)
         except ShapeMismatch as exc:
             raise ValueError(f"frobenius.{atom}: {exc}") from None
-        report = law_report("frobenius", tag.tolerance, _flag_laws(p))
-        commutative, special, daggered = (e.passed for e in report.entries)
-        frobenius_data[atom] = replace(p, commutative=commutative, special=special, dagger=daggered)
 
     return Interpretation(
         tag=tag,

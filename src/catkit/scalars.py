@@ -73,7 +73,8 @@ def _nat_distance(a, b) -> float:
 
 
 def _complex_distance(a, b) -> float:
-    d = a - b
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which max keeps: a non-finite entry is never close
+        d = a - b
     return float(np.max(np.maximum(np.abs(d.real), np.abs(d.imag))))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagram.graphs import OpenGraph, SpiderNode, Wiring
 from .diagram.terms import Gen, ObjectWord, UnknownName, typecheck
-from .frobenius import COB_ATOMS, cob_atom
+from .frobenius import COB_ATOMS, _single_atom, cob_atom
 from .matcat import MatrixMorphism, dagger
 from .presentations import (  # noqa: F401  (the names moved there stay reachable here)
     FrobeniusPresentation, Interpretation, _copy3, basis_frobenius, check_frobenius_morphism,
@@ -319,10 +319,10 @@ def _assemble(dtype, parts, boundary):
 def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
     """Evaluate a single-atom cobordism term from one presentation.
 
-    The presentation must verify (including its claimed flags) before any
-    evaluation happens; it is verified once, on its first evaluation.  A
-    dagger turns the surface end for end: ``interpret`` reads a daggered
-    spider as the reversed spider, so no dagger structure is needed.
+    The presentation must verify before any evaluation happens; it is
+    verified once, on its first evaluation.  A dagger turns the surface
+    end for end: ``interpret`` reads a daggered spider as the reversed
+    spider, so no dagger structure is needed.
     """
     report = p.verification
     if not report.ok:
@@ -336,8 +336,7 @@ def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
     except Exception:
         cob_atom([term])  # the walk's own faults and the atom check come before a type error
         raise
-    if len(atoms) > 1:
-        raise ValueError(f"expected a single atom, found {sorted(atoms)}")
+    _single_atom(atoms, COB_ATOMS)  # raises if the walk met a second atom
     return net.contract(p.tag, outs, ins)
 
 
@@ -348,7 +347,9 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
     this is only sound when every spider tensor is invariant under leg
     permutation and the pairing eps . mu it induces is the plain identity
     pairing.  Both hold for commutative presentations whose pairing matches
-    the Kronecker cup, and that is checked up front.  Boxes keep their
+    the Kronecker cup.  Each spider atom's presentation is checked up
+    front on two measured facts: it is commutative, and its
+    pairing_deviation is within tolerance.  Boxes keep their
     orientation from the stored domain/codomain split, so no condition is
     needed for them.  A basis-copy spider joins the wires on its ports.
     """

@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite (seeded, reproducible)."""
+"""Shared random generators (seeded, reproducible) and mutation helpers for the test suite."""
 
 from __future__ import annotations
 
@@ -21,6 +21,13 @@ def random_matrix(tag: SemiringTag, rows: int, cols: int, rng: random.Random) ->
             else:
                 m.data[i, j] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     return m
+
+
+def flip_entry(m: MatrixMorphism, i: int, j: int) -> MatrixMorphism:
+    """A copy of m with entry (i, j) toggled between zero and one."""
+    data = m.data.copy()
+    data[i, j] = 0 if data[i, j] else 1
+    return MatrixMorphism._raw(m.tag, data)
 
 
 def random_scalar(tag: SemiringTag, rng: random.Random):

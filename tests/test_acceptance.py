@@ -18,7 +18,6 @@ from catkit.lawcheck import (
     check_coherence,
     check_compact_structure,
     check_scalar_laws,
-    flip_entry,
     negative_suite,
 )
 from catkit.matcat import (
@@ -46,7 +45,7 @@ import dataclasses
 
 from corpus import make_rng, random_cob_term, rewrite_randomly, random_term, standard_signature
 from fuse_reference import rewrite
-from helpers import random_matrix, swap_built_unitary
+from helpers import flip_entry, random_matrix, swap_built_unitary
 
 Z = ObjectWord((("Z", False),))
 ZSIG = cob_signature("Z")

@@ -17,22 +17,47 @@ from catkit.lawcheck import (
     check_hopf_bialgebra,
     check_naturality_squares,
     check_scalar_laws,
-    flip_entry,
     law_report,
     merge_reports,
     negative_suite,
     random_matrix,
 )
-from catkit.matcat import MatrixMorphism, ShapeMismatch
+from catkit.matcat import MatrixMorphism, ShapeMismatch, dagger, swap_matrix, unit_eta
 from catkit.scalars import BOOL, COMPLEX, NAT
 from catkit.tqft import basis_frobenius, hopf_group_z2, verify_frobenius
 
-from helpers import ALL_TAGS
+from helpers import ALL_TAGS, flip_entry
 
 
 def plain_interp(tag=COMPLEX, dims=None):
     # the naturality checker only needs a tag and an object-to-dimension map
     return types.SimpleNamespace(tag=tag, object_dims=dims or {"A": 2, "B": 3})
+
+
+# Mutants for monkeypatching into lawcheck: each breaks one structure map the
+# batteries build, so a test can show the battery notices.
+def transposed_swap(tag, a, b):
+    return dagger(swap_matrix(tag, a, b))
+
+
+def swap_flipped_at(a, b, i, j):
+    """swap_matrix with entry (i, j) of the (a, b) symmetry toggled."""
+
+    def swap(tag, x, y):
+        m = swap_matrix(tag, x, y)
+        return flip_entry(m, i, j) if (x, y) == (a, b) else m
+
+    return swap
+
+
+def eta_flipped_at(n, i):
+    """unit_eta with entry i of the dimension-n cup toggled."""
+
+    def eta(tag, k):
+        m = unit_eta(tag, k)
+        return flip_entry(m, i, 0) if k == n else m
+
+    return eta
 
 
 class TestCoherence:
@@ -90,14 +115,18 @@ class TestCoherence:
         assert check_coherence(BOOL).ok
         assert seen and all(m.tag == BOOL and m.data.dtype == np.bool_ for m in seen)
 
-    def test_mutants_still_fail_after_a_clean_battery(self):
+    def test_mutants_still_fail_after_a_clean_battery(self, monkeypatch):
         for tag in ALL_TAGS:
             assert check_coherence(tag).ok
             assert check_naturality_squares(plain_interp(tag)).ok
             assert check_compact_structure(tag).ok
-        assert not check_naturality_squares(plain_interp(), sigma_flip=(2, 3, 0, 1)).entry("symmetry-naturality").passed
-        assert not check_naturality_squares(plain_interp(), transpose_sigma=True).entry("symmetry-naturality").passed
-        assert not check_compact_structure(COMPLEX, eta_flip=(3, 1)).entry("snake-right").passed
+        with monkeypatch.context() as m:
+            m.setattr(lawcheck, "swap_matrix", swap_flipped_at(2, 3, 0, 1))
+            assert not check_naturality_squares(plain_interp()).entry("symmetry-naturality").passed
+            m.setattr(lawcheck, "swap_matrix", transposed_swap)
+            assert not check_naturality_squares(plain_interp()).entry("symmetry-naturality").passed
+            m.setattr(lawcheck, "unit_eta", eta_flipped_at(3, 1))
+            assert not check_compact_structure(COMPLEX).entry("snake-right").passed
         assert check_coherence(COMPLEX).ok
 
 
@@ -115,19 +144,22 @@ class TestNaturality:
     def test_default_dimension_pool(self):
         assert check_naturality_squares(plain_interp(dims={})).ok
 
-    def test_transposed_symmetry_is_caught(self):
-        report = check_naturality_squares(plain_interp(), transpose_sigma=True)
+    def test_transposed_symmetry_is_caught(self, monkeypatch):
+        monkeypatch.setattr(lawcheck, "swap_matrix", transposed_swap)
+        report = check_naturality_squares(plain_interp())
         assert not report.ok
         bad = report.entry("symmetry-naturality")
         assert not bad.passed and bad.witness
 
-    def test_single_flipped_entry_is_caught(self):
-        report = check_naturality_squares(plain_interp(), sigma_flip=(2, 3, 0, 1))
+    def test_single_flipped_entry_is_caught(self, monkeypatch):
+        monkeypatch.setattr(lawcheck, "swap_matrix", swap_flipped_at(2, 3, 0, 1))
+        report = check_naturality_squares(plain_interp())
         assert not report.entry("symmetry-naturality").passed
 
-    def test_flip_on_square_block_is_caught(self):
+    def test_flip_on_square_block_is_caught(self, monkeypatch):
         # equal dims make the swap symmetric, so this exercises a distinct case
-        report = check_naturality_squares(plain_interp(), sigma_flip=(2, 2, 0, 1))
+        monkeypatch.setattr(lawcheck, "swap_matrix", swap_flipped_at(2, 2, 0, 1))
+        report = check_naturality_squares(plain_interp())
         assert not report.entry("symmetry-naturality").passed
 
 
@@ -158,13 +190,15 @@ class TestCompactStructure:
             "circle-dimension",
         ]
 
-    def test_flipped_bend_entry_is_caught(self):
-        report = check_compact_structure(COMPLEX, eta_flip=(3, 1))
+    def test_flipped_bend_entry_is_caught(self, monkeypatch):
+        monkeypatch.setattr(lawcheck, "unit_eta", eta_flipped_at(3, 1))
+        report = check_compact_structure(COMPLEX)
         assert not report.ok
         assert not report.entry("snake-right").passed
 
-    def test_flip_outside_diagonal_is_caught(self):
-        report = check_compact_structure(COMPLEX, eta_flip=(2, 1))
+    def test_flip_outside_diagonal_is_caught(self, monkeypatch):
+        monkeypatch.setattr(lawcheck, "unit_eta", eta_flipped_at(2, 1))
+        report = check_compact_structure(COMPLEX)
         assert not report.ok
 
 

@@ -26,11 +26,11 @@ from catkit.diagram import (
     Swap,
     TypeMismatch,
     UnknownName,
+    graph_eq,
     to_graph,
     typecheck,
 )
 from catkit.frobenius import cob_signature, delta, eps, eq_cob, mu, unit
-from catkit.lawcheck import flip_entry
 from catkit.matcat import MatrixMorphism, ShapeMismatch, compose, dagger, max_deviation, swap_matrix, tensor
 from catkit import presentations
 from catkit import tqft as tqft_module
@@ -52,7 +52,7 @@ from catkit.tqft import (
 )
 
 from corpus import closed_surface, make_rng, random_cob_term, random_term, rewrite_randomly, standard_signature
-from helpers import random_matrix
+from helpers import flip_entry, random_matrix
 
 Z = ObjectWord((("Z", False),))
 ZSIG = cob_signature("Z")
@@ -107,6 +107,13 @@ class TestBasisPresentation:
     def test_verifies_for_all_small_dims(self, d, tag):
         assert verify_frobenius(basis_frobenius(d, tag)).ok
 
+    def test_flags_are_not_settable(self):
+        p = basis_frobenius(2, COMPLEX)
+        with pytest.raises(TypeError):
+            FrobeniusPresentation(2, p.delta, p.eps, p.mu, p.unit_e, commutative=True)
+        with pytest.raises(TypeError):
+            dataclasses.replace(p, special=False)
+
     def test_shape_validation(self):
         p = basis_frobenius(2, COMPLEX)
         with pytest.raises(ShapeMismatch):
@@ -136,18 +143,21 @@ class TestVerifyFrobenius:
     def test_xor_is_not_special_over_complex(self):
         x = xor_frobenius(COMPLEX)
         assert not x.special
-        claimed = dataclasses.replace(x, special=True)
-        report = verify_frobenius(claimed)
-        assert not report.entry("speciality").passed
-        assert report.entry("speciality").deviation == pytest.approx(1.0)
+        assert not x.flag_report.entry("speciality").passed
+        assert x.flag_report.entry("speciality").deviation == pytest.approx(1.0)
+        # verify_frobenius lists the flag equations that pass, and only those
+        assert verify_frobenius(x).ok
+        assert "speciality" not in verify_frobenius(x).names()
 
     def test_nan_in_one_pair_fails_its_law(self):
         # the nan in mu reaches only the second commutativity equation; the first is exact
         p = basis_frobenius(2, COMPLEX)
         mu = cmat([[1, 0, 0, 0], [0, 0, 0, float("nan")]])
-        entry = verify_frobenius(dataclasses.replace(p, mu=mu)).entry("commutativity")
-        assert not entry.passed
+        q = dataclasses.replace(p, mu=mu)
+        entry = q.flag_report.entry("commutativity")
+        assert not entry.passed and not q.commutative
         assert np.isnan(entry.deviation)
+        assert "commutativity" not in verify_frobenius(q).names()
 
     def test_failures_are_entries_not_errors(self):
         tag = COMPLEX
@@ -444,6 +454,34 @@ def _random_conjugated_basis(d, rng):
     return conjugate_presentation(basis_frobenius(d, COMPLEX), f, f_inv)
 
 
+def _matrix_algebra_m2():
+    """M2(C) in the trace-orthonormal basis E11, E22, (E12 + E21)/sqrt 2,
+    i(E12 - E21)/sqrt 2: mu is the matrix product, eps the trace and
+    delta(a) = sum_i (a b_i) (x) b_i.  Every core law holds and the pairing
+    is the identity, but the algebra is not commutative."""
+    r = 1 / math.sqrt(2)
+    b = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, r], [r, 0]], [[0, 1j * r], [-1j * r, 0]]])
+    t = np.einsum("kxy,iyz,jzx->kij", b, b, b)  # t[k, i, j] = tr(b_k b_i b_j)
+    trace = np.trace(b, axis1=1, axis2=2)
+    return FrobeniusPresentation(
+        dim=4,
+        delta=cmat(t.transpose(0, 2, 1).reshape(16, 4).tolist()),  # delta[(k, i), a] = tr(b_k b_a b_i)
+        eps=cmat([trace.tolist()]),
+        mu=cmat(t.reshape(4, 16).tolist()),
+        unit_e=cmat(trace.reshape(4, 1).tolist()),
+    )
+
+
+def _flag_equations_hold(p):
+    """The three optional laws, as MatrixMorphism equalities written out afresh."""
+    sigma, ident = swap_matrix(p.tag, p.dim, p.dim), MatrixMorphism.identity(p.tag, p.dim)
+    return {
+        "commutative": compose(sigma, p.delta) == p.delta and compose(p.mu, sigma) == p.mu,
+        "special": compose(p.mu, p.delta) == ident,
+        "dagger": dagger(p.delta) == p.mu and dagger(p.eps) == p.unit_e,
+    }
+
+
 def _complex_orthogonal_basis():
     """Basis presentation conjugated by a complex-orthogonal, non-unitary O.
 
@@ -523,11 +561,10 @@ class TestCobordismSoundness:
                 eps=evaluate_cob(eps("Z"), p),
                 mu=evaluate_cob(mu("Z"), p),
                 unit_e=evaluate_cob(unit("Z"), p),
-                commutative=p.commutative,
-                special=p.special,
-                dagger=p.dagger,
             )
             assert verify_frobenius(back).ok
+            assert verify_frobenius(back).names() == verify_frobenius(p).names()
+            assert (back.commutative, back.special, back.dagger) == (p.commutative, p.special, p.dagger)
             assert back.delta == p.delta
 
 
@@ -564,6 +601,14 @@ class TestConjugation:
         p = _random_conjugated_basis(3, make_rng(5))
         assert p.special and p.commutative and not p.dagger
         assert verify_frobenius(p).ok
+
+    def test_unitary_conjugation_keeps_dagger_structure(self):
+        h = cmat([[1 / math.sqrt(2), 1 / math.sqrt(2)], [1 / math.sqrt(2), -1 / math.sqrt(2)]])
+        q = conjugate_presentation(basis_frobenius(2, COMPLEX), h, h)
+        assert q.dagger and q.commutative and q.special
+        report = verify_frobenius(q)
+        assert report.ok
+        assert report.names()[-3:] == ["commutativity", "speciality", "dagger-structure"]
 
     def test_non_inverse_rejected(self):
         f = cmat([[1, 1], [0, 1]])
@@ -650,17 +695,31 @@ class TestEvaluateGraph:
         with pytest.raises(ValueError, match="directional"):
             evaluate_graph(g, interp)
 
+    def test_non_commutative_presentation_rejected(self):
+        # the pairing is the identity, so only the measured commutativity tells
+        p = _matrix_algebra_m2()
+        assert verify_frobenius(p).ok and p.pairing_deviation < 1e-12
+        assert not p.commutative and not p.special and p.dagger
+        interp = cob_interp(p)
+        merge, swapped = Spider("Z", 2, 1), Seq(Spider("Z", 2, 1), Swap(Z, Z))
+        assert graph_eq(to_graph(merge, ZSIG), to_graph(swapped, ZSIG))
+        assert interpret(merge, interp) != interpret(swapped, interp)
+        for term in (merge, swapped):
+            with pytest.raises(ValueError, match="directional"):
+                evaluate_graph(to_graph(term, ZSIG), interp)
+
     def test_pairing_is_measured_once_per_presentation(self, monkeypatch):
         p = basis_frobenius(2, COMPLEX)
         assert p.pairing_deviation == 0.0
         assert _random_conjugated_basis(2, make_rng(3)).pairing_deviation > 1e-3
         interp = cob_interp(p)
         g = to_graph(Seq(Spider("Z", 1, 0), Seq(Spider("Z", 2, 1), Seq(Spider("Z", 1, 2), Spider("Z", 0, 1)))), ZSIG)
+        assert evaluate_graph(g, interp) == cmat([[2]])  # measures the flags, on first use
 
         def boom(*args):
-            raise AssertionError("evaluate_graph measured the pairing again")
+            raise AssertionError("evaluate_graph measured the pairing or the flags again")
 
-        # the presentation measures its pairing where it is defined
+        # the presentation measures its pairing where it is defined, and its flags once
         monkeypatch.setattr(presentations, "compose", boom)
         monkeypatch.setattr(presentations, "max_deviation", boom)
         assert evaluate_graph(g, interp) == cmat([[2]])
@@ -723,17 +782,19 @@ class TestJsonLoader:
     def test_measured_flags_agree_with_verified_laws(self):
         presentations = [basis_frobenius(d, tag) for tag in (BOOL, NAT, COMPLEX) for d in (1, 2, 3)]
         presentations += [xor_frobenius(BOOL), xor_frobenius(COMPLEX), hopf_group_z2(COMPLEX)[0]]
-        presentations += [_random_conjugated_basis(d, make_rng(d)) for d in (2, 3)]
+        presentations += [_random_conjugated_basis(d, make_rng(d)) for d in (2, 3)] + [_matrix_algebra_m2()]
         seen = set()
         flags = [("commutative", "commutativity"), ("special", "speciality"), ("dagger", "dagger-structure")]
         for p in presentations:
             explicit = {"delta": p.delta.tolist(), "eps": p.eps.tolist(), "mu": p.mu.tolist(), "e": p.unit_e.tolist()}
             data = {"semiring": p.tag.kind, "objects": {"Z": p.dim}, "frobenius": {"Z": explicit}}
             q = interpretation_from_data(data).frobenius_data["Z"]
-            report = verify_frobenius(dataclasses.replace(p, commutative=True, special=True, dagger=True))
+            expected = _flag_equations_hold(p)
+            verified = verify_frobenius(q).names()
             for flag, law in flags:
-                assert getattr(q, flag) == report.entry(law).passed, (p, flag)
-                seen.add(getattr(q, flag))
+                assert getattr(q, flag) == getattr(p, flag) == expected[flag], (p, flag)
+                assert (law in verified) == expected[flag], (p, law)
+                seen.add(expected[flag])
         assert seen == {True, False}
 
     def test_complex_entries_as_pairs(self):

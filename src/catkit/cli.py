@@ -97,7 +97,7 @@ def _load_workspace(args):
     interp_path = getattr(args, "interp", None)
     if interp_path:
         data = _read_json(interp_path)
-        ws.interpretation = _load_interpretation(interp_path, data, ws.signature, getattr(args, "tol", None))
+        ws.interpretation = _load_interpretation(interp_path, data, ws.signature)
     return ws
 
 
@@ -149,7 +149,7 @@ def cmd_eq(args):
     for name, term in ((args.first, t1), (args.second, t2)):
         with ws.about(name):
             graph = to_graph(term, ws.signature)
-            graphs.append(fuse(graph, args.special, frobenius) if args.frobenius else graph)
+            graphs.append(fuse(graph, args.special, frobenius) if args.frobenius or args.special else graph)
     g1, g2 = graphs
     if graph_eq(g1, g2):
         print("equal")
@@ -218,12 +218,11 @@ def cmd_laws(args):
                 data = {k: v for k, v in data.items() if k != "generators"}
             interp = _load_interpretation(args.interp, data, tolerance=args.tol)
         tag = interp.tag if interp else (COMPLEX if args.tol is None else complex_tag(args.tol))
-        seed = args.seed if args.seed is not None else 7
         nat_interp = interp if interp else Interpretation(tag, {"A": 2, "B": 3})
         reports = [
             check_coherence(tag),
-            check_naturality_squares(nat_interp, seed=seed),
-            check_scalar_laws(tag, seed=seed),
+            check_naturality_squares(nat_interp, seed=args.seed),
+            check_scalar_laws(tag, seed=args.seed),
             check_compact_structure(tag),
             check_hopf_bialgebra(*hopf_group_z2(COMPLEX)),
         ]
@@ -268,14 +267,13 @@ def _build_parser():
     p_eq.add_argument("first")
     p_eq.add_argument("second")
     p_eq.add_argument("--frobenius", action="store_true", help="fuse spiders before comparing")
-    p_eq.add_argument("--special", action="store_true", help="also discard handles while fusing")
+    p_eq.add_argument("--special", action="store_true", help="fuse as --frobenius does, and discard handles")
     p_eq.set_defaults(func=cmd_eq)
 
     p_eval = sub.add_parser("eval", help="evaluate a diagram to a matrix")
     p_eval.add_argument("file")
     p_eval.add_argument("diagram")
     p_eval.add_argument("--interp", required=True, help="JSON interpretation data")
-    p_eval.add_argument("--tol", type=_tolerance, default=None, help="complex comparison tolerance")
     p_eval.set_defaults(func=cmd_eval)
 
     p_cls = sub.add_parser("classify", help="normal-form classification of a surface diagram")
@@ -285,7 +283,7 @@ def _build_parser():
 
     p_laws = sub.add_parser("laws", help="run the equational law battery and print a report")
     p_laws.add_argument("--interp", default=None, help="JSON interpretation data")
-    p_laws.add_argument("--seed", type=int, default=None)
+    p_laws.add_argument("--seed", type=int, default=7)
     p_laws.add_argument("--tol", type=_tolerance, default=None, help="complex comparison tolerance")
     p_laws.set_defaults(func=cmd_laws)
 

@@ -21,11 +21,11 @@ The token pattern ``_TOKEN`` is the one definition of a token, but
 every symbol with spaces and splits on whitespace (``str.split`` and the
 pattern's ``\\s`` agree on what whitespace is), then matches each
 distinct piece against the pattern.  A piece holding several tokens is
-cut by the pattern; one holding a character that starts no token sends
-the text through one scan of the pattern, which reports that character.
-So the tokens are the pattern's own, as a list of strings ended by the
-empty string; no per-token object is built, and a source position is
-worked out from the text only when a ParseError is raised.
+cut by the pattern; the first character that starts no token is
+reported where it stands in the text.  So the tokens are the pattern's
+own, as a list of strings ended by the empty string; no per-token object
+is built, and a source position is worked out from the text, by
+``_offset``, only when a ParseError is raised.
 
 Expressions are read by one operator-precedence loop over an explicit
 stack of open ``(``, ``dg(``, ``name(`` and ``coname(`` frames, so no
@@ -148,12 +148,11 @@ def tokenize(text):
         if match.end() < len(piece) or not _is_token(match[1]):
             cut[piece] = scan.findall(piece)
     if cut:
-        if not all(_is_token(tok) for toks in cut.values() for tok in toks):
-            # A bad character: the scan of the whole text finds and reports it.
-            tokens = scan.findall(text, _SKIP_RE.match(text).end())
-            last = tokens[-1]
-            raise _error(f"unexpected character {last[0]!r}", text, len(text) - len(last))
         pieces = [tok for piece in pieces for tok in cut.get(piece, (piece,))]
+        if not all(_is_token(tok) for toks in cut.values() for tok in toks):
+            # a bad character, which swallowed the rest of its piece
+            k = next(k for k, tok in enumerate(pieces) if not _is_token(tok))
+            raise _error(f"unexpected character {pieces[k][0]!r}", text, _offset(text, k))
     pieces.append("")
     return pieces
 

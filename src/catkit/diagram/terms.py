@@ -138,7 +138,9 @@ class DiagramTerm:
     a frozen dataclass would give it: a constructor taking the fields in
     order, positionally or by keyword; a ``Seq(after=..., before=...)``
     repr; ``__eq__`` and ``__hash__`` over the fields, equal only within
-    one class; and an AttributeError (FrozenInstanceError) on assignment.
+    one class (``Seq``, ``Par`` and ``Dagger`` replace these two with
+    explicit-stack versions); and an AttributeError (FrozenInstanceError)
+    on assignment.
     The methods are compiled once per class from its fields, as
     ``dataclass`` does, but a node keeps its fields in slots and its
     constructor calls the slots' own setters, which builds a node in about
@@ -244,6 +246,45 @@ class Spider(DiagramTerm):
     atom: str
     legs_in: int
     legs_out: int
+
+
+def _branch_eq(self, other):
+    """Field-wise equality on an explicit stack, each pair of composite subterms compared once."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    todo, seen = [(self, other)], set()
+    while todo:
+        a, b = todo.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        if a.__class__ in _BRANCHES and a.__class__ is b.__class__:
+            seen.add((id(a), id(b)))
+            todo += zip([getattr(a, f) for f in a.__slots__], [getattr(b, f) for f in a.__slots__])
+        elif a != b:  # a leaf's own __eq__; terms of two classes are never equal
+            return False
+    return True
+
+
+def _branch_hash(self):
+    """Hash over the fields' hashes, bottom up on an explicit stack, each subterm hashed once."""
+    hashes = {}  # id(composite subterm) -> its hash; self keeps every id alive
+    todo = [self]
+    while todo:
+        term = todo.pop()
+        fields = [getattr(term, f) for f in term.__slots__]
+        pending = [t for t in fields if t.__class__ in _BRANCHES and id(t) not in hashes]
+        if pending:
+            todo += [term, *pending]
+        elif id(term) not in hashes:
+            hashes[id(term)] = hash(tuple(hashes[id(t)] if id(t) in hashes else hash(t) for t in fields))
+    return hashes[id(self)]
+
+
+# Composites compare and hash without recursing, so a term of any depth,
+# or a DAG sharing subterms, costs one visit per distinct pair or subterm.
+_BRANCHES = frozenset([Seq, Par, Dagger])
+for _cls in _BRANCHES:
+    _cls.__eq__, _cls.__hash__ = _branch_eq, _branch_hash
 
 
 def typecheck(term, sig):

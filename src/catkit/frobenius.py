@@ -223,13 +223,14 @@ def _single_atom(atoms, sig, foreign=()):
     return next((name for name, decl in sig.objects.items() if decl.frobenius), "A")
 
 
-def cob_atom(terms, sig=None):
-    """The one atom of generator-free terms, from an untyped walk of each.
+def cob_atom(terms):
+    """Raise what an untyped walk of each term finds wrong: a generator,
+    a non-term or a second atom.
 
-    The typed callers rerun this when their walk fails: its faults come
+    The typed callers run this when their walk fails: its faults come
     before a type error.
     """
-    return _single_atom(set().union(*(_walk(t, None)[0] for t in terms)), sig or Signature())
+    _single_atom(set().union(*(_walk(t, None)[0] for t in terms)), Signature())
 
 
 def classify_cob(term, sig=None):
@@ -245,7 +246,7 @@ def classify_cob(term, sig=None):
     try:
         atoms, comps, foreign, _ = _walk(term, sig or COB_ATOMS)
     except Exception:
-        cob_atom([term], sig)  # a generator, a non-term or a second atom is reported first
+        cob_atom([term])  # a generator, a non-term or a second atom is reported first
         raise
     return CobordismClass(_single_atom(atoms, sig or Signature(), foreign), comps)
 

@@ -223,10 +223,7 @@ def check_naturality_squares(interp, samples: int = 5, seed: int = 7) -> LawRepo
     tag = interp.tag
     pool = sorted(set(interp.object_dims.values())) or [2, 3]
     rng = random.Random(seed)
-
-    def ident(n):
-        return MatrixMorphism.identity(tag, n)
-
+    unit = MatrixMorphism.identity(tag, 1)
     sym = []
     for a, b in itertools.product(pool, repeat=2):
         for s in range(samples):
@@ -252,10 +249,10 @@ def check_naturality_squares(interp, samples: int = 5, seed: int = 7) -> LawRepo
             a2 = rng.choice(pool)
             f = random_matrix(tag, a2, a, rng)
             lhs = compose(f, left_unit_iso(tag, a))
-            rhs = compose(left_unit_iso(tag, a2), tensor(ident(1), f))
+            rhs = compose(left_unit_iso(tag, a2), tensor(unit, f))
             lun.append(("dim %d sample %d" % (a, s), lhs, rhs))
             lhs = compose(f, right_unit_iso(tag, a))
-            rhs = compose(right_unit_iso(tag, a2), tensor(f, ident(1)))
+            rhs = compose(right_unit_iso(tag, a2), tensor(f, unit))
             run.append(("dim %d sample %d" % (a, s), lhs, rhs))
     return law_report(
         "naturality",
@@ -305,10 +302,6 @@ def check_scalar_laws(tag: SemiringTag, samples: int = 100, seed: int = 11) -> L
 
 def check_compact_structure(tag: SemiringTag, dims=range(7)) -> LawReport:
     """Snake equations, dagger compatibility of the compact pair, circle value."""
-
-    def ident(n):
-        return MatrixMorphism.identity(tag, n)
-
     snake_r = []
     snake_l = []
     dag = []
@@ -316,10 +309,11 @@ def check_compact_structure(tag: SemiringTag, dims=range(7)) -> LawReport:
     for n in dims:
         eta = unit_eta(tag, n)
         eps = counit_eps(tag, n)
-        lhs = compose(tensor(eps, ident(n)), tensor(ident(n), eta))
-        snake_r.append(("dim %d" % n, lhs, ident(n)))
-        lhs = compose(tensor(ident(n), eps), tensor(eta, ident(n)))
-        snake_l.append(("dim %d" % n, lhs, ident(n)))
+        ident = MatrixMorphism.identity(tag, n)
+        lhs = compose(tensor(eps, ident), tensor(ident, eta))
+        snake_r.append(("dim %d" % n, lhs, ident))
+        lhs = compose(tensor(ident, eps), tensor(eta, ident))
+        snake_l.append(("dim %d" % n, lhs, ident))
         dag.append(("dim %d" % n, compose(dagger(eta), swap_matrix(tag, n, n)), eps))
         n_ones = functools.reduce(add, [one(tag)] * n, zero(tag))
         circ.append(("dim %d" % n, compose(eps, eta), MatrixMorphism(tag, [[n_ones.value]])))

@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import scalars
 from .diagram.terms import ObjectWord, Signature, UnknownName
 from .lawcheck import LawReport, law_report
 from .matcat import MatrixMorphism, ShapeMismatch, compose, counit_eps, dagger, max_deviation, swap_matrix, tensor
@@ -105,11 +104,9 @@ def basis_frobenius(d: int, tag: SemiringTag = COMPLEX) -> FrobeniusPresentation
     delta copies basis vectors, eps deletes them, and the monoid half is the
     adjoint pair; it is commutative, special and dagger.
     """
-    delta = MatrixMorphism.zeros(tag, d * d, d)
-    one = scalars.one(tag).value
-    for i in range(d):
-        delta.data[i * d + i, i] = one
-    eps = MatrixMorphism(tag, [[1] * d], shape=(1, d))
+    dtype = tag.ops.dtype
+    delta = MatrixMorphism._raw(tag, _copy3(d, dtype).reshape(d * d, d))
+    eps = MatrixMorphism._raw(tag, np.ones((1, d), dtype))
     return FrobeniusPresentation(d, delta, eps, dagger(delta), dagger(eps))
 
 
@@ -222,6 +219,7 @@ class Interpretation:
     element_names: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.object_dims = dict(self.object_dims)  # the caller's dict gets no inferred dimension
         for atom, p in self.frobenius_data.items():
             if p.tag.kind != self.tag.kind:
                 raise ValueError(f"frobenius data for {atom!r} uses {p.tag.kind}, not {self.tag.kind}")

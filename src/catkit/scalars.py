@@ -28,9 +28,6 @@ class SemiringMismatch(TypeError):
     """Raised when values from two different semirings meet."""
 
 
-KINDS = ("bool", "nat", "complex")
-
-
 def _coerce_bool(raw: object) -> bool:
     if isinstance(raw, bool):
         return raw
@@ -171,11 +168,6 @@ def join_tags(a: SemiringTag, b: SemiringTag) -> SemiringTag:
     return a if a.tolerance >= b.tolerance else b
 
 
-def coerce(tag: SemiringTag, raw: object) -> object:
-    """Validate and normalize a raw payload for the given semiring."""
-    return tag.ops.coerce(raw)
-
-
 @dataclass(frozen=True)
 class ScalarValue:
     """One element of a tagged semiring."""
@@ -184,7 +176,7 @@ class ScalarValue:
     value: object
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", coerce(self.tag, self.value))
+        object.__setattr__(self, "value", self.tag.ops.coerce(self.value))
 
     def __repr__(self) -> str:
         return f"ScalarValue({self.tag.kind}, {self.value!r})"

@@ -167,6 +167,10 @@ class TestEq:
         )
         assert (code, out.strip()) == (0, "equal")
 
+    def test_special_alone_fuses(self, files, capsys):
+        code, out, _ = run(capsys, "eq", files["surfaces.cat"], "handle", "straight", "--special")
+        assert (code, out) == (0, "equal\n")
+
     def test_unknown_name(self, files, capsys):
         code, _, err = run(capsys, "eq", files["surfaces.cat"], "snake", "nosuch")
         assert code == 1
@@ -436,6 +440,21 @@ class TestEval:
             main(["eval", files["surfaces.cat"], "snake"])
         assert exc.value.code == 2
 
+    def test_tolerance_is_not_an_eval_option(self, files, capsys):
+        # eval prints its matrix as it is; no tolerance changes that
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", files["surfaces.cat"], "snake", "--interp", files["dim3.json"], "--tol", "0.5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "catkit: error: unrecognized arguments: --tol 0.5"
+
+    def test_unit_domain_is_labelled_i(self, tmp_path, capsys):
+        p = tmp_path / "state.cat"
+        p.write_text("diag state = cup(A);\n")
+        interp = tmp_path / "a.json"
+        interp.write_text(json.dumps({"semiring": "bool", "objects": {"A": ["a1", "a2"]}}))
+        code, out, _ = run(capsys, "eval", str(p), "state", "--interp", str(interp))
+        assert (code, out) == (0, "[[1], [0], [0], [1]]\n{(I, a1.a1), (I, a2.a2)}\n")
+
 
 class TestClassify:
     def test_torus(self, files, capsys):
@@ -563,12 +582,11 @@ class TestLaws:
         code, out, _ = run(capsys, "laws", "--tol", "0")
         assert (code, out.splitlines()[-1]) == (1, "4 law(s) came out wrong")
 
-    @pytest.mark.parametrize("command", ["laws", "eval"])
+    @pytest.mark.parametrize("command", ["laws"])
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "x"])
-    def test_bad_tolerance_is_a_usage_error(self, files, capsys, command, tol):
-        argv = ["laws"] if command == "laws" else ["eval", files["surfaces.cat"], "snake", "--interp", files["dim3.json"]]
+    def test_bad_tolerance_is_a_usage_error(self, capsys, command, tol):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, f"--tol={tol}"])
+            main([command, f"--tol={tol}"])
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert err.splitlines()[-1] == f"catkit {command}: error: argument --tol: must be a finite number >= 0, got {tol!r}"
@@ -635,18 +653,17 @@ class TestLaws:
         assert out.splitlines()[-1] == "1 law(s) came out wrong"
 
     @pytest.mark.parametrize("semiring", ["bool", "nat"])
-    @pytest.mark.parametrize("command", ["laws", "eval"])
-    def test_tolerance_on_an_exact_semiring_is_one_error_line(self, files, tmp_path, capsys, command, semiring):
+    @pytest.mark.parametrize("command", ["laws"])
+    def test_tolerance_on_an_exact_semiring_is_one_error_line(self, tmp_path, capsys, command, semiring):
         exact = tmp_path / "exact.json"
         exact.write_text(json.dumps({"semiring": semiring, "objects": {"Z": 2}}))
-        argv = ["laws"] if command == "laws" else ["eval", files["surfaces.cat"], "snake"]
-        code, out, err = run(capsys, *argv, "--interp", str(exact), "--tol", "0.5")
+        code, out, err = run(capsys, command, "--interp", str(exact), "--tol", "0.5")
         assert (code, out) == (1, "")
         assert err.splitlines() == [
             f"error: {exact}: a tolerance applies only to the complex semiring, not {semiring!r}"
         ]
         # without --tol the same data runs
-        assert run(capsys, *argv, "--interp", str(exact))[0] == 0
+        assert run(capsys, command, "--interp", str(exact))[0] == 0
 
     @pytest.mark.parametrize("command", ["laws", "eval"])
     def test_unknown_semiring_is_one_error_line(self, files, tmp_path, capsys, command):

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import random
 import re
 from collections import Counter
 
@@ -397,6 +398,42 @@ class TestTermNodes:
             with pytest.raises(AttributeError):
                 t.extra = 1
 
+    def test_deep_terms_compare_and_hash_without_recursion(self):
+        def chain(n, last="f"):
+            t = Gen(last)
+            for k in range(n):
+                t = Seq(Gen("f"), t) if k % 3 else Par(Dagger(t), Id(A))
+            return t
+
+        a, b = chain(20_000), chain(20_000)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != chain(20_000, last="g") and a != chain(19_999)
+
+    def test_shared_subterms_are_compared_and_hashed_once(self):
+        calls = Counter()
+
+        class Leaf:
+            def __eq__(self, other):
+                calls["eq"] += 1
+                return isinstance(other, Leaf)
+
+            def __hash__(self):
+                calls["hash"] += 1
+                return 0
+
+        def doubled(n):  # diag d{k+1} = d{k} >> d{k}: 2^n leaves, n + 1 distinct subterms
+            t = Leaf()
+            for _ in range(n):
+                t = Seq(t, t)
+            return t
+
+        a, b = doubled(64), doubled(64)
+        assert a == b and hash(a) == hash(b)
+        assert calls == {"eq": 2, "hash": 4}
+        text = "gen f : A -> A;\nd0 = f;\n" + "".join(f"d{k + 1} = d{k} >> d{k};\n" for k in range(30))
+        first, second = (parse(text).diagrams["d30"] for _ in range(2))
+        assert first is not second and first == second and hash(first) == hash(second)
+
     def test_pickle_round_trip(self):
         t = Seq(Par(Cup("A"), Spider("Z", 1, 2)), Dagger(Swap(A, B)))
         assert pickle.loads(pickle.dumps(t)) == t
@@ -636,11 +673,20 @@ class TestParseErrorPositions:
                 "object Z frobenius; d = spider(Z,1,1) >> spider(Z,1,;",
                 "expected a leg count, found ';'", 1, 53,
             ),
+            ("gen f : A -> B;\n;", "expected a declaration, found ';'", 2, 1),
+            ("gen f : A -> A; d = f >> object;", "unexpected keyword 'object'", 1, 26),
+            # a name goes to one object, generator or diagram
+            ("d = id(A);\ngen d : A -> A;", "name 'd' already used by a diagram", 2, 5),
+            ("gen f : A -> A;\ngen f : B -> B;", "generator 'f' declared twice", 2, 5),
+            ("gen f : A -> A; object f;", "name 'f' already used by a generator", 1, 24),
+            ("object A; gen A : B -> B;", "name 'A' already used by an object", 1, 15),
         ],
         ids=[
             "after-comment", "after-tab", "crlf", "end", "end-after-comment", "open-paren",
             "spider-args", "reserved", "missing-factor", "half", "dollar", "lone-minus",
             "scan-first", "id-after-id", "cup-after-cup", "spider-after-spider",
+            "not-a-declaration", "keyword-leaf", "gen-over-diagram", "gen-twice",
+            "object-over-gen", "gen-over-object",
         ],
     )
     def test_message_line_and_column(self, text, message, line, col):
@@ -691,6 +737,28 @@ class TestParseErrorPositions:
             assert (str(got), got.line, got.col) == (str(exc), exc.line, exc.col)
         else:
             assert tokenize(text) == expected
+
+    def test_tokenize_agrees_with_the_pattern_on_seeded_text(self):
+        # 20,000 texts of fragments and of single characters; about half hold
+        # a character that starts no token, which must be reported where the
+        # whole-text scan finds it
+        rng, outcomes = random.Random(20), Counter()
+        chars = list("->#;(*f1x_ \t\r\n\x85\x1c\u3000½²٣一Ⅻ$")
+        for k in range(20_000):
+            pool = TOKENIZER_FRAGMENTS if k % 2 else chars
+            text = "".join(rng.choices(pool, k=rng.randrange(16)))
+            try:
+                expected = pattern_tokens(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as excinfo:
+                    tokenize(text)
+                got = excinfo.value
+                assert (str(got), got.line, got.col) == (str(exc), exc.line, exc.col), text
+                outcomes["error"] += 1
+            else:
+                assert tokenize(text) == expected, text
+                outcomes["tokens"] += 1
+        assert min(outcomes.values()) > 5_000, outcomes
 
     def test_patterns_run_on_python_310(self):
         # re accepts possessive quantifiers and atomic groups only from

@@ -119,6 +119,22 @@ def test_payload_validation():
     assert ScalarValue(NAT, 7).value == 7
 
 
+@pytest.mark.parametrize(
+    "tag, raw, message",
+    [
+        (BOOL, 0.5, "not a boolean payload: 0.5"),
+        (BOOL, 2, "not a boolean payload: 2"),
+        (COMPLEX, [1, 2, 3], "not a complex payload: [1, 2, 3]"),
+        (COMPLEX, "i", "not a complex payload: 'i'"),
+        (COMPLEX, None, "not a complex payload: None"),
+    ],
+)
+def test_payload_errors_name_the_payload(tag, raw, message):
+    with pytest.raises(ValueError) as excinfo:
+        ScalarValue(tag, raw)
+    assert str(excinfo.value) == message
+
+
 def test_tag_validation():
     with pytest.raises(ValueError):
         SemiringTag("gf2")

@@ -107,6 +107,19 @@ class TestBasisPresentation:
     def test_verifies_for_all_small_dims(self, d, tag):
         assert verify_frobenius(basis_frobenius(d, tag)).ok
 
+    @pytest.mark.parametrize("tag", [COMPLEX, BOOL, NAT], ids=["complex", "bool", "nat"])
+    @pytest.mark.parametrize("d", range(5))
+    def test_equals_the_entrywise_copy_map(self, d, tag):
+        delta = MatrixMorphism.zeros(tag, d * d, d)
+        for i in range(d):
+            delta.data[i * d + i, i] = tag.ops.one
+        eps = MatrixMorphism(tag, [[1] * d], shape=(1, d))
+        p = basis_frobenius(d, tag)
+        for got, want in ((p.delta, delta), (p.eps, eps), (p.mu, dagger(delta)), (p.unit_e, dagger(eps))):
+            assert got.data.dtype == want.data.dtype
+            assert [(type(x), x) for x in got.data.ravel().tolist()] == [(type(x), x) for x in want.data.ravel().tolist()]
+        assert p.basis_copy and p.pairing_deviation == 0.0
+
     def test_flags_are_not_settable(self):
         p = basis_frobenius(2, COMPLEX)
         with pytest.raises(TypeError):
@@ -724,6 +737,20 @@ class TestEvaluateGraph:
         monkeypatch.setattr(presentations, "max_deviation", boom)
         assert evaluate_graph(g, interp) == cmat([[2]])
 
+    def test_spider_atom_without_presentation(self):
+        interp = Interpretation(COMPLEX, {"Z": 2}, signature=ZSIG)
+        with pytest.raises(UnknownName) as excinfo:
+            evaluate_graph(to_graph(Spider("Z", 1, 1), ZSIG), interp)
+        assert str(excinfo.value) == "no frobenius data for atom 'Z'"
+
+    def test_box_without_matrix(self):
+        sig = Signature()
+        sig.declare_generator("f", ObjectWord.of("A"), ObjectWord.of("A"))
+        interp = Interpretation(COMPLEX, {"A": 2}, signature=sig)
+        with pytest.raises(UnknownName) as excinfo:
+            evaluate_graph(to_graph(Gen("f"), sig), interp)
+        assert str(excinfo.value) == "no matrix assigned to generator 'f'"
+
     def test_empty_graph_is_the_unit_scalar(self):
         interp = cob_interp(basis_frobenius(2, COMPLEX))
         g = to_graph(Id(ObjectWord(())), ZSIG)
@@ -832,10 +859,63 @@ class TestJsonLoader:
         with pytest.raises(ValueError, match="boolean"):
             interpretation_from_data(data, sig)
 
+    @pytest.mark.parametrize(
+        "data, gen_type, message",
+        [
+            (
+                {"semiring": "bool", "objects": {"A": 2}, "generators": {"f": {"rel": [["a", 0]]}}},
+                ("A", "A"),
+                "generators.f: atom 'A' has no named elements for 'a'",
+            ),
+            (
+                {"semiring": "bool", "objects": {"A": 2}, "generators": {"f": {"rel": []}}},
+                None,
+                "pair-list generator 'f' needs a declared signature",
+            ),
+            (
+                {"semiring": "bool", "objects": {"A": 2}, "generators": {"f": {"rel": []}}},
+                ("A x A", "A"),
+                "pair-list generator 'f' needs single-atom endpoints",
+            ),
+            (
+                {"semiring": "complex", "objects": {}, "frobenius": {"Z": "basis"}},
+                None,
+                "frobenius atom 'Z' has no declared dimension",
+            ),
+        ],
+        ids=["unnamed-elements", "no-signature", "two-atom-domain", "basis-without-dimension"],
+    )
+    def test_data_errors(self, data, gen_type, message):
+        sig = None
+        if gen_type:
+            sig = Signature()
+            sig.declare_generator("f", *(ObjectWord.of(*w.split(" x ")) for w in gen_type))
+        with pytest.raises(ValueError) as excinfo:
+            interpretation_from_data(data, sig)
+        assert str(excinfo.value) == message
+
     def test_tolerance_override_applies_to_complex(self):
         data = {"semiring": "complex", "objects": {"A": 1}}
         interp = interpretation_from_data(data, tolerance=1e-3)
         assert interp.tag.tolerance == 1e-3
+
+
+class TestInterpretation:
+    def test_semiring_of_every_matrix_must_match(self):
+        with pytest.raises(ValueError) as excinfo:
+            Interpretation(BOOL, {}, frobenius_data={"Z": basis_frobenius(2, COMPLEX)})
+        assert str(excinfo.value) == "frobenius data for 'Z' uses complex, not bool"
+        with pytest.raises(ValueError) as excinfo:
+            Interpretation(NAT, {}, gen_matrices={"f": MatrixMorphism(BOOL, [[1]])})
+        assert str(excinfo.value) == "generator 'f' uses bool, not nat"
+
+    def test_caller_dimensions_are_not_written_to(self):
+        # the inferred dimension of Z goes into the interpretation's own dict
+        dims = {"A": 2}
+        two = Interpretation(COMPLEX, dims, frobenius_data={"Z": basis_frobenius(2)})
+        three = Interpretation(COMPLEX, dims, frobenius_data={"Z": basis_frobenius(3)})
+        assert dims == {"A": 2}
+        assert (two.object_dims, three.object_dims) == ({"A": 2, "Z": 2}, {"A": 2, "Z": 3})
 
 
 def _kron_power(m, n):

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .terms import Cap, Cup, Dagger, DiagramTerm, Gen, Id, Par, Seq, Spider, Swap, leaf_type, mismatch
+from .terms import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap, leaf_type, mismatch
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,6 @@ class BoxNode:
     def n_ports(self):
         return len(self.dom) + len(self.cod)
 
-    def flipped(self):
-        return BoxNode(self.name, not self.daggered, self.cod, self.dom)
-
 
 @dataclass(frozen=True)
 class SpiderNode:
@@ -65,9 +62,6 @@ class SpiderNode:
     @property
     def n_ports(self):
         return self.degree
-
-    def flipped(self):
-        return self
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,7 @@ class Wiring:
 
     Labels are integers.  Each carries a value: what ``of_atom`` gives for
     the atom of an identity, symmetry or bend wire, or what a leaf passes
-    to ``fresh``.
+    to ``fresh`` or ``label``.
     """
 
     def __init__(self, of_atom):
@@ -104,6 +98,13 @@ class Wiring:
         self.values.extend(values)
         self.parent.extend(labels)
         return labels
+
+    def label(self, value):
+        """One new label."""
+        x = len(self.parent)
+        self.values.append(value)
+        self.parent.append(x)
+        return x
 
     def word(self, word):
         """New labels, one per factor of an object word."""
@@ -128,60 +129,57 @@ class Wiring:
         sig=None, for classification without one, leaves both tuples empty.
         """
         done = []  # (ins, outs, dom, cod) of each finished subterm
-        by_id, by_value = {}, {}  # leaf types; leaves of different classes are never equal
-        parent, find = self.parent, self.find
-        todo = [(term, False)]  # (subterm, dagger parity) to visit, or (composite, its class) to finish
+        by_value = {}  # leaf types by value
+        values, parent, find, of_atom = self.values, self.parent, self.find, self.of_atom
+        todo = [(term, False)]  # (subterm, dagger parity) to visit, or (class, None) to finish a composite
         while todo:
             t, flip = todo.pop()
-            if flip is Seq:
-                mids2, outs, expected, cod = done.pop()
-                ins, mids, dom, produced = done[-1]
-                if produced != expected:
-                    raise mismatch(produced, expected)
-                for x, y in zip(mids, mids2):
-                    parent[find(x)] = find(y)
-                done[-1] = ins, outs, dom, cod
-            elif flip is Par:
-                ins2, outs2, dom2, cod2 = done.pop()
-                ins, outs, dom, cod = done[-1]
-                done[-1] = ins + ins2, outs + outs2, dom + dom2, cod + cod2
-            elif flip is Dagger:
-                ins, outs, dom, cod = done[-1]
-                done[-1] = outs, ins, cod, dom
-            elif isinstance(t, Seq):
-                todo += ((t, Seq), (t.after, flip), (t.before, flip))
-            elif isinstance(t, Par):
-                todo += ((t, Par), (t.right, flip), (t.left, flip))
-            elif isinstance(t, Dagger):
-                todo += ((t, Dagger), (t.inner, not flip))
+            if flip is None:  # finish a composite of class t
+                if t is Seq:
+                    mids2, outs, expected, cod = done.pop()
+                    ins, mids, dom, produced = done[-1]
+                    if produced != expected:
+                        raise mismatch(produced, expected)
+                    for x, y in zip(mids, mids2):
+                        parent[x if parent[x] == x else find(x)] = y if parent[y] == y else find(y)
+                    done[-1] = ins, outs, dom, cod
+                elif t is Par:
+                    ins2, outs2, dom2, cod2 = done.pop()
+                    ins, outs, dom, cod = done[-1]
+                    done[-1] = ins + ins2, outs + outs2, dom + dom2, cod + cod2
+                else:
+                    ins, outs, dom, cod = done[-1]
+                    done[-1] = outs, ins, cod, dom
+            elif (cls := t.__class__) is Seq:  # the node classes are final
+                todo += ((Seq, None), (t.after, flip), (t.before, flip))
+            elif cls is Par:
+                todo += ((Par, None), (t.right, flip), (t.left, flip))
+            elif cls is Dagger:
+                todo += ((Dagger, None), (t.inner, not flip))
             else:
                 if sig is None:
-                    types = ((), ())
-                elif isinstance(t, Spider):  # the commonest leaf: its fields are a cheaper key than its id
-                    key = (t.atom, t.legs_in, t.legs_out)
-                    types = by_value.get(key) or by_value.setdefault(key, leaf_type(t, sig))
-                else:
-                    types = by_id.get(id(t))
-                    if types is None:
-                        if isinstance(t, Gen) or not isinstance(t, DiagramTerm):
-                            # a generator's type is one signature lookup already; a stray list is unhashable
-                            types = leaf_type(t, sig)
-                        else:
-                            types = by_value.get(t) or by_value.setdefault(t, leaf_type(t, sig))
-                        by_id[id(t)] = types
-                if isinstance(t, (Gen, Spider)):
+                    dom = cod = ()
+                elif cls is Gen or cls not in (Spider, Id, Swap, Cup, Cap):
+                    dom, cod = leaf_type(t, sig)  # one signature lookup for a generator; a stray list is unhashable
+                else:  # the commonest leaves' fields hash faster than the leaves; no two classes' keys are equal
+                    key = (t.atom, t.legs_in, t.legs_out) if cls is Spider else t.word.factors if cls is Id else t
+                    dom, cod = by_value.get(key) or by_value.setdefault(key, leaf_type(t, sig))
+                if cls is Spider or cls is Gen:
                     ins, outs = leaf(t, flip)
-                elif isinstance(t, Id):
-                    ins = outs = self.word(t.word)
-                elif isinstance(t, Swap):
+                elif cls is Id:  # labels made here, saving word()'s and fresh()'s calls
+                    x = len(parent)
+                    values += [of_atom(atom) for atom, _ in t.word.factors]
+                    ins = outs = [*range(x, len(values))]
+                    parent += ins
+                elif cls is Cup or cls is Cap:
+                    x = self.label(of_atom(t.atom))
+                    ins, outs = ([], [x, x]) if cls is Cup else ([x, x], [])
+                elif cls is Swap:
                     left, right = self.word(t.left), self.word(t.right)
                     ins, outs = left + right, right + left
-                elif isinstance(t, (Cup, Cap)):
-                    labels = self.fresh([self.of_atom(t.atom)]) * 2
-                    ins, outs = ([], labels) if isinstance(t, Cup) else (labels, [])
                 else:
                     raise TypeError(f"not a diagram term: {t!r}")
-                done.append((ins, outs) + types)
+                done.append((ins, outs, dom, cod))
         return done.pop()
 
 
@@ -191,16 +189,17 @@ def to_graph(term, sig):
     nodes, ports = [], []
 
     def leaf(t, flip):
-        if isinstance(t, Gen):
+        if t.__class__ is Gen:
             decl = sig.generators[t.name]
-            node = BoxNode(t.name, False, decl.dom, decl.cod)
+            # under a dagger the codomain wires are the domain ports
+            nodes.append(BoxNode(t.name, flip, *((decl.cod, decl.dom) if flip else (decl.dom, decl.cod))))
             ins, outs = wiring.word(decl.dom), wiring.word(decl.cod)
-        else:
-            node = SpiderNode(t.atom, t.legs_in + t.legs_out)
-            ins, outs = wiring.fresh([t.atom] * t.legs_in), wiring.fresh([t.atom] * t.legs_out)
-        # under a dagger the codomain wires are the domain ports
-        nodes.append(node.flipped() if flip else node)
-        ports.append(outs + ins if flip else ins + outs)
+            ports.append(outs + ins if flip else ins + outs)
+            return ins, outs
+        labels = wiring.fresh([t.atom] * (t.legs_in + t.legs_out))
+        nodes.append(SpiderNode(t.atom, len(labels)))
+        ins, outs = labels[:t.legs_in], labels[t.legs_in:]
+        ports.append(outs + ins if flip else labels)
         return ins, outs
 
     ins, outs, dom, cod = wiring.walk(term, leaf, sig)
@@ -210,7 +209,7 @@ def to_graph(term, sig):
     ends = {}  # union-find root -> the two terminals of its wire
     for end, x in labelled:
         ends.setdefault(wiring.find(x), []).append(end)
-    roots = {wiring.find(x) for x in range(len(wiring.values))}
+    roots = {x for x, root in enumerate(wiring.parent) if x == root}
     return OpenGraph(
         nodes=tuple(nodes),
         wires=tuple(tuple(pair) for pair in ends.values()),

@@ -136,15 +136,17 @@ class DiagramTerm:
 
     A node class names its fields in ``__slots__`` and gets from here what
     a frozen dataclass would give it: a constructor taking the fields in
-    order, positionally or by keyword; a ``Seq(after=..., before=...)``
-    repr; ``__eq__`` and ``__hash__`` over the fields, equal only within
-    one class (``Seq``, ``Par`` and ``Dagger`` replace these two with
-    explicit-stack versions); and an AttributeError (FrozenInstanceError)
-    on assignment.
-    The methods are compiled once per class from its fields, as
-    ``dataclass`` does, but a node keeps its fields in slots and its
-    constructor calls the slots' own setters, which builds a node in about
-    two thirds of a frozen dataclass's time; no decorator runs on import.
+    order, positionally or by keyword; ``__eq__`` and ``__hash__`` over
+    the fields, equal only within one class (``Seq``, ``Par`` and
+    ``Dagger`` replace these two with explicit-stack versions); a
+    ``Seq(after=..., before=...)`` repr, written out on an explicit stack;
+    and an AttributeError (FrozenInstanceError) on assignment.  The node
+    classes are final: the layers that walk a term dispatch on its class.
+    The constructor, ``__eq__`` and ``__hash__`` are compiled once per
+    class from its fields, as ``dataclass`` does, but a node keeps its
+    fields in slots and its constructor calls the slots' own setters, which
+    builds a node in about two thirds of a frozen dataclass's time; no
+    decorator runs on import.
     """
 
     __slots__ = ()
@@ -152,7 +154,6 @@ class DiagramTerm:
     def __init_subclass__(cls):
         fields = cls.__match_args__ = cls.__slots__
         own = "".join(f"self.{f}, " for f in fields)  # "self.a, self.b, ", inside a tuple display
-        shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
         source = f"""
 def __init__(self, {', '.join(fields)}):
     {'; '.join(f'set_{f}(self, {f})' for f in fields)}
@@ -162,12 +163,10 @@ def __eq__(self, other):
     return ({own}) == ({own.replace('self.', 'other.')})
 def __hash__(self):
     return hash(({own}))
-def __repr__(self):
-    return f"{cls.__qualname__}({shown})"
 """
         methods = {f"set_{f}": cls.__dict__[f].__set__ for f in fields}  # the slots' own setters
         exec(source, methods)
-        for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        for name in ("__init__", "__eq__", "__hash__"):
             setattr(cls, name, methods[name])
 
     def __setattr__(self, name, value):
@@ -178,6 +177,19 @@ def __repr__(self):
 
     def __reduce__(self):  # so pickle and copy rebuild a node through its constructor
         return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        """``Seq(after=..., before=...)``, written out on an explicit stack."""
+        out, todo = [], [(False, self)]  # (is text, the text or a value to show)
+        while todo:
+            text, t = todo.pop()
+            if text or not isinstance(t, DiagramTerm):
+                out.append(t if text else repr(t))
+                continue
+            todo.append((True, ")"))
+            for k, f in reversed([*enumerate(t.__slots__)]):
+                todo += (False, getattr(t, f)), (True, f"{', ' if k else type(t).__qualname__ + '('}{f}=")
+        return "".join(out)
 
 
 class Gen(DiagramTerm):
@@ -306,7 +318,8 @@ def typecheck(term, sig):
         t, expanded = todo.pop()
         if id(t) in types:
             continue
-        if isinstance(t, Seq):
+        cls = t.__class__  # the node classes are final
+        if cls is Seq:
             if not expanded:
                 todo += [(t, True), (t.after, False), (t.before, False)]
                 continue
@@ -314,18 +327,18 @@ def typecheck(term, sig):
             if produced != expected:
                 raise mismatch(produced, expected)
             types[id(t)] = dom, cod
-        elif isinstance(t, Par):
+        elif cls is Par:
             if not expanded:
                 todo += [(t, True), (t.right, False), (t.left, False)]
                 continue
             (ldom, lcod), (rdom, rcod) = types[id(t.left)], types[id(t.right)]
             types[id(t)] = ldom + rdom, lcod + rcod
-        elif isinstance(t, Dagger):
+        elif cls is Dagger:
             if not expanded:
                 todo += [(t, True), (t.inner, False)]
                 continue
             types[id(t)] = types[id(t.inner)][::-1]
-        elif isinstance(t, Gen) or not isinstance(t, DiagramTerm):
+        elif cls is Gen or cls not in (Id, Swap, Cup, Cap, Spider):
             # a generator's type is one signature lookup already; a stray list is unhashable
             types[id(t)] = leaf_type(t, sig)
         else:
@@ -346,22 +359,23 @@ def mismatch(produced, expected):
 
 def leaf_type(term, sig):
     """The (dom, cod) factor tuples of a leaf of a term."""
-    if isinstance(term, Gen):
+    cls = term.__class__
+    if cls is Gen:
         decl = sig.generators.get(term.name)
         if decl is None:
             raise UnknownName(f"unknown generator {term.name!r}")
         return decl.dom.factors, decl.cod.factors
-    if isinstance(term, Id):
+    if cls is Id:
         word = sig.normalize(term.word).factors
         return word, word
-    if isinstance(term, Swap):
+    if cls is Swap:
         left, right = sig.normalize(term.left).factors, sig.normalize(term.right).factors
         return left + right, right + left
-    if isinstance(term, Cup):
+    if cls is Cup:
         return (), sig.normalize(ObjectWord(((term.atom, True), (term.atom, False)))).factors
-    if isinstance(term, Cap):
+    if cls is Cap:
         return sig.normalize(ObjectWord(((term.atom, False), (term.atom, True)))).factors, ()
-    if isinstance(term, Spider):
+    if cls is Spider:
         decl = sig.objects.get(term.atom)
         if decl is None:
             raise UnknownName(f"unknown object {term.atom!r}")

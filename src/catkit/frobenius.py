@@ -170,22 +170,23 @@ def _walk(term, sig):
     spider and no slot is a closed circle of bare wire, a torus.  An
     untyped walk raises at a generator, a typed one names the first.
     """
-    atoms, spiders, foreign = set(), [], []  # spiders: (label, chi) per spider
-    wiring = Wiring(lambda atom: atoms.add(atom) or atom)
+    spiders, foreign = [], []  # spiders: (label, chi) per spider
+    wiring = Wiring(lambda atom: atom)  # a label's value is its atom
+    label = wiring.label
 
     def leaf(t, flip):
-        if isinstance(t, Gen):
+        if t.__class__ is Gen:
             if sig is None:
                 raise _foreign(t.name)
             foreign.append(t.name)
             return [], []
-        [x] = wiring.fresh([wiring.of_atom(t.atom)])
+        x = label(t.atom)
         spiders.append((x, 2 - t.legs_in - t.legs_out))
         return [x] * t.legs_in, [x] * t.legs_out
 
     ins, outs, dom, cod = wiring.walk(term, leaf, sig)
     find = wiring.find
-    pieces = {find(x): [[], [], 0] for x in range(len(wiring.values))}  # inputs, outputs, chi
+    pieces = {x: [[], [], 0] for x, root in enumerate(wiring.parent) if x == root}  # inputs, outputs, chi
     for k, x in enumerate(ins):
         pieces[find(x)][0].append(k)
     for k, x in enumerate(outs):
@@ -193,7 +194,8 @@ def _walk(term, sig):
     for x, c in spiders:
         pieces[find(x)][2] += c
     comps = [ComponentClass(tuple(i), tuple(o), (2 - c - len(i) - len(o)) // 2) for i, o, c in pieces.values()]
-    return atoms, tuple(sorted(comps, key=lambda c: (c.inputs, c.outputs, c.genus))), foreign[:1], (dom, cod)
+    comps.sort(key=lambda c: (c.inputs, c.outputs, c.genus))
+    return set(wiring.values), tuple(comps), foreign[:1], (dom, cod)
 
 
 class _EveryAtom(dict):

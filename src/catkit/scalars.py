@@ -29,8 +29,8 @@ class SemiringMismatch(TypeError):
 
 
 def _coerce_bool(raw: object) -> bool:
-    if isinstance(raw, bool):
-        return raw
+    if isinstance(raw, (bool, np.bool_)):
+        return bool(raw)
     try:
         n = operator.index(raw)
     except TypeError:

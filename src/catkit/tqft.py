@@ -130,22 +130,21 @@ def _flatten(term, sig, atom_dim, matrices, presentation):
     net = _Network(atom_dim)
 
     def leaf(t, flip):
-        if isinstance(t, Gen):
+        if t.__class__ is Gen:
             m = matrices.get(t.name)
             if m is None:
                 raise UnknownName(f"no matrix assigned to generator {t.name!r}")
             decl = sig.generators[t.name]
             ins, outs = net.word(decl.dom), net.word(decl.cod)
-        else:
-            p = presentation(t.atom)
-            if p is None:
-                raise UnknownName(f"no frobenius data for atom {t.atom!r}")
-            ins, outs = net.fresh([p.dim] * t.legs_in), net.fresh([p.dim] * t.legs_out)
-        dom, cod = (outs, ins) if flip else (ins, outs)  # under a dagger the outputs are the node's domain
-        if isinstance(t, Gen):
-            net.box(m, dom, cod, flip)
-        else:
-            net.spider(p, dom, cod)  # a daggered spider is the reversed spider
+            # under a dagger the outputs are the node's domain
+            net.box(m, *((outs, ins) if flip else (ins, outs)), flip)
+            return ins, outs
+        p = presentation(t.atom)
+        if p is None:
+            raise UnknownName(f"no frobenius data for atom {t.atom!r}")
+        labels = net.fresh([p.dim] * (t.legs_in + t.legs_out))
+        ins, outs = labels[:t.legs_in], labels[t.legs_in:]
+        net.spider(p, *((outs, ins) if flip else (ins, outs)))  # a daggered spider is the reversed spider
         return ins, outs
 
     return (net, *net.walk(term, leaf, sig))

@@ -1,9 +1,12 @@
-"""Shared random generators (seeded, reproducible) and mutation helpers for the test suite."""
+"""Shared random generators (seeded, reproducible), mutation helpers and
+a reference wiring walk for the test suite."""
 
 from __future__ import annotations
 
 import random
 
+from catkit.diagram import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap
+from catkit.diagram.terms import leaf_type, mismatch
 from catkit.matcat import MatrixMorphism
 from catkit.scalars import BOOL, COMPLEX, NAT, SemiringTag, one
 
@@ -45,3 +48,76 @@ def swap_built_unitary(tag: SemiringTag, n: int, rng: random.Random) -> MatrixMo
     for j, i in enumerate(image):
         m.data[i, j] = unit
     return m
+
+
+def reference_walk(term, sig, leaf):
+    """A recursive model of ``Wiring.walk``, for shallow terms only.
+
+    leaf(t, flip, fresh) gives a Gen's or Spider's (input labels, output
+    labels), fresh(values) making one new label per value; identities,
+    symmetries and bends make labels valued by their atoms.  Returns
+    walk_shape of the result and the term's dom and cod factor tuples
+    (empty if sig is None).
+    """
+    values, parent, calls = [], [], []
+
+    def fresh(new):
+        labels = list(range(len(values), len(values) + len(new)))
+        values.extend(new)
+        parent.extend(labels)
+        return labels
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def go(t, flip):
+        if isinstance(t, Seq):
+            ins, mids, dom, produced = go(t.before, flip)
+            mids2, outs, expected, cod = go(t.after, flip)
+            if produced != expected:
+                raise mismatch(produced, expected)
+            for x, y in zip(mids, mids2):
+                parent[find(x)] = find(y)
+            return ins, outs, dom, cod
+        if isinstance(t, Par):
+            return tuple(a + b for a, b in zip(go(t.left, flip), go(t.right, flip)))
+        if isinstance(t, Dagger):
+            ins, outs, dom, cod = go(t.inner, not flip)
+            return outs, ins, cod, dom
+        dom, cod = leaf_type(t, sig) if sig is not None else ((), ())
+        if isinstance(t, (Gen, Spider)):
+            ins, outs = leaf(t, flip, fresh)
+            calls.append((t, flip, ins, outs))
+        elif isinstance(t, Id):
+            ins = outs = fresh([atom for atom, _ in t.word.factors])
+        elif isinstance(t, Swap):
+            left, right = fresh([a for a, _ in t.left.factors]), fresh([a for a, _ in t.right.factors])
+            ins, outs = left + right, right + left
+        else:
+            labels = fresh([t.atom]) * 2
+            ins, outs = ([], labels) if isinstance(t, Cup) else (labels, [])
+        return ins, outs, dom, cod
+
+    ins, outs, dom, cod = go(term, False)
+    return walk_shape(calls, ins, outs, values, find), dom, cod
+
+
+def walk_shape(calls, ins, outs, values, find):
+    """A wiring walk's result up to renaming its labels.
+
+    calls are the leaf calls in order, each (t, flip, input labels, output
+    labels).  Each label becomes the place where its union-find class first
+    appears among the leaves' labels and then the boundary's; the classes
+    neither reaches are closed loops, given by their sorted values.
+    """
+    names = {}
+
+    def name(labels):
+        return [names.setdefault(find(x), len(names)) for x in labels]
+
+    leaves = [(id(t), flip, name(i), name(o)) for t, flip, i, o in calls]
+    boundary = name(ins), name(outs)
+    loops = sorted(values[r] for r in {find(x) for x in range(len(values))} - names.keys())
+    return leaves, boundary, loops

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
+from helpers import reference_walk, walk_shape
 from catkit.diagram import (
     UNIT,
     Cap,
@@ -409,6 +410,13 @@ class TestTermNodes:
         assert a == b and not a != b and hash(a) == hash(b)
         assert a != chain(20_000, last="g") and a != chain(19_999)
 
+    def test_deep_terms_print_without_recursion(self):
+        t = Dagger(Gen("f"))
+        for _ in range(20_000):
+            t = Seq(Par(Gen("f"), Id(UNIT)), t)
+        head = "Seq(after=Par(left=Gen(name='f'), right=Id(word=ObjectWord(factors=()))), before="
+        assert repr(t) == head * 20_000 + "Dagger(inner=Gen(name='f'))" + ")" * 20_000
+
     def test_shared_subterms_are_compared_and_hashed_once(self):
         calls = Counter()
 
@@ -476,6 +484,42 @@ class TestTypedWalk:
                 kinds.update(type(x).__name__ + getattr(x, "atom", "") for x in nodes(t))
         # daggers, swaps, and bends on an atom that is not self-dual are all exercised
         assert min(kinds["Dagger"], kinds["Swap"], kinds["CupP"], kinds["CapP"], kinds["SpiderZ"]) > 20, kinds
+
+    @pytest.mark.parametrize("one_label_spiders", [False, True])
+    def test_matches_the_recursive_reference(self, one_label_spiders):
+        # leaf calls in order with their dagger parity, dom/cod, boundary labels
+        # and the union-find partition, typed and untyped, as a recursive walk
+        # gives them; a spider's legs get a label each (to_graph, tqft) or all
+        # one label (classify_cob)
+        sig, cob_sig = base_sig(), corpus.cob_test_signature()
+
+        def leaf(t, flip, fresh):
+            if isinstance(t, Gen):
+                decl = sig.generators[t.name]
+                return fresh([a for a, _ in decl.dom.factors]), fresh([a for a, _ in decl.cod.factors])
+            if one_label_spiders:
+                [x] = fresh([t.atom])
+                return [x] * t.legs_in, [x] * t.legs_out
+            return fresh([t.atom] * t.legs_in), fresh([t.atom] * t.legs_out)
+
+        for seed in range(300):
+            rng = corpus.make_rng(seed)
+            term = corpus.random_term(sig, rng, depth=rng.choice([2, 3, 4]))
+            cob = corpus.random_cob_term(rng, rng.randrange(4), rng.randrange(1, 6))
+            for t, s in ((term, sig), (corpus.rewrite_randomly(term, sig, rng)[0], sig), (cob, cob_sig)):
+                for typed in (s, None):
+                    if typed is None and s is sig:
+                        continue  # an untyped walk raises at a generator
+                    wiring, calls = Wiring(lambda atom: atom), []
+
+                    def walk_leaf(t, flip):
+                        ins, outs = leaf(t, flip, wiring.fresh)
+                        calls.append((t, flip, ins, outs))
+                        return ins, outs
+
+                    ins, outs, dom, cod = wiring.walk(t, walk_leaf, typed)
+                    got = walk_shape(calls, ins, outs, wiring.values, wiring.find), dom, cod
+                    assert got == reference_walk(t, typed, leaf), seed
 
     def test_printed_corpus(self):
         # parsed terms are DAGs whose equal leaves are one object

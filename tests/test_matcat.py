@@ -63,6 +63,15 @@ class TestBooleanCalculus:
     def test_converse_is_transpose(self):
         assert dagger(bmat(R_PRIME)) == bmat([[1, 1, 0], [0, 1, 1]])
 
+    def test_numpy_payloads(self):
+        # numpy 2 gives np.True_ no __index__; booleans and naturals still take numpy scalars
+        assert MatrixMorphism(BOOL, np.array(R, dtype=bool)) == bmat(R)
+        assert MatrixMorphism(NAT, np.array(R, dtype=np.int64)) == MatrixMorphism(NAT, R)
+        assert ScalarValue(BOOL, np.False_).value is False
+        for raw in (2, np.int64(2), 0.5):
+            with pytest.raises(ValueError, match="^not a boolean payload: "):
+                MatrixMorphism(BOOL, [[raw]])
+
 
 class TestEquality:
     """Complex == allows tolerance x max(1, largest |entry|); bool and nat are exact."""

@@ -138,7 +138,7 @@ class DiagramTerm:
     a frozen dataclass would give it: a constructor taking the fields in
     order, positionally or by keyword; ``__eq__`` and ``__hash__`` over
     the fields, equal only within one class (``Seq``, ``Par`` and
-    ``Dagger`` replace these two with explicit-stack versions); a
+    ``Dagger`` replace these two and pickling with explicit-stack ones); a
     ``Seq(after=..., before=...)`` repr, written out on an explicit stack;
     and an AttributeError (FrozenInstanceError) on assignment.  The node
     classes are final: the layers that walk a term dispatch on its class.
@@ -277,26 +277,38 @@ def _branch_eq(self, other):
     return True
 
 
-def _branch_hash(self):
-    """Hash over the fields' hashes, bottom up on an explicit stack, each subterm hashed once."""
-    hashes = {}  # id(composite subterm) -> its hash; self keeps every id alive
-    todo = [self]
+def _post_order(term):
+    """term's distinct composites, each after its composite fields, as (class,
+    *fields) with each composite field the index of its entry (no term is an int)."""
+    nodes, index, todo = [], {}, [term]  # term keeps every id alive
     while todo:
-        term = todo.pop()
-        fields = [getattr(term, f) for f in term.__slots__]
-        pending = [t for t in fields if t.__class__ in _BRANCHES and id(t) not in hashes]
+        t = todo.pop()
+        fields = [getattr(t, f) for f in t.__slots__]
+        pending = [f for f in fields if f.__class__ in _BRANCHES and id(f) not in index]
         if pending:
-            todo += [term, *pending]
-        elif id(term) not in hashes:
-            hashes[id(term)] = hash(tuple(hashes[id(t)] if id(t) in hashes else hash(t) for t in fields))
-    return hashes[id(self)]
+            todo += [t, *pending]
+        elif id(t) not in index:
+            index[id(t)] = len(nodes)
+            nodes.append((t.__class__, *(index.get(id(f), f) for f in fields)))
+    return nodes
 
 
-# Composites compare and hash without recursing, so a term of any depth,
-# or a DAG sharing subterms, costs one visit per distinct pair or subterm.
+def _rebuild(nodes, make=None):
+    """The term _post_order listed, built entry by entry as pickle and copy
+    rebuild it; or, given make, make(*fields) in place of each class."""
+    built = []
+    for cls, *fields in nodes:
+        built.append((make or cls)(*(built[f] if f.__class__ is int else f for f in fields)))
+    return built[-1]
+
+
+# Composites compare, hash and pickle without recursing, so a term of any
+# depth, or a DAG sharing subterms, costs one visit per distinct pair or subterm;
+# a composite's hash is over its fields' hashes.
 _BRANCHES = frozenset([Seq, Par, Dagger])
 for _cls in _BRANCHES:
-    _cls.__eq__, _cls.__hash__ = _branch_eq, _branch_hash
+    _cls.__eq__, _cls.__reduce__ = _branch_eq, lambda self: (_rebuild, (_post_order(self),))
+    _cls.__hash__ = lambda self: _rebuild(_post_order(self), lambda *fields: hash(fields))
 
 
 def typecheck(term, sig):

@@ -1,12 +1,11 @@
 """Frobenius presentations and interpretations: the matrix data diagrams are read in.
 
 A FrobeniusPresentation is a (co)monoid pair of matrices on one object,
-checked as matrix equations by verify_frobenius; spider_matrix builds
-any spider from one.  An Interpretation assigns dimensions, generator
-matrices and presentations to a signature's names, and
-interpretation_from_data reads one from JSON-style data.  Nothing here
-builds or contracts a tensor network (that is tqft), so the law battery
-loads no parser, graph code or contraction engine.
+checked as matrix equations by verify_frobenius.  An Interpretation assigns
+dimensions, generator matrices and presentations to a signature's names;
+interpretation_from_data reads one from JSON-style data.  tqft builds and
+contracts spiders, so the law battery loads no parser, graph code or
+contraction engine.
 """
 
 from __future__ import annotations
@@ -175,30 +174,6 @@ def verify_frobenius(p: FrobeniusPresentation) -> LawReport:
     report = law_report("frobenius", tag.tolerance, [(name, [(None, lhs, rhs)]) for name, lhs, rhs in checks])
     report.entries += [e for e in p.flag_report.entries if e.passed]
     return report
-
-
-def spider_matrix(p: FrobeniusPresentation, k: int, l: int, genus: int = 0) -> MatrixMorphism:
-    """Matrix of the (k, l, genus) spider: merge k legs, thread genus handles,
-    then branch into l legs.
-
-    Trees are left combs; by associativity any tree shape gives the same
-    matrix once the presentation verifies.
-    """
-    if min(k, l, genus) < 0:
-        raise ValueError("leg counts and genus must be nonnegative")
-    tag = p.tag
-    ident = MatrixMorphism.identity(tag, p.dim)
-    merge = p.unit_e if k == 0 else ident
-    for _ in range(k - 1):
-        merge = compose(p.mu, tensor(merge, ident))
-    branch = p.eps if l == 0 else ident
-    for _ in range(l - 1):
-        branch = compose(tensor(branch, ident), p.delta)
-    handle = compose(p.mu, p.delta)
-    out = merge
-    for _ in range(genus):
-        out = compose(handle, out)
-    return compose(branch, out)
 
 
 def _copy3(d, dtype):

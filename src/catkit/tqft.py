@@ -3,9 +3,9 @@
 interpret() types terms against an Interpretation's signature.  One
 builder makes the tensor network, fed by interpret() and evaluate_cob()
 from a term's wiring walk and by evaluate_graph() from a graph's nodes,
-and one contraction engine evaluates it.  evaluate_cob() is the case of
-a single atom governed entirely by one verified Frobenius presentation.
-The presentations and interpretations themselves live in presentations.
+and one contraction engine evaluates it.  A spider, spider_matrix()'s
+too, is left combs of its presentation's own mu and delta tensors.
+evaluate_cob() is the case of one atom and one verified presentation.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .frobenius import COB_ATOMS, _single_atom, cob_atom
 from .matcat import MatrixMorphism, dagger
 from .presentations import (  # noqa: F401  (the names moved there stay reachable here)
     FrobeniusPresentation, Interpretation, _copy3, basis_frobenius, check_frobenius_morphism,
-    conjugate_presentation, hopf_group_z2, interpretation_from_data, spider_matrix,
-    verify_frobenius, xor_frobenius,
+    conjugate_presentation, hopf_group_z2, interpretation_from_data, verify_frobenius, xor_frobenius,
 )
 
 
@@ -69,10 +68,18 @@ class _Network(Wiring):
         self.tensors.append(((dagger(m) if daggered else m).data.reshape([self.values[x] for x in labels]), labels))
 
     def spider(self, p, dom, cod, genus=0):
-        """The (len(dom), len(cod), genus) spider of p.  A copy spider joins
-        its legs (a special one ignores genus), and with none is a fresh label."""
+        """The (len(dom), len(cod), genus) spider of p: a comb of mu over dom, then
+        (mu . delta)^genus, then a comb of delta over cod.  A copy spider joins its
+        legs (a special one ignores genus), and with none is a fresh label."""
         if not p.basis_copy:
-            self.box(spider_matrix(p, len(dom), len(cod), genus), dom, cod, False)
+            d = p.dim
+            merge = self._comb(p.mu.data.reshape(d, d, d), p.unit_e.data.ravel(), dom)
+            branch = self._comb(p.delta.data.reshape(d, d, d).transpose(2, 0, 1), p.eps.data.ravel(), cod)
+            if genus:
+                with np.errstate(all="ignore"):  # contract rejects an overflowed result
+                    self.tensors.append((np.linalg.matrix_power(p.mu.data @ p.delta.data, genus), [branch, merge]))
+            else:
+                self.parent[self.find(merge)] = self.find(branch)
             return
         labels = dom + cod or self.fresh([p.dim])
         root = self.find(labels[0])
@@ -80,13 +87,27 @@ class _Network(Wiring):
             self.parent[self.find(x)] = root
         self.joined.append(root)
 
+    def _comb(self, node, leaf, labels, root=None):
+        """Tie labels to one root label by a left comb of node, an order-3
+        tensor on axes (root, left, right), the first two labels meeting
+        first; with no labels, leaf, a vector, sits on the root.  The root
+        is fresh unless given, or the one label itself; returns it."""
+        if root is None:
+            root = labels[0] if len(labels) == 1 else self.label(len(leaf))
+        if not labels:
+            self.tensors.append((leaf, [root]))
+        ups = self.fresh([len(leaf)] * (len(labels) - 2)) + [root]
+        self.tensors += [(node, [up, left, right]) for up, left, right in zip(ups, labels[:1] + ups, labels[1:])]
+        return root
+
     def contract(self, tag, outputs, inputs):
         """The network's matrix inputs -> outputs, each label read as its root.
 
         A label is a wire with two ends, each a tensor axis or a boundary
         slot, so one no tensor holds is an identity between two slots or a
-        closed loop.  The labels joined by copy spiders may have any number
-        of ends; _fan_out rewrites them.  Pairs of tensors sharing a label
+        closed loop.  A wire joined by copy spiders may have any number of
+        ends: one gets the all-ones vector and more than two a comb of
+        copy tensors rooted at the first.  Pairs of tensors sharing a label
         are contracted greedily, smallest result first, as in opt_einsum's
         greedy path, each by one matmul; tensordot only traces a label both
         of whose ends are on one tensor.  The engine writes the result in
@@ -97,16 +118,26 @@ class _Network(Wiring):
         Floating-point contraction runs with numpy's warnings off, and a
         result with an inf or nan entry raises ValueError instead.
         """
-        parent = self.parent
+        find, boundary = self.find, outputs + inputs
+        if self.joined:  # rewrites the network's labels in place, so a network is contracted once
+            ends = {find(x): [] for x in self.joined}
+            for labels in [boundary] + [labels for _, labels in self.tensors]:
+                labels[:] = map(find, labels)
+                for i, x in enumerate(labels):
+                    if x in ends:
+                        ends[x].append((labels, i))
+            for x, at in ends.items():
+                if len(at) not in (0, 2):  # no ends is a loop, which _network makes d
+                    d = self.values[x]
+                    legs = self.fresh([d] * (len(at) - 1))
+                    for (labels, i), y in zip(at[1:], legs):
+                        labels[i] = y
+                    self._comb(_copy3(d, tag.ops.dtype), np.ones(d, tag.ops.dtype), legs, x)
+        parent, tensors = self.parent, self.tensors
         dims = {x: d for x, d in enumerate(self.values) if parent[x] == x}
-        tensors, joined = self.tensors, self.joined
-        if len(dims) < len(parent):  # some label was joined to another
-            find = self.find
+        if len(dims) < len(parent) and not self.joined:  # a joined label not yet read as its root
             tensors = [(arr, [*map(find, labels)]) for arr, labels in tensors]
-            outputs, inputs, joined = [*map(find, outputs)], [*map(find, inputs)], {*map(find, joined)}
-        boundary = outputs + inputs
-        if joined:
-            tensors, boundary = _fan_out(tag.ops.dtype, tensors, boundary, dims, joined)
+            boundary = [*map(find, boundary)]
         if len(tensors) == 1 and len(set(tensors[0][1])) == len(boundary) == len(dims):
             # one tensor holding each wire once, its other end on the boundary, is a
             # transpose with no arithmetic to guard; errstate and the engine's
@@ -116,7 +147,8 @@ class _Network(Wiring):
         else:
             with np.errstate(all="ignore"):  # exact semirings raise no numpy warnings
                 data = _network(tag.ops.dtype, tensors, boundary, dims)
-        data = data.reshape(math.prod(dims[x] for x in outputs), math.prod(dims[x] for x in inputs))
+        values = self.values  # a label's value is its root's dimension
+        data = data.reshape(math.prod(values[x] for x in outputs), math.prod(values[x] for x in inputs))
         # checked on the float halves of each entry, about twice as fast as on complex values
         if not tag.exact and not np.isfinite(data.ravel().view(np.float64)).all():
             raise ValueError(f"{tag.kind} contraction overflowed: the result has inf or nan entries")
@@ -148,36 +180,6 @@ def _flatten(term, sig, atom_dim, matrices, presentation):
         return ins, outs
 
     return (net, *net.walk(term, leaf, sig))
-
-
-def _fan_out(dtype, tensors, boundary, dims, joined):
-    """Rewrite the joined wires with m != 2 ends; return tensors and boundary.
-
-    No ends is a closed loop, which _network makes d; one end gets the
-    all-ones vector.  Past two, the ends but the first get fresh (label, j)
-    wires tied by m - 2 order-3 copy tensors chained by more fresh wires
-    (added to dims), so no copy tensor exceeds d^3 however wide a spider.
-    """
-    holders = [list(boundary)] + [list(labels) for _, labels in tensors]
-    extra, ends = [], {x: [] for x in joined}
-    for h, labels in enumerate(holders):
-        for i, x in enumerate(labels):
-            if x in ends:
-                ends[x].append((h, i))
-    for x, at in ends.items():
-        d, m = dims[x], len(at)
-        if m == 1:
-            extra.append((np.ones(d, dtype), [x]))
-        elif m > 2:
-            fresh = [(x, j) for j in range(2 * m - 4)]
-            legs = [x] + fresh[: m - 1]
-            links = [x] + fresh[m - 1 :] + [fresh[m - 2]]
-            copy = _copy3(d, dtype)
-            extra += [(copy, [links[j - 1], legs[j], links[j]]) for j in range(1, m - 1)]
-            for (h, i), y in zip(at[1:], legs[1:]):
-                holders[h][i] = y
-            dims.update((y, d) for y in fresh)
-    return [(arr, labels) for (arr, _), labels in zip(tensors, holders[1:])] + extra, holders[0]
 
 
 def _network(dtype, tensors, boundary, dims):
@@ -313,6 +315,17 @@ def _assemble(dtype, parts, boundary):
     if scale is not None:
         result = np.multiply(result, scale, out=result if fresh else None, order="C")
     return result
+
+
+def spider_matrix(p: FrobeniusPresentation, k: int, l: int, genus: int = 0) -> MatrixMorphism:
+    """Matrix of the (k, l, genus) spider of p, contracted from _Network.spider's
+    combs; by associativity any tree shape gives it once p verifies."""
+    if min(k, l, genus) < 0:
+        raise ValueError("leg counts and genus must be nonnegative")
+    net = _Network(None)
+    labels = net.fresh([p.dim] * (k + l))
+    net.spider(p, labels[:k], labels[k:], genus)
+    return net.contract(p.tag, labels[k:], labels[:k])
 
 
 def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:

@@ -1,13 +1,15 @@
-"""Shared random generators (seeded, reproducible), mutation helpers and
-a reference wiring walk for the test suite."""
+"""Shared random generators (seeded, reproducible), mutation helpers, a
+reference wiring walk and a reference spider matrix for the test suite."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from catkit.diagram import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap
 from catkit.diagram.terms import leaf_type, mismatch
-from catkit.matcat import MatrixMorphism
+from catkit.matcat import MatrixMorphism, compose, tensor
 from catkit.scalars import BOOL, COMPLEX, NAT, SemiringTag, one
 
 ALL_TAGS = (BOOL, NAT, COMPLEX)
@@ -48,6 +50,40 @@ def swap_built_unitary(tag: SemiringTag, n: int, rng: random.Random) -> MatrixMo
     for j, i in enumerate(image):
         m.data[i, j] = unit
     return m
+
+
+def no_recursion(f, *args):
+    """f(*args), or a test failure if it raises RecursionError.
+
+    The failure is raised after the handler has finished, with no traceback:
+    reporting the RecursionError itself makes pytest compare the locals of
+    about a thousand frames, which hold the deep terms, and stall for minutes.
+    """
+    try:
+        return f(*args)
+    except RecursionError:
+        pass
+    pytest.fail(f"{getattr(f, '__name__', f)} raised RecursionError", pytrace=False)
+
+
+def kronecker_spider(p, k: int, l: int, genus: int = 0) -> MatrixMorphism:
+    """The (k, l, genus) spider of p as a product of Kronecker products.
+
+    A left comb of mu merges the k legs (mu . (merge x id)), genus handles
+    mu . delta follow, and a left comb of delta branches into the l legs
+    ((branch x id) . delta); unit_e and eps stand in for no legs.  This is
+    the dense form ``spider_matrix`` once built, kept as a reference.
+    """
+    ident = MatrixMorphism.identity(p.tag, p.dim)
+    merge = p.unit_e if k == 0 else ident
+    for _ in range(k - 1):
+        merge = compose(p.mu, tensor(merge, ident))
+    branch = p.eps if l == 0 else ident
+    for _ in range(l - 1):
+        branch = compose(tensor(branch, ident), p.delta)
+    for _ in range(genus):
+        merge = compose(compose(p.mu, p.delta), merge)
+    return compose(branch, merge)
 
 
 def reference_walk(term, sig, leaf):

@@ -1,5 +1,6 @@
 """Terms, parser, port graphs, and the free-category equality decision."""
 
+import copy
 import itertools
 import pickle
 import random
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from helpers import reference_walk, walk_shape
+from helpers import no_recursion, reference_walk, walk_shape
 from catkit.diagram import (
     UNIT,
     Cap,
@@ -399,23 +400,36 @@ class TestTermNodes:
             with pytest.raises(AttributeError):
                 t.extra = 1
 
-    def test_deep_terms_compare_and_hash_without_recursion(self):
-        def chain(n, last="f"):
-            t = Gen(last)
-            for k in range(n):
-                t = Seq(Gen("f"), t) if k % 3 else Par(Dagger(t), Id(A))
-            return t
+    @staticmethod
+    def deep_chain(n, last="f"):
+        """n nested Seq, Par and Dagger nodes over one generator."""
+        t = Gen(last)
+        for k in range(n):
+            t = Seq(Gen("f"), t) if k % 3 else Par(Dagger(t), Id(A))
+        return t
 
-        a, b = chain(20_000), chain(20_000)
-        assert a == b and not a != b and hash(a) == hash(b)
-        assert a != chain(20_000, last="g") and a != chain(19_999)
+    def test_deep_terms_compare_and_hash_without_recursion(self):
+        a, b = self.deep_chain(20_000), self.deep_chain(20_000)
+        assert no_recursion(lambda: a == b and not a != b and hash(a) == hash(b))
+        assert no_recursion(lambda: a != self.deep_chain(20_000, last="g") and a != self.deep_chain(19_999))
 
     def test_deep_terms_print_without_recursion(self):
         t = Dagger(Gen("f"))
         for _ in range(20_000):
             t = Seq(Par(Gen("f"), Id(UNIT)), t)
         head = "Seq(after=Par(left=Gen(name='f'), right=Id(word=ObjectWord(factors=()))), before="
-        assert repr(t) == head * 20_000 + "Dagger(inner=Gen(name='f'))" + ")" * 20_000
+        assert no_recursion(repr, t) == head * 20_000 + "Dagger(inner=Gen(name='f'))" + ")" * 20_000
+
+    def test_deep_and_shared_terms_pickle_and_copy_without_recursion(self):
+        shared = Dagger(Gen("f"))
+        for _ in range(64):  # 2^64 leaves, 65 distinct composites
+            shared = Seq(shared, shared)
+        for t in (self.deep_chain(20_000), shared):
+            for round_trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+                back = no_recursion(round_trip, t)
+                assert back is not t and no_recursion(lambda: back == t and hash(back) == hash(t))
+        back = copy.deepcopy(shared)
+        assert back.after is back.before and back.after.after is back.after.before
 
     def test_shared_subterms_are_compared_and_hashed_once(self):
         calls = Counter()

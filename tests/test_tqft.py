@@ -52,7 +52,7 @@ from catkit.tqft import (
 )
 
 from corpus import closed_surface, make_rng, random_cob_term, random_term, rewrite_randomly, standard_signature
-from helpers import flip_entry, random_matrix
+from helpers import ALL_TAGS, flip_entry, kronecker_spider, random_matrix
 
 Z = ObjectWord((("Z", False),))
 ZSIG = cob_signature("Z")
@@ -238,6 +238,43 @@ class TestSpiderMatrix:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             spider_matrix(self.p, -1, 0)
+
+    def test_combs_match_the_kronecker_reference(self):
+        # random data verifies no law, so any other tree shape or leg order
+        # would show; evaluate_graph needs delta and mu symmetric and
+        # eps . mu the identity pairing, and its one spider node, all legs
+        # merged, is the (k + l, 0, genus) spider with l legs bent to outputs
+        rng = make_rng(25)
+        z = (("Z", False),)
+        for tag, _ in itertools.product(ALL_TAGS, range(12)):
+            d = rng.randrange(1, 4)
+            shapes = [(d * d, d), (1, d), (d, d * d), (d, 1)]
+            p = FrobeniusPresentation(d, *(random_matrix(tag, r, c, rng) for r, c in shapes))
+            delta, mu = random_matrix(tag, d * d, d, rng), random_matrix(tag, d, d * d, rng)
+            for i, j in itertools.combinations(range(d), 2):
+                delta.data[j * d + i], mu.data[:, j * d + i] = delta.data[i * d + j], mu.data[:, i * d + j]
+            mu.data[0] = np.eye(d, dtype=mu.data.dtype).ravel()
+            e0 = MatrixMorphism(tag, [[1] + [0] * (d - 1)])
+            q = FrobeniusPresentation(d, delta, e0, mu, random_matrix(tag, d, 1, rng))
+            for k, l, genus in itertools.product(range(4), range(4), range(3)):
+                want = kronecker_spider(p, k, l, genus)
+                assert spider_matrix(p, k, l, genus) == want, (tag.kind, d, k, l, genus)
+                if genus == 0:
+                    assert interpret(Spider("Z", k, l), cob_interp(p)) == want, (tag.kind, d, k, l)
+                ends = [("i", n) for n in range(k)] + [("o", n) for n in range(l)]
+                wires = tuple((("n", 0, n), end) for n, end in enumerate(ends))
+                graph = OpenGraph((SpiderNode("Z", k + l, genus),), wires, z * k, z * l)
+                bent = kronecker_spider(q, k + l, 0, genus).data.reshape(d**k, d**l).T
+                assert evaluate_graph(graph, cob_interp(q)) == MatrixMorphism._raw(tag, bent), (tag.kind, d, k, l, genus)
+
+    def test_conjugated_spider_pair_is_accurate(self):
+        # the k = 12 pair once came out 6.9e-13 off through a dense d^12 spider
+        w = np.exp(2j * np.pi / 3)
+        fourier = np.array([[w ** (i * j) for j in range(3)] for i in range(3)]) / np.sqrt(3)
+        f, f_inv = cmat(fourier.tolist()), cmat(fourier.conj().T.tolist())
+        p = conjugate_presentation(basis_frobenius(3, COMPLEX), f, f_inv)
+        assert not p.basis_copy
+        assert abs(evaluate_cob(_spider_pair(12), p).data[0, 0] - 3) < 1e-13
 
 
 class TestInterpret:

@@ -3,13 +3,16 @@
 interpret() types terms against an Interpretation's signature.  One
 builder makes the tensor network, fed by interpret() and evaluate_cob()
 from a term's wiring walk and by evaluate_graph() from a graph's nodes,
-and one contraction engine evaluates it.  A spider, spider_matrix()'s
-too, is left combs of its presentation's own mu and delta tensors.
-evaluate_cob() is the case of one atom and one verified presentation.
+and one contraction engine evaluates it: a planner turns the network's
+shape into a flat list of matmuls, kept in a bounded cache, and a short
+loop runs it on the arrays.  A spider, spider_matrix()'s too, is left
+combs of its presentation's own mu and delta tensors.  evaluate_cob() is
+the case of one atom and one verified presentation.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -24,6 +27,9 @@ from .presentations import (  # noqa: F401  (the names moved there stay reachabl
     FrobeniusPresentation, Interpretation, _copy3, basis_frobenius, check_frobenius_morphism,
     conjugate_presentation, hopf_group_z2, interpretation_from_data, verify_frobenius, xor_frobenius,
 )
+
+PLANS = 256  # network shapes whose contraction plans are kept
+BUDGET = 2**28  # entries in the largest array a contraction may allocate
 
 
 def interpret(term, interp: Interpretation) -> MatrixMorphism:
@@ -104,19 +110,13 @@ class _Network(Wiring):
         """The network's matrix inputs -> outputs, each label read as its root.
 
         A label is a wire with two ends, each a tensor axis or a boundary
-        slot, so one no tensor holds is an identity between two slots or a
-        closed loop.  A wire joined by copy spiders may have any number of
-        ends: one gets the all-ones vector and more than two a comb of
-        copy tensors rooted at the first.  Pairs of tensors sharing a label
-        are contracted greedily, smallest result first, as in opt_einsum's
-        greedy path, each by one matmul; tensordot only traces a label both
-        of whose ends are on one tensor.  The engine writes the result in
-        boundary order, outputs then inputs, C-contiguous, so the reshape
-        to a matrix is a view and the result is the only full-size array it
-        allocates.  numpy's boolean dot and matmul are the or-of-ands
-        product, so booleans contract exactly with no case of their own.
-        Floating-point contraction runs with numpy's warnings off, and a
-        result with an inf or nan entry raises ValueError instead.
+        slot; one joined by copy spiders may have any number: one end gets
+        the all-ones vector and more than two a comb of copy tensors rooted
+        at the first.  _plan plans the network's shape once, its bounded
+        cache keeping plans only, and _run executes the plan on the arrays.
+        Booleans contract exactly, as numpy's boolean matmul is the
+        or-of-ands product.  A floating-point result with an inf or nan
+        entry raises ValueError.
         """
         find, boundary = self.find, outputs + inputs
         if self.joined:  # rewrites the network's labels in place, so a network is contracted once
@@ -127,7 +127,7 @@ class _Network(Wiring):
                     if x in ends:
                         ends[x].append((labels, i))
             for x, at in ends.items():
-                if len(at) not in (0, 2):  # no ends is a loop, which _network makes d
+                if len(at) not in (0, 2):  # no ends is a loop, which _plan makes d
                     d = self.values[x]
                     legs = self.fresh([d] * (len(at) - 1))
                     for (labels, i), y in zip(at[1:], legs):
@@ -139,14 +139,14 @@ class _Network(Wiring):
             tensors = [(arr, [*map(find, labels)]) for arr, labels in tensors]
             boundary = [*map(find, boundary)]
         if len(tensors) == 1 and len(set(tensors[0][1])) == len(boundary) == len(dims):
-            # one tensor holding each wire once, its other end on the boundary, is a
-            # transpose with no arithmetic to guard; errstate and the engine's
-            # bookkeeping would make a single-gate circuit about a fifth slower
+            # one tensor holding each wire once, its other end on the boundary, is a transpose
+            # with no arithmetic to guard, and planning would make a single gate slower
             arr, labels = tensors[0]
             data = arr.transpose([labels.index(x) for x in boundary])
         else:
+            plan = _plan((tuple([tuple(labels) for _, labels in tensors]), tuple(boundary), tuple(dims.items())))
             with np.errstate(all="ignore"):  # exact semirings raise no numpy warnings
-                data = _network(tag.ops.dtype, tensors, boundary, dims)
+                data = _run(plan, [arr for arr, _ in tensors], tag.ops.dtype)
         values = self.values  # a label's value is its root's dimension
         data = data.reshape(math.prod(values[x] for x in outputs), math.prod(values[x] for x in inputs))
         # checked on the float halves of each entry, about twice as fast as on complex values
@@ -182,89 +182,92 @@ def _flatten(term, sig, atom_dim, matrices, presentation):
     return (net, *net.walk(term, leaf, sig))
 
 
-def _network(dtype, tensors, boundary, dims):
-    """contract's network as one array with an axis per boundary slot, in order.
+@functools.lru_cache(maxsize=PLANS)
+def _plan(shape):
+    """The plan, ints and tuples only, that contracts a network of this shape:
+    each tensor's labels, the boundary, and each root label's dimension.
 
-    A live tensor keeps its labels as a list, one per axis, and as a set.
-    A contraction whose free labels are all boundary slots is the last of
-    its connected part: _last_step writes it in slot order, and _assemble
-    multiplies the parts into the result's layout, with no full-size
-    temporary.  Every other contraction is _pair's one matmul.
+    Registers hold the tensors, then an identity per label no tensor holds;
+    one holding both ends of a label traces it.  Pairs sharing a label are
+    contracted greedily, smallest result first as in opt_einsum's greedy
+    path, each by _step into its first operand's register.  Raises
+    MemoryError, before any array exists, if one would pass BUDGET entries.
     """
-    held = {x for _, labels in tensors for x in labels}
+    tensors, boundary, dims = *shape[:2], dict(shape[2])
+    held = {x for labels in tensors for x in labels}
+    eyes = [(x, d) for x, d in dims.items() if x not in held]
     ends, slot = set(boundary), {x: i for i, x in enumerate(boundary)}
-    live, owners, heap, keys, parts = {}, {}, [], itertools.count(), []
+    live, owners, heap, keys, traces, steps, parts = {}, {}, [], itertools.count(), [], [], []
 
-    def add(arr, labels):
+    def add(reg, labels, size):
         mine = set(labels)
         if len(mine) < len(labels):  # both ends on one tensor: a trace, or the identity of a closed loop
             for x in [x for x in mine if labels.count(x) == 2 and x not in ends]:
                 i, j = (k for k, z in enumerate(labels) if z == x)
-                arr = np.tensordot(arr, np.eye(dims[x], dtype=dtype), axes=((i, j), (0, 1)))
+                traces.append((reg, i, j, dims[x]))
                 labels = labels[:i] + labels[i + 1 : j] + labels[j + 1 :]
                 mine.remove(x)
-        key, near = next(keys), set()
-        live[key] = (arr, labels, mine)
-        for x in mine:
-            others = [k for k in owners.get(x, ()) if k in live]
-            owners[x] = others + [key]
-            near.update(others)
-        for k in near:
-            size = 1  # of the pair's result
-            for x in mine ^ live[k][2]:
-                size *= dims[x]
-            heapq.heappush(heap, (size, k, key))
+            size = math.prod(map(dims.__getitem__, labels))
+        key, near = next(keys), {}
+        for x in mine:  # x has two ends, so at most one of its last two holders is live
+            holders = owners.get(x)
+            if holders is not None:
+                k = holders[-1] if holders[-1] in live else holders[0]
+                if k in live:
+                    near[k], owners[x] = near.get(k, 1) * dims[x], (k, key)
+                    continue
+            owners[x] = (key,)
+        live[key] = (reg, labels, mine, size)
+        for k, shared in near.items():  # the pair's result size, its free labels' product
+            size_k = size * live[k][3] // shared**2 if shared else math.prod(dims[x] for x in mine ^ live[k][2])
+            heapq.heappush(heap, (size_k, k, key))
 
-    for arr, labels in tensors:
-        add(arr, labels)
-    for x, d in dims.items():
-        if x not in held:
-            add(np.eye(d, dtype=dtype), [x, x])
+    for reg, labels in enumerate([*map(list, tensors), *([x, x] for x, _ in eyes)]):
+        add(reg, labels, math.prod(map(dims.__getitem__, labels)))
+    largest = max([math.prod(dims[x] for x in boundary)] + [d * d for _, d in eyes])  # the result, the identities
     while heap:
-        _, a, b = heapq.heappop(heap)
+        size, a, b = heapq.heappop(heap)
         if a in live and b in live:
             x, y = live.pop(a), live.pop(b)
-            if ends.issuperset(x[2] ^ y[2]):
-                parts.append((*_last_step(x[:2], y[:2], [z for z in x[1] if z in y[2]], slot, dims), True))
+            largest = max(largest, size)
+            free, shared = x[2] ^ y[2], [z for z in x[1] if z in y[2]]
+            last = ends.issuperset(free)  # the connected part's last step, written in slot order
+            step, labels = _step(x, y, shared, sorted(free, key=slot.__getitem__) if last else None, dims)
+            steps.append(step)
+            if last:
+                parts.append((step[0], labels, True))
             else:
-                add(*_pair(x, y))
-    return _assemble(dtype, parts + [(arr, labels, False) for arr, labels, _ in live.values()], boundary)
+                add(x[0], labels, size)
+    if largest > BUDGET:
+        raise MemoryError(f"contraction plan needs a {largest}-entry array, over the {BUDGET}-entry budget")
+    layout = _assemble(parts + [(reg, labels, False) for reg, labels, _, _ in live.values()], boundary, dims)
+    return tuple(traces), tuple(steps), tuple(d for _, d in eyes), layout
 
 
-def _pair(x, y):
-    """x and y, each (array, labels, label set), contracted by one matmul:
-    x as its free labels by the shared ones, times y as the shared ones by
-    its free labels, transposing neither if already in that order."""
-    (x_arr, x_labels, x_set), (y_arr, y_labels, y_set) = x, y
-    shared = [z for z in x_labels if z in y_set]
-    x_order = [z for z in x_labels if z not in y_set] + shared
-    y_order = shared + [z for z in y_labels if z not in x_set]
-    if x_order != x_labels:
-        x_arr = x_arr.transpose([x_labels.index(z) for z in x_order])
-    if y_order != y_labels:
-        y_arr = y_arr.transpose([y_labels.index(z) for z in y_order])
-    i, j = len(x_order) - len(shared), len(shared)
-    m, k, n = math.prod(x_arr.shape[:i]), math.prod(x_arr.shape[i:]), math.prod(y_arr.shape[j:])
-    product = x_arr.reshape(m, k) @ y_arr.reshape(k, n)
-    return product.reshape(x_arr.shape[:i] + y_arr.shape[j:]), x_order[:i] + y_order[j:]
+def _axes(labels, order):
+    """The transpose taking labels to order, or () if they agree."""
+    return () if labels == order else tuple(map(labels.index, order))
 
 
-def _last_step(x, y, shared, slot, dims):
-    """x and y, each (array, labels), contracted when their free labels are
-    all boundary slots: one broadcast matmul into an array C-ordered by
-    slot, and its labels in that order.
-
-    In slot order the free labels fall into runs that alternate between
-    the operands; x and y swap if the last slot is x's.  matmul writes
-    through a transposed view of the result: n is the last run, m the
-    widest of x's runs, k the shared labels, and each other run a batch
-    axis, of size 1 on the operand without it.
-    """
-    order = sorted({*x[1], *y[1]}.difference(shared), key=slot.__getitem__)
-    if order and order[-1] in x[1]:
-        x, y = y, x
-    (x_arr, x_labels), (y_arr, y_labels) = x, y
-    runs = [[*run] for _, run in itertools.groupby(order, x_labels.__contains__)]
+def _step(x, y, shared, order, dims):
+    """The matmul contracting x and y, each (register, labels, label set,
+    size), and its result's labels: x's free ones then y's, or order, the
+    free labels in slot order, for the last step of a connected part.  In
+    order they fall into runs alternating between the operands, x and y
+    swapping if the last slot is x's; matmul writes through a transposed
+    view of the result: n is the last run, m the widest of x's runs, k the
+    shared labels, each other run a batch axis, of size 1 on the operand
+    without it.  An operand is transposed only if out of order."""
+    (a, x_labels, x_set, _), (b, y_labels, y_set, _) = x, y
+    if order is None:
+        x_free, y_free = [z for z in x_labels if z not in y_set], [z for z in y_labels if z not in x_set]
+        shape, i = tuple(map(dims.__getitem__, x_free + y_free)), len(x_free)
+        m, k, n = math.prod(shape[:i]), math.prod(map(dims.__getitem__, shared)), math.prod(shape[i:])
+        x_axes, y_axes = _axes(x_labels, x_free + shared), _axes(y_labels, shared + y_free)
+        return (a, b, x_axes, (m, k), y_axes, (k, n), shape, ()), x_free + y_free
+    if order and order[-1] in x_set:
+        (a, x_labels, x_set, _), (b, y_labels, y_set, _) = y, x
+    runs = [[*run] for _, run in itertools.groupby(order, x_set.__contains__)]
     runs[:0] = [[]] * (2 - len(runs))  # an empty run, of size 1, where x or y has no free label
     sizes = [math.prod(dims[z] for z in run) for run in runs]
     n = len(runs) - 1
@@ -274,47 +277,56 @@ def _last_step(x, y, shared, slot, dims):
     k = math.prod(dims[z] for z in shared)
     x_axes = [z for i in batch if i in ours for z in runs[i]] + runs[m] + shared
     y_axes = [z for i in batch if i not in ours for z in runs[i]] + shared + runs[n]
-    x_arr = x_arr.transpose([x_labels.index(z) for z in x_axes])
-    y_arr = y_arr.transpose([y_labels.index(z) for z in y_axes])
-    x_arr = x_arr.reshape([sizes[i] if i in ours else 1 for i in batch] + [sizes[m], k])
-    y_arr = y_arr.reshape([1 if i in ours else sizes[i] for i in batch] + [k, sizes[n]])
-    result = np.empty([dims[z] for z in order], x_arr.dtype)
-    np.matmul(x_arr, y_arr, out=result.reshape(sizes).transpose(batch + [m, n]))
-    return result, order
+    x_shape = tuple([sizes[i] if i in ours else 1 for i in batch] + [sizes[m], k])
+    y_shape = tuple([1 if i in ours else sizes[i] for i in batch] + [k, sizes[n]])
+    view = tuple(sizes), tuple(batch + [m, n])
+    shape = tuple(dims[z] for z in order)
+    return (a, b, _axes(x_labels, x_axes), x_shape, _axes(y_labels, y_axes), y_shape, shape, view), order
 
 
-def _assemble(dtype, parts, boundary):
-    """parts, each (array, labels, fresh), multiplied into one array with an
-    axis per boundary slot, in order.
-
-    Each part is viewed in slot order with size-1 axes for the slots it
-    lacks, and the parts multiply by broadcasting into C order, smallest
-    first.  Scalar parts multiply in last, in place if the result is fresh,
-    not a view of an input.  A label twice on the boundary is held by an
-    identity, which is symmetric, so its axes take the slots in order.
-    """
+def _assemble(parts, boundary, dims):
+    """How parts, each (register, labels, fresh), multiply by broadcasting
+    into C order, one axis per boundary slot: the scalar registers; each
+    other register, smallest first, with the transpose and size-1 axes that
+    view it in slot order; and whether the product is fresh, not a view of
+    an input, so scalars multiply into it in place.  A label twice on the
+    boundary is an identity's, so its axes take the slots in order."""
     slots = {}
     for i, x in enumerate(boundary):
         slots.setdefault(x, []).append(i)
-    scale, factors = None, []
-    for arr, labels, fresh in parts:
-        if not labels:
-            scale = arr if scale is None else scale * arr
-            continue
-        taken = {x: iter(slots[x]) for x in labels}
-        at = [next(taken[x]) for x in labels]
-        missing = sorted(set(range(len(boundary))).difference(at))
-        view = np.expand_dims(arr.transpose(sorted(range(len(at)), key=at.__getitem__)), missing)
-        factors.append((arr.size, view, fresh))
+    factors = []
+    for reg, labels, fresh in parts:
+        if labels:
+            at = [slots[x].pop(0) for x in labels]  # no two parts share a label
+            missing = tuple(sorted(set(range(len(boundary))).difference(at)))
+            axes = tuple(sorted(range(len(at)), key=at.__getitem__))
+            factors.append((math.prod(dims[x] for x in labels), (reg, axes, missing), fresh))
+    factors.sort(key=lambda f: f[0])
+    fresh = len(factors) > 1 or bool(factors) and factors[0][2]
+    return tuple(reg for reg, labels, _ in parts if not labels), tuple(f[1] for f in factors), fresh
+
+
+def _run(plan, arrays, dtype):
+    """plan run on arrays, a network's tensors in order: one array with an axis per boundary slot."""
+    traces, steps, eyes, (scalars, factors, fresh) = plan
+    regs = arrays + [np.eye(d, dtype=dtype) for d in eyes]
+    for a, i, j, d in traces:
+        regs[a] = np.tensordot(regs[a], np.eye(d, dtype=dtype), axes=((i, j), (0, 1)))
+    for a, b, x_axes, x_shape, y_axes, y_shape, shape, view in steps:
+        x = regs[a].transpose(x_axes) if x_axes else regs[a]
+        y = regs[b].transpose(y_axes) if y_axes else regs[b]
+        if not view:  # a plain product, already in order
+            regs[a] = (x.reshape(x_shape) @ y.reshape(y_shape)).reshape(shape)
+        else:
+            regs[a] = np.empty(shape, x.dtype)
+            np.matmul(x.reshape(x_shape), y.reshape(y_shape), out=regs[a].reshape(view[0]).transpose(view[1]))
+        regs[b] = None
+    scale = functools.reduce(np.multiply, [regs[a] for a in scalars]) if scalars else None
     if not factors:
         return np.asarray(1 if scale is None else scale, dtype)  # a product of 0-d object arrays is an int
-    factors.sort(key=lambda f: f[0])
-    _, result, fresh = factors[0]
-    for _, view, _ in factors[1:]:
-        result, fresh = np.multiply(result, view, order="C"), True
-    if scale is not None:
-        result = np.multiply(result, scale, out=result if fresh else None, order="C")
-    return result
+    views = [np.expand_dims(regs[a].transpose(axes), missing) for a, axes, missing in factors]
+    result = functools.reduce(lambda product, view: np.multiply(product, view, order="C"), views)
+    return result if scale is None else np.multiply(result, scale, out=result if fresh else None, order="C")
 
 
 def spider_matrix(p: FrobeniusPresentation, k: int, l: int, genus: int = 0) -> MatrixMorphism:

@@ -1,12 +1,19 @@
 """Shared random generators (seeded, reproducible), mutation helpers, a
-reference wiring walk and a reference spider matrix for the test suite."""
+reference wiring walk, a reference spider matrix, an emptied contraction
+plan cache and a memory-capped child process for the test suite."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+from catkit import tqft
 from catkit.diagram import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap
 from catkit.diagram.terms import leaf_type, mismatch
 from catkit.matcat import MatrixMorphism, compose, tensor
@@ -64,6 +71,30 @@ def no_recursion(f, *args):
     except RecursionError:
         pass
     pytest.fail(f"{getattr(f, '__name__', f)} raised RecursionError", pytrace=False)
+
+
+@contextmanager
+def fresh_plans():
+    """An empty contraction plan cache on entry and on exit, so spies on the
+    planner see every network planned inside, whatever ran before."""
+    tqft._plan.cache_clear()
+    try:
+        yield
+    finally:
+        tqft._plan.cache_clear()
+
+
+def run_capped(code, *args, gib=3):
+    """Run Python code, with args as sys.argv[1:], in a child process whose
+    address space is capped at gib GiB, so a runaway allocation fails there
+    instead of exhausting the machine.  catkit and these helpers import as
+    here; numpy keeps one BLAS thread.  Returns the CompletedProcess."""
+    cap = gib << 30
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    code = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n{code}"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def kronecker_spider(p, k: int, l: int, genus: int = 0) -> MatrixMorphism:

@@ -10,6 +10,7 @@ import pytest
 
 import catkit
 from catkit.cli import main
+from helpers import run_capped
 
 SURFACES = """
 object Z frobenius selfdual;
@@ -322,6 +323,16 @@ class TestEval:
         assert (code, out, caught) == (1, "", [])
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "inf or nan" in err
+
+    def test_an_oversized_result_is_one_error_line(self, tmp_path):
+        # a 3^22-entry column, past the contraction budget; the child's 3 GiB cap makes a
+        # regression fail there instead of exhausting the machine
+        (tmp_path / "s.cat").write_text("object Z frobenius selfdual;\ndiag s = spider(Z, 0, 22);\n")
+        (tmp_path / "d.json").write_text(json.dumps({"semiring": "complex", "objects": {"Z": 3}, "frobenius": {"Z": "basis"}}))
+        argv = ["eval", str(tmp_path / "s.cat"), "s", "--interp", str(tmp_path / "d.json")]
+        proc = run_capped("import sys\nfrom catkit.cli import main\nsys.exit(main(sys.argv[1:]))", *argv)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: {tmp_path / 's.cat'}: diagram 's': term too large for eval\n"
 
     def test_complex_overflow_names_file_and_diagram(self, tmp_path, capsys):
         handles = " >> ".join(["spider(Z, 1, 2) >> spider(Z, 2, 1)"] * 1100)

@@ -1,6 +1,7 @@
 """Interpretations: frozen presentation oracles, functor laws, graph contraction."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -52,7 +53,7 @@ from catkit.tqft import (
 )
 
 from corpus import closed_surface, make_rng, random_cob_term, random_term, rewrite_randomly, standard_signature
-from helpers import ALL_TAGS, flip_entry, kronecker_spider, random_matrix
+from helpers import ALL_TAGS, flip_entry, fresh_plans, kronecker_spider, random_matrix, run_capped
 
 Z = ObjectWord((("Z", False),))
 ZSIG = cob_signature("Z")
@@ -1339,10 +1340,12 @@ class TestResultLayout:
 
     def test_cases_reach_every_branch(self, monkeypatch):
         seen = set()
-        last_step, assemble = tqft_module._last_step, tqft_module._assemble
+        step, assemble = tqft_module._step, tqft_module._assemble
 
-        def spy_last_step(x, y, shared, slot, dims):
-            free = sorted({*x[1], *y[1]}.difference(shared), key=slot.__getitem__)
+        def spy_step(x, y, shared, order, dims):
+            if order is None:  # not a last step
+                return step(x, y, shared, order, dims)
+            free = order
             on_x = [z in x[1] for z in free]
             seen.add("no free label" if not free else "last slot on x" if on_x[-1] else "last slot on y")
             if free and len(set(on_x)) == 1:
@@ -1356,9 +1359,9 @@ class TestResultLayout:
                 seen.add("widest run apart from the last")
             if math.prod(dims[z] for z in shared) == 0:
                 seen.add("empty sum")
-            return last_step(x, y, shared, slot, dims)
+            return step(x, y, shared, order, dims)
 
-        def spy_assemble(dtype, parts, boundary):
+        def spy_assemble(parts, boundary, dims):
             factors = [fresh for _, labels, fresh in parts if labels]
             scalars = len(parts) - len(factors)
             seen.add("empty boundary" if not boundary else "one factor" if len(factors) == 1 else "factors")
@@ -1366,16 +1369,17 @@ class TestResultLayout:
                 seen.add("scalar into a new array" if factors[0] else "scalar into a view")
             if any(len(set(labels)) < len(labels) for _, labels, _ in parts):
                 seen.add("repeated label")
-            return assemble(dtype, parts, boundary)
+            return assemble(parts, boundary, dims)
 
-        monkeypatch.setattr(tqft_module, "_last_step", spy_last_step)
+        monkeypatch.setattr(tqft_module, "_step", spy_step)
         monkeypatch.setattr(tqft_module, "_assemble", spy_assemble)
         sig = layout_signature()
         for tag in (COMPLEX, BOOL, NAT):
             interp = layout_interp(sig, tag, 0)
             for term in LAYOUT_CASES.values():
-                interpret(term, interp)
-                evaluate_graph(to_graph(term, sig), interp)
+                with fresh_plans():
+                    interpret(term, interp)
+                    evaluate_graph(to_graph(term, sig), interp)
         assert seen == {
             "no free label", "last slot on x", "last slot on y", "one operand's labels all shared", "batch",
             "widest run apart from the last", "empty sum", "empty boundary",
@@ -1387,32 +1391,33 @@ class TestResultLayout:
         # both of whose ends are on one tensor; no product repeats a label, since each
         # wire has two ends, so the trace is reached as a tensor is first added
         seen = set()
-        pair, tensordot = tqft_module._pair, np.tensordot
+        step, tensordot = tqft_module._step, np.tensordot
 
-        def spy_pair(x, y):
-            (x_arr, x_labels, _), (_, y_labels, y_set) = x, y
-            shared = [z for z in x_labels if z in y_set]
+        def spy_step(x, y, shared, order, dims):
+            if order is not None:  # a last step
+                return step(x, y, shared, order, dims)
+            (_, x_labels, _, _), (_, y_labels, _, _) = x, y
             x_free, y_free = [z for z in x_labels if z not in shared], [z for z in y_labels if z not in shared]
             seen.add("x transposed" if x_free + shared != x_labels else "x in order")
             seen.add("y transposed" if shared + y_free != y_labels else "y in order")
             if not x_free or not y_free:
                 seen.add("an operand with no free label")
-            if math.prod(x_arr.shape[x_labels.index(z)] for z in shared) == 0:
+            if math.prod(dims[z] for z in shared) == 0:
                 seen.add("empty sum")
-            return pair(x, y)
+            return step(x, y, shared, order, dims)
 
         def spy_tensordot(a, b, axes):
             assert b.shape == (len(b),) * 2 and (b == np.eye(len(b), dtype=b.dtype)).all() and axes[1] == (0, 1)
             seen.add("repeated label traced")
             return tensordot(a, b, axes)
 
-        monkeypatch.setattr(tqft_module, "_pair", spy_pair)
+        monkeypatch.setattr(tqft_module, "_step", spy_step)
         sig = layout_signature()
         for tag in (COMPLEX, BOOL, NAT):
             interp = layout_interp(sig, tag, 0)
             for term in LAYOUT_CASES.values():
                 graph = to_graph(term, sig)
-                with monkeypatch.context() as m:
+                with monkeypatch.context() as m, fresh_plans():
                     m.setattr(np, "tensordot", spy_tensordot)
                     interpret(term, interp)
                     evaluate_graph(graph, interp)
@@ -1425,16 +1430,17 @@ class TestResultLayout:
     @pytest.mark.parametrize("name", ["long-chain", "brickwork-6", "brickwork-8"])
     def test_three_or_more_pairwise_steps_agree_with_matcat(self, name, tag, monkeypatch):
         steps = []
-        pair = tqft_module._pair
-        monkeypatch.setattr(tqft_module, "_pair", lambda x, y: steps.append(1) or pair(x, y))
+        step = tqft_module._step
+        monkeypatch.setattr(tqft_module, "_step", lambda *args: steps.append(args[3] is None) or step(*args))
         sig = layout_signature()
         interp = layout_interp(sig, tag, 3)
         term = LAYOUT_CASES[name]
         want = matcat_reference(term, interp)
         for run in (lambda: interpret(term, interp), lambda: evaluate_graph(to_graph(term, sig), interp)):
             steps.clear()
-            got = run()
-            assert len(steps) >= 3
+            with fresh_plans():
+                got = run()
+            assert sum(steps) >= 3
             assert got.data.shape == want.data.shape and got.data.dtype == tag.ops.dtype and got == want
 
     def test_width_8_brickwork_with_large_entries_equals_its_reference(self):
@@ -1470,3 +1476,130 @@ class TestResultLayout:
                 tracemalloc.stop()
         assert result.data.shape == (256, 256)
         assert peak < 1.5 * result.data.nbytes
+
+
+def _exact(m):
+    """m's shape and entries, exactly: raw bytes, or Python ints with their types."""
+    if m.data.dtype == object:
+        return m.data.shape, [(type(v), v) for v in m.data.ravel().tolist()]
+    return m.data.shape, m.data.dtype, m.data.tobytes()
+
+
+def _relation_chain(tag, length):
+    """A chain r0 >> r1 >> ... of length random 3x3 boxes over tag, and its interpretation."""
+    sig, r, rng = Signature(), ObjectWord.of("R"), make_rng(length)
+    sig.declare_object("R")
+    term, matrices = None, {}
+    for k in range(length):
+        sig.declare_generator(f"r{k}", r, r)
+        matrices[f"r{k}"] = random_matrix(tag, 3, 3, rng)
+        term = Gen(f"r{k}") if term is None else Seq(term, Gen(f"r{k}"))
+    return term, Interpretation(tag, {"R": 3}, matrices, signature=sig)
+
+
+def _plan_cases(tag):
+    """(name, call) pairs, each call one contraction over tag: brickworks of widths
+    2-8 and the other layout cases, copy networks and relation chains."""
+    sig = layout_signature()
+    interp, cases = layout_interp(sig, tag, 5), []
+    for name, term in [("brickwork-2", brickwork(2)), ("brickwork-3", brickwork(3)), *LAYOUT_CASES.items()]:
+        cases += [(name, functools.partial(interpret, term, interp))]
+        cases += [(f"{name}-graph", functools.partial(evaluate_graph, to_graph(term, sig), interp))]
+    for seed in range(8):
+        rng = make_rng(seed)
+        term, copies = random_cob_term(rng, rng.randrange(3)), cob_interp(basis_frobenius(2 + seed % 2, tag))
+        cases += [(f"copies-{seed}", functools.partial(interpret, term, copies))]
+        cases += [(f"copies-{seed}-graph", functools.partial(evaluate_graph, to_graph(term, ZSIG), copies))]
+    for length in (2, 5, 16):
+        cases += [(f"chain-{length}", functools.partial(interpret, *_relation_chain(tag, length)))]
+    return cases
+
+
+# evaluate_graph on a closed random 3-regular graph of 120 spiders under orth-3,
+# basis_frobenius(3) conjugated by a real orthogonal matrix; prints the MemoryError
+ORTH3_GRAPH = """
+import random
+import numpy as np
+from catkit import COMPLEX, Interpretation, MatrixMorphism
+from catkit.diagram import OpenGraph, SpiderNode
+from catkit.tqft import basis_frobenius, conjugate_presentation, evaluate_graph
+legs = [("n", i, port) for i in range(120) for port in range(3)]
+random.Random(0).shuffle(legs)
+graph = OpenGraph(tuple(SpiderNode("Z", 3) for _ in range(120)), tuple(zip(legs[::2], legs[1::2])), (), ())
+q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+f, f_inv = MatrixMorphism(COMPLEX, q.tolist()), MatrixMorphism(COMPLEX, q.T.tolist())
+orth = conjugate_presentation(basis_frobenius(3, COMPLEX), f, f_inv)
+try:
+    evaluate_graph(graph, Interpretation(COMPLEX, {"Z": 3}, frobenius_data={"Z": orth}))
+except MemoryError as exc:
+    print(exc)
+"""
+
+
+class TestPlans:
+    """A contraction plan depends on the network's shape alone, is cached, and
+    knows its largest array before any array exists."""
+
+    @SEMIRINGS
+    def test_a_cached_plan_gives_the_cold_result_bit_for_bit(self, tag):
+        planned, cases = 0, _plan_cases(tag)
+        for name, run in cases:
+            with fresh_plans():
+                cold = _exact(run())
+                misses = tqft_module._plan.cache_info().misses
+                warm = _exact(run())
+                assert tqft_module._plan.cache_info()[:2] == (misses, misses), name  # hits, misses
+            assert warm == cold, name
+            planned += misses
+        assert planned == len(cases) - 2  # copies-1, one tensor on both sides, needs no plan
+
+    @pytest.mark.parametrize("tag", [COMPLEX, NAT], ids=["complex", "nat"])
+    def test_one_shape_with_other_arrays_gives_its_own_matrix(self, tag):
+        sig, term = layout_signature(), brickwork(4)
+        first, second = layout_interp(sig, tag, 1), layout_interp(sig, tag, 2)
+        wider = standard_interp(sig, tag, make_rng(3), dims={**LAYOUT_DIMS, "Q": 3})  # another shape
+        with fresh_plans():
+            a, b = interpret(term, first), interpret(term, second)
+            assert tqft_module._plan.cache_info()[:2] == (1, 1)  # hits, misses
+            c = interpret(term, wider)
+            assert tqft_module._plan.cache_info()[:2] == (1, 2)
+        assert a == matcat_reference(term, first) and b == matcat_reference(term, second) and a != b
+        assert c == matcat_reference(term, wider)
+
+    def test_the_cache_keeps_at_most_its_size(self):
+        with fresh_plans():
+            for d in range(2 * tqft_module.PLANS):  # one box on two wires, a new dimension each time
+                tqft_module._plan((((0, 1),), (0, 1), ((0, 2), (1, d))))
+            info = tqft_module._plan.cache_info()
+            assert info.misses == 2 * info.maxsize and info.maxsize == tqft_module.PLANS >= info.currsize
+
+    def test_plans_hold_only_ints_and_tuples(self, monkeypatch):
+        plans, run = [], tqft_module._run
+        monkeypatch.setattr(tqft_module, "_run", lambda plan, *args: plans.append(plan) or run(plan, *args))
+        with fresh_plans():
+            for _, case in _plan_cases(NAT):
+                case()
+        todo, kinds = list(plans), set()
+        while todo:
+            item = todo.pop()
+            if type(item) is tuple:
+                todo += item
+            kinds.add(type(item))
+        assert len(plans) > 40 and kinds == {tuple, int, bool}
+
+    def test_the_budget_admits_a_12_qubit_result_and_refuses_a_15_qubit_one(self):
+        # the identity on n qubit wires: every wire an identity between two boundary slots
+        def identity(n):
+            return (), tuple(range(n)) * 2, tuple((x, 2) for x in range(n))
+
+        with fresh_plans():
+            assert tqft_module._plan(identity(12))[2] == (2,) * 12  # a 2^24-entry result
+            with pytest.raises(MemoryError, match=f"needs a {2**30}-entry array, over the {2**28}-entry budget"):
+                tqft_module._plan(identity(15))
+
+    def test_an_oversized_plan_is_refused_before_any_array_exists(self):
+        # the greedy plan for this graph asks for a 17.3 GiB intermediate, and more later;
+        # the child's 3 GiB cap makes a regression fail there instead of exhausting the machine
+        proc = run_capped(ORTH3_GRAPH)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"contraction plan needs a {3**22}-entry array, over the {2**28}-entry budget\n"

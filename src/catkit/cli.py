@@ -13,30 +13,21 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .diagram.terms import ParseError, TypeMismatch, UnknownName
 
-# every other catkit module is imported by the commands that use it, so
-# check, eq and classify start without numpy, and laws loads no parser,
-# graph code or contraction engine
-if TYPE_CHECKING:
-    from .presentations import Interpretation
+# every other catkit module, and json, is imported by the commands that use it, so check, eq
+# and classify start without numpy, dataclasses or json, and laws without parser, graphs or tqft
 
 
-@dataclass
 class Workspace:
     """Everything one invocation works with."""
 
-    signature: object
-    diagrams: dict
-    interpretation: Interpretation | None = None
-    path: str = ""
+    def __init__(self, signature, diagrams, interpretation=None, path=""):
+        self.signature, self.diagrams, self.interpretation, self.path = signature, diagrams, interpretation, path
 
     def diagram(self, name):
         term = self.diagrams.get(name)
@@ -70,6 +61,8 @@ class _IOFailure(Exception):
 
 
 def _read_json(path):
+    import json
+
     try:
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -169,13 +162,7 @@ def cmd_eval(args):
         m, dom, cod = _interpret(term, ws.interpretation)
     print(_format_matrix(m))
     if m.tag.kind == "bool":
-        print(
-            _format_pairs(
-                m,
-                _word_labels(dom, ws.interpretation),
-                _word_labels(cod, ws.interpretation),
-            )
-        )
+        print(_format_pairs(m, _word_labels(dom, ws.interpretation), _word_labels(cod, ws.interpretation)))
     return 0
 
 

@@ -32,15 +32,14 @@ interchangeable and their port numbers carry no meaning.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 
-from .terms import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap, leaf_type, mismatch
+from .terms import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap, Value, leaf_type, mismatch
 
 
-@dataclass(frozen=True)
-class BoxNode:
+class BoxNode(Value):
     """Generator occurrence with ordered ports: dom ports then cod ports."""
 
+    __slots__ = ("name", "daggered", "dom", "cod")
     name: str
     daggered: bool
     dom: object
@@ -51,32 +50,32 @@ class BoxNode:
         return len(self.dom) + len(self.cod)
 
 
-@dataclass(frozen=True)
-class SpiderNode:
+class SpiderNode(Value):
     """Undirected frobenius node; all legs are interchangeable."""
 
+    __slots__, _defaults = ("atom", "degree", "genus"), (0,)
     atom: str
     degree: int
-    genus: int = 0
+    genus: int
 
     @property
     def n_ports(self):
         return self.degree
 
 
-@dataclass(frozen=True)
-class OpenGraph:
+class OpenGraph(Value):
     """Immutable open graph with ordered, typed boundaries.
 
     loops is a sorted tuple of atom labels, one entry per closed circle
     of bare wire.
     """
 
+    __slots__, _defaults = ("nodes", "wires", "input_types", "output_types", "loops"), ((),)
     nodes: tuple
     wires: tuple
     input_types: tuple
     output_types: tuple
-    loops: tuple = ()
+    loops: tuple
 
 
 class Wiring:

@@ -38,25 +38,10 @@ its first occurrence only, so a parsed term is a DAG.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import terms
-from .terms import (
-    Cap,
-    Cup,
-    Dagger,
-    Gen,
-    Id,
-    ObjectWord,
-    Par,
-    ParseError,
-    Seq,
-    Signature,
-    Spider,
-    Swap,
-    TypeMismatch,
-    UNIT,
-)
+from .terms import (Cap, Cup, Dagger, DataclassFields, Gen, Id, ObjectWord, Par, ParseError, Seq, Signature, Spider,
+                    Swap, TypeMismatch, UNIT)
 
 RESERVED = frozenset(
     [
@@ -157,12 +142,13 @@ def tokenize(text):
     return pieces
 
 
-@dataclass
 class ParseResult:
     """A signature together with the file's named diagrams, in order."""
 
-    signature: Signature
-    diagrams: dict = field(default_factory=dict)
+    __dataclass_fields__ = DataclassFields()
+
+    def __init__(self, signature, diagrams=None):
+        self.signature, self.diagrams = signature, {} if diagrams is None else diagrams
 
 
 class _Parser:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .diagram.graphs import OpenGraph, SpiderNode, Wiring
-from .diagram.terms import Gen, ObjectDecl, ObjectWord, Signature, Spider, TypeMismatch
+from .diagram.terms import Gen, ObjectDecl, ObjectWord, Signature, Spider, TypeMismatch, Value
 
 
 def cob_signature(atom="A"):
@@ -135,24 +134,23 @@ def fuse_trace(graph, special=False, frobenius=()):
     return _fusion(graph, special, frobenius)[-1]
 
 
-@dataclass(frozen=True)
-class ComponentClass:
+class ComponentClass(Value):
     """One connected piece: boundary attachments plus genus."""
 
+    __slots__ = ("inputs", "outputs", "genus")
     inputs: tuple
     outputs: tuple
     genus: int
 
     def render(self):
-        ins = ", ".join(str(i) for i in self.inputs)
-        outs = ", ".join(str(i) for i in self.outputs)
+        ins, outs = (", ".join(map(str, ports)) for ports in (self.inputs, self.outputs))
         return f"component(in=[{ins}], out=[{outs}], genus={self.genus})"
 
 
-@dataclass(frozen=True)
-class CobordismClass:
+class CobordismClass(Value):
     """Multiset of component classes covering every boundary position."""
 
+    __slots__ = ("atom", "components")
     atom: str
     components: tuple
 

@@ -187,21 +187,23 @@ def _plan(shape):
     """The plan, ints and tuples only, that contracts a network of this shape:
     each tensor's labels, the boundary, and each root label's dimension.
 
-    Registers hold the tensors, then an identity per label no tensor holds;
-    one holding both ends of a label traces it.  Pairs sharing a label are
-    contracted greedily, smallest result first as in opt_einsum's greedy
-    path, each by _step into its first operand's register.  Raises
+    Registers hold the tensors, an identity per boundary label no tensor
+    holds, then the scalar d of each closed loop (a label neither a tensor
+    nor the boundary holds); one holding both ends of a label traces it.  Pairs sharing a
+    label are contracted greedily, smallest result first as in opt_einsum's
+    greedy path, each by _step into its first operand's register.  Raises
     MemoryError, before any array exists, if one would pass BUDGET entries.
     """
     tensors, boundary, dims = *shape[:2], dict(shape[2])
     held = {x for labels in tensors for x in labels}
-    eyes = [(x, d) for x, d in dims.items() if x not in held]
     ends, slot = set(boundary), {x: i for i, x in enumerate(boundary)}
+    eyes = [(x, d) for x, d in dims.items() if x not in held and x in ends]
+    loops = tuple(d for x, d in dims.items() if x not in held and x not in ends)
     live, owners, heap, keys, traces, steps, parts = {}, {}, [], itertools.count(), [], [], []
 
     def add(reg, labels, size):
         mine = set(labels)
-        if len(mine) < len(labels):  # both ends on one tensor: a trace, or the identity of a closed loop
+        if len(mine) < len(labels):  # both ends on one tensor: a trace
             for x in [x for x in mine if labels.count(x) == 2 and x not in ends]:
                 i, j = (k for k, z in enumerate(labels) if z == x)
                 traces.append((reg, i, j, dims[x]))
@@ -240,8 +242,9 @@ def _plan(shape):
                 add(x[0], labels, size)
     if largest > BUDGET:
         raise MemoryError(f"contraction plan needs a {largest}-entry array, over the {BUDGET}-entry budget")
-    layout = _assemble(parts + [(reg, labels, False) for reg, labels, _, _ in live.values()], boundary, dims)
-    return tuple(traces), tuple(steps), tuple(d for _, d in eyes), layout
+    parts += [(reg, labels, False) for reg, labels, _, _ in live.values()]
+    layout = _assemble(parts + [(len(tensors) + len(eyes) + k, [], False) for k in range(len(loops))], boundary, dims)
+    return tuple(traces), tuple(steps), tuple(d for _, d in eyes), loops, layout
 
 
 def _axes(labels, order):
@@ -308,8 +311,8 @@ def _assemble(parts, boundary, dims):
 
 def _run(plan, arrays, dtype):
     """plan run on arrays, a network's tensors in order: one array with an axis per boundary slot."""
-    traces, steps, eyes, (scalars, factors, fresh) = plan
-    regs = arrays + [np.eye(d, dtype=dtype) for d in eyes]
+    traces, steps, eyes, loops, (scalars, factors, fresh) = plan
+    regs = arrays + [np.eye(d, dtype=dtype) for d in eyes] + [np.asarray(d, dtype) for d in loops]
     for a, i, j, d in traces:
         regs[a] = np.tensordot(regs[a], np.eye(d, dtype=dtype), axes=((i, j), (0, 1)))
     for a, b, x_axes, x_shape, y_axes, y_shape, shape, view in steps:

@@ -688,13 +688,19 @@ class TestLaws:
         ]
 
 
-# runs catkit.cli.main in a fresh interpreter, then reports the catkit modules
-# it loaded (one line) and whether numpy loaded (the last line)
-NUMPY_PROBE = """
+# the standard modules the symbolic commands do without; dataclasses imports inspect
+NOT_SYMBOLIC = ("dataclasses", "inspect", "json")
+LOADED = 'print(" ".join(m for m in %r if m in sys.modules))' % (NOT_SYMBOLIC,)
+
+# runs catkit.cli.main in a fresh interpreter, then reports which of
+# NOT_SYMBOLIC are loaded (one line), the catkit modules it loaded (one
+# line) and whether numpy loaded (the last line)
+NUMPY_PROBE = f"""
 import sys
 sys.path.insert(0, sys.argv[1])
 from catkit.cli import main
 code = main(sys.argv[2:])
+{LOADED}
 print(" ".join(sorted(m for m in sys.modules if m.startswith("catkit"))))
 print(code, "numpy" in sys.modules)
 """
@@ -704,6 +710,14 @@ NOT_FOR_LAWS = ("catkit.diagram.parser", "catkit.diagram.graphs", "catkit.froben
 
 
 class TestImports:
+    @pytest.fixture(scope="class")
+    def bare_loaded(self):
+        """Which of NOT_SYMBOLIC a bare interpreter started the same way has, as a site hook may load some."""
+        argv = [sys.executable, "-c", f"import sys\n{LOADED}"]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        return set(proc.stdout.split())
+
     @pytest.mark.parametrize(
         "argv, loads_numpy",
         [
@@ -716,8 +730,12 @@ class TestImports:
         ],
         ids=["check", "eq", "eq-frobenius", "classify", "eval"],
     )
-    def test_numpy_loads_only_for_matrix_commands(self, files, argv, loads_numpy):
-        assert self.probe(files, argv)[-1] == f"0 {loads_numpy}"
+    def test_numpy_loads_only_for_matrix_commands(self, files, bare_loaded, argv, loads_numpy):
+        lines = self.probe(files, argv)
+        assert lines[-1] == f"0 {loads_numpy}"
+        # nor dataclasses, inspect or json, unless a bare interpreter has them already
+        new = set(lines[-3].split()) - bare_loaded
+        assert new == (set(NOT_SYMBOLIC) - bare_loaded if loads_numpy else set())
 
     @pytest.mark.parametrize(
         "argv, unused",

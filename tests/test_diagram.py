@@ -1,6 +1,7 @@
 """Terms, parser, port graphs, and the free-category equality decision."""
 
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -15,11 +16,14 @@ import corpus
 from helpers import no_recursion, reference_walk, walk_shape
 from catkit.diagram import (
     UNIT,
+    BoxNode,
     Cap,
     Cup,
     Dagger,
     Gen,
+    GenDecl,
     Id,
+    ObjectDecl,
     ObjectWord,
     OpenGraph,
     Par,
@@ -44,7 +48,7 @@ from catkit.diagram import graphs as graphs_module
 from catkit.diagram import parser as parser_module
 from catkit.diagram import terms as terms_module
 from catkit.diagram.graphs import Wiring
-from catkit.frobenius import fuse
+from catkit.frobenius import CobordismClass, ComponentClass, fuse
 
 A = ObjectWord.of("A")
 B = ObjectWord.of("B")
@@ -479,6 +483,100 @@ class TestTermNodes:
                 calls.clear()
                 typed(term)
                 assert calls == {type(leaf()).__name__: 1}, term
+
+
+class TestValueClasses:
+    """Words, declarations, graph nodes, graphs and cobordism classes behave
+    as frozen dataclasses, as the term nodes do, but are not terms."""
+
+    GRAPH = OpenGraph((SpiderNode("Z", 1, 2),), ((("i", 0), ("n", 0, 0)),), (("Z", False),), (), ("Z",))
+    VALUES = [
+        ObjectWord((("A", False), ("B", True))),
+        ObjectDecl("A", True, False),
+        GenDecl("f", A, B),
+        BoxNode("f", True, A, B),
+        SpiderNode("Z", 3, 1),
+        GRAPH,
+        ComponentClass((0,), (1, 2), 1),
+        CobordismClass("Z", (ComponentClass((), (), 2),)),
+    ]
+    IDS = [type(v).__name__ for v in VALUES]
+
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    def test_built_by_position_or_keyword(self, value):
+        cls, fields = type(value), [getattr(value, f) for f in value.__slots__]
+        assert cls(*fields) == value == cls(**dict(zip(value.__slots__, fields)))
+        assert cls.__match_args__ == value.__slots__
+        assert not isinstance(value, terms_module.DiagramTerm)
+
+    def test_defaults(self):
+        assert ObjectWord() == UNIT and ObjectWord().factors == ()
+        assert SpiderNode("Z", 3).genus == 0 and SpiderNode("Z", 3) == SpiderNode("Z", 3, 0)
+        graph = OpenGraph((), (), (), ())
+        assert graph.loops == () and graph == OpenGraph((), (), (), (), ())
+        assert ObjectDecl("A") == ObjectDecl("A", False, False) == ObjectDecl("A", self_dual=False)
+
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    def test_equal_and_hashed_by_value_within_one_class(self, value):
+        fields = [getattr(value, f) for f in value.__slots__]
+        twin = type("Twin", (terms_module.Value,), {"__slots__": value.__slots__})(*fields)
+        same = copy.copy(value)
+        assert same == value and not same != value and hash(same) == hash(value)
+        assert twin != value and value != twin and value != tuple(fields)
+        assert len({value, same, twin}) == 2
+
+    def test_repr(self):
+        assert repr(BoxNode("f", True, A, B)) == (
+            "BoxNode(name='f', daggered=True, dom=ObjectWord(factors=(('A', False),)), "
+            "cod=ObjectWord(factors=(('B', False),)))"
+        )
+        assert repr(SpiderNode("Z", 3)) == "SpiderNode(atom='Z', degree=3, genus=0)"
+        assert repr(self.GRAPH) == (
+            "OpenGraph(nodes=(SpiderNode(atom='Z', degree=1, genus=2),), wires=((('i', 0), ('n', 0, 0)),), "
+            "input_types=(('Z', False),), output_types=(), loops=('Z',))"
+        )
+
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    def test_fields_cannot_be_assigned(self, value):
+        for field_ in value.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, field_, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field_)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    def test_pickle_and_copy_round_trip(self, value):
+        for round_trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+            back = round_trip(value)
+            assert back is not value and type(back) is type(value) and back == value
+
+    def test_a_value_is_not_a_term(self, sig):
+        with pytest.raises(TypeError, match="not a diagram term"):
+            typecheck(Seq(Gen("f"), SpiderNode("Z", 2)), sig)
+
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    def test_dataclasses_replace_and_fields_take_it(self, value):
+        assert dataclasses.is_dataclass(value) and type(value).__dataclass_params__.frozen
+        assert tuple(f.name for f in dataclasses.fields(value)) == value.__slots__
+        assert dataclasses.replace(value) == value
+        first = value.__slots__[0]
+        changed = dataclasses.replace(value, **{first: "x"})
+        assert type(changed) is type(value) and getattr(changed, first) == "x"
+        assert [getattr(changed, f) for f in value.__slots__[1:]] == [getattr(value, f) for f in value.__slots__[1:]]
+
+    def test_dataclasses_asdict_defaults_and_parse_result(self):
+        assert dataclasses.asdict(BoxNode("f", True, A, B)) == {
+            "name": "f", "daggered": True, "dom": {"factors": (("A", False),)}, "cod": {"factors": (("B", False),)}
+        }
+        cob = CobordismClass("Z", (ComponentClass((), (), 2),))
+        assert dataclasses.asdict(cob) == {"atom": "Z", "components": ({"inputs": (), "outputs": (), "genus": 2},)}
+        assert [f.default for f in dataclasses.fields(SpiderNode)][1:] == [dataclasses.MISSING, 0]
+        result = parse("object A; gen f : A -> A; diag g = f;")
+        emptied = dataclasses.replace(result, diagrams={})
+        assert emptied.signature is result.signature and emptied.diagrams == {} and list(result.diagrams) == ["g"]
+        assert not dataclasses.is_dataclass(Gen("f")) and not dataclasses.is_dataclass(Seq)
 
 
 class TestTypedWalk:

@@ -1597,6 +1597,23 @@ class TestPlans:
             with pytest.raises(MemoryError, match=f"needs a {2**30}-entry array, over the {2**28}-entry budget"):
                 tqft_module._plan(identity(15))
 
+    @SEMIRINGS
+    @pytest.mark.parametrize("d", [0, 3, 20000])
+    def test_a_bare_loop_is_the_scalar_d_with_no_array(self, tag, d):
+        interp, loop = Interpretation(tag, {"Z": d}, signature=ZSIG), Seq(Cap("Z"), Cup("Z"))
+        # the value the identity register's trace gave, before loops were scalar factors
+        expected = _exact(MatrixMorphism._raw(tag, np.array([[d]], tag.ops.dtype)))
+        tracemalloc.start()
+        try:
+            results = [interpret(loop, interp), evaluate_graph(to_graph(loop, ZSIG), interp)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [_exact(m) for m in results] == [expected] * 2 and peak < 2**20
+        assert results[0].data[0, 0] == {"complex": d, "nat": d, "bool": d > 0}[tag.kind]
+        with fresh_plans():
+            assert tqft_module._plan(((), (), ((0, d),)))[2:4] == ((), (d,))  # no identity, one loop factor
+
     def test_an_oversized_plan_is_refused_before_any_array_exists(self):
         # the greedy plan for this graph asks for a 17.3 GiB intermediate, and more later;
         # the child's 3 GiB cap makes a regression fail there instead of exhausting the machine

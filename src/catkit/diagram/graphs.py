@@ -183,39 +183,45 @@ class Wiring:
 
 
 def to_graph(term, sig):
-    """Flatten a term into its open-graph normal form, typing it on the way."""
+    """Flatten a term into its open-graph normal form, typing it on the way.
+
+    Each generator, per dagger parity, and each spider shape is resolved
+    into its node and port atoms once per call; each wire is written as its
+    ends are met, boundary inputs first, then node ports, then outputs."""
     wiring = Wiring(lambda atom: atom)  # a label's value is its atom
-    nodes, ports = [], []
+    values, parent, find = wiring.values, wiring.parent, wiring.find
+    nodes, ports, resolved = [], [], ({}, {})  # per dagger parity, leaf key -> (node, port atoms, domain size)
 
     def leaf(t, flip):
-        if t.__class__ is Gen:
-            decl = sig.generators[t.name]
-            # under a dagger the codomain wires are the domain ports
-            nodes.append(BoxNode(t.name, flip, *((decl.cod, decl.dom) if flip else (decl.dom, decl.cod))))
-            ins, outs = wiring.word(decl.dom), wiring.word(decl.cod)
-            ports.append(outs + ins if flip else ins + outs)
-            return ins, outs
-        labels = wiring.fresh([t.atom] * (t.legs_in + t.legs_out))
-        nodes.append(SpiderNode(t.atom, len(labels)))
-        ins, outs = labels[:t.legs_in], labels[t.legs_in:]
-        ports.append(outs + ins if flip else labels)
-        return ins, outs
+        key = t.name if t.__class__ is Gen else (t.atom, t.legs_in, t.legs_out)
+        node, atoms, k = resolved[flip].get(key) or resolved[flip].setdefault(key, resolve(t, flip))
+        nodes.append(node)
+        labels = [*range(len(parent), len(parent) + len(atoms))]
+        values.extend(atoms)
+        parent.extend(labels)
+        ports.append(labels[k:] + labels[:k] if flip else labels)
+        return labels[:k], labels[k:]
+
+    def resolve(t, flip):
+        if t.__class__ is Spider:
+            return SpiderNode(t.atom, t.legs_in + t.legs_out), [t.atom] * (t.legs_in + t.legs_out), t.legs_in
+        d = sig.generators[t.name]  # under a dagger the codomain wires are the domain ports
+        box = BoxNode(t.name, flip, *((d.cod, d.dom) if flip else (d.dom, d.cod)))
+        return box, [atom for atom, _ in d.dom.factors + d.cod.factors], len(d.dom)
 
     ins, outs, dom, cod = wiring.walk(term, leaf, sig)
-    labelled = [(("i", k), x) for k, x in enumerate(ins)]
-    labelled += [(("n", nid, p), x) for nid, labels in enumerate(ports) for p, x in enumerate(labels)]
-    labelled += [(("o", k), x) for k, x in enumerate(outs)]
-    ends = {}  # union-find root -> the two terminals of its wire
-    for end, x in labelled:
-        ends.setdefault(wiring.find(x), []).append(end)
-    roots = {x for x, root in enumerate(wiring.parent) if x == root}
-    return OpenGraph(
-        nodes=tuple(nodes),
-        wires=tuple(tuple(pair) for pair in ends.values()),
-        input_types=dom,
-        output_types=cod,
-        loops=tuple(sorted(wiring.values[r] for r in roots - ends.keys())),
-    )
+    ends = [("i", k) for k in range(len(ins))]
+    ends += [("n", nid, p) for nid, labels in enumerate(ports) for p in range(len(labels))]
+    ends += [("o", k) for k in range(len(outs))]
+    wires, at = [], {}  # wires in order of their first ends; union-find root -> its wire's index
+    for end, x in zip(ends, [*ins, *(x for labels in ports for x in labels), *outs]):
+        i = at.setdefault(x if parent[x] == x else find(x), len(wires))
+        if i == len(wires):
+            wires.append(end)
+        else:
+            wires[i] = wires[i], end
+    loops = sorted(values[x] for x, root in enumerate(parent) if x == root and x not in at)
+    return OpenGraph(nodes=tuple(nodes), wires=tuple(wires), input_types=dom, output_types=cod, loops=tuple(loops))
 
 
 def _owner(end):

@@ -72,6 +72,7 @@ _PADDED = (";", ":", "=", ",", "(", ")", "*", "->", ">>")
 
 # Tokens that open an expression frame; all but "(" are followed by "(".
 _OPENERS = frozenset(["(", "dg", "name", "coname"])
+_BUILT_INS = frozenset(["id", "swap", "cup", "cap", "spider"])  # the leaves followed by "("
 
 
 def _scanner(text):
@@ -274,40 +275,43 @@ class _Parser:
         and the "x" product of the stage being read; the outermost frame's
         index is None.
         """
-        tokens, leaves = self.tokens, self.leaves
+        tokens, leaves, pos = self.tokens, self.leaves, self.pos
         stack = []
         opener = seq = par = None
         while True:
-            tok = tokens[self.pos]
-            term = leaves.get(tok)  # a generator met before: the commonest case
+            tok = tokens[pos]
+            end = tokens.index(")", pos) if tok in _BUILT_INS else pos  # a built-in's arguments hold no bracket
+            term = leaves.get(tuple(tokens[pos:end]) if end > pos else tok)  # a leaf met before, by its text up to ")"
             if term is not None:
-                self.pos += 1
+                pos = end + 1
             elif tok in _OPENERS:
                 stack.append((opener, seq, par))
-                opener, seq, par = self.pos, None, None
-                self.pos += 1
+                opener, seq, par, self.pos = pos, None, None, pos + 1
                 if tok != "(":
                     self.expect("(")
+                pos = self.pos
                 continue
             else:
-                term = self.atom()
+                term = self.atom(pos)
+                pos = self.pos
             while True:
                 par = term if par is None else Par(par, term)
-                tok = tokens[self.pos]
+                tok = tokens[pos]
                 if tok == "x":
-                    self.pos += 1
+                    pos += 1
                     break
                 if tok == ">>":
                     seq = par if seq is None else Seq(par, seq)
                     par = None
-                    self.pos += 1
+                    pos += 1
                     break
                 term = par if seq is None else Seq(par, seq)
+                self.pos = pos
                 if opener is None:
                     return term
                 if tok != ")":
                     self.expect(")")  # raises
-                self.pos += 1
+                pos += 1
                 keyword = tokens[opener]
                 if keyword == "dg":
                     term = Dagger(term)
@@ -319,25 +323,16 @@ class _Parser:
                         raise
                 opener, seq, par = stack.pop()
 
-    def atom(self):
-        """A generator met for the first time, a named diagram or a
-        built-in other than dg, name and coname; each leaf text is built
-        once, then looked up."""
-        at = self.pos
-        tokens = self.tokens
-        tok = tokens[at]
-        self.pos += 1
+    def atom(self, at):
+        """The named diagram, or the generator or built-in other than dg,
+        name and coname met for the first time, at token `at`; a leaf is
+        kept to be looked up."""
+        tok = self.tokens[at]
+        self.pos = at + 1
         if tok in self.sig.generators:
-            term = self.leaves[tok] = Gen(tok)
-            return term
+            return self.leaves.setdefault(tok, Gen(tok))
         if tok in self.diagrams:
             return self.diagrams[tok]
-        end = tokens.index(")", at)  # a built-in's arguments hold no bracket
-        key = tuple(tokens[at:end])
-        term = self.leaves.get(key)
-        if term is not None:
-            self.pos = end + 1
-            return term
         if tok == "id":
             self.expect("(")
             term = Id(self.word())
@@ -363,7 +358,7 @@ class _Parser:
         else:
             self.fail(f"unknown identifier {tok!r}", at)
         self.expect(")")
-        self.leaves[key] = term
+        self.leaves[tuple(self.tokens[at:self.pos - 1])] = term
         return term
 
 

@@ -1,6 +1,7 @@
 """Shared random generators (seeded, reproducible), mutation helpers, a
-reference wiring walk, a reference spider matrix, an emptied contraction
-plan cache and a memory-capped child process for the test suite."""
+reference wiring walk, a reference port-graph builder, a reference spider
+matrix, an emptied contraction plan cache, a memory-capped child process and
+a counter of the work catkit does for the test suite."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import catkit
 from catkit import tqft
 from catkit.diagram import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap
+from catkit.diagram.graphs import BoxNode, OpenGraph, SpiderNode, Wiring
 from catkit.diagram.terms import leaf_type, mismatch
 from catkit.matcat import MatrixMorphism, compose, tensor
 from catkit.scalars import BOOL, COMPLEX, NAT, SemiringTag, one
@@ -95,6 +98,26 @@ def run_capped(code, *args, gib=3):
     env["OPENBLAS_NUM_THREADS"] = "1"
     code = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n{code}"
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def line_events(f, *args):
+    """f(*args) and the number of line events in catkit's own frames while it
+    ran, counted with sys.settrace: work that does not depend on how fast
+    the machine is.  Python 3.10 and 3.11 have no sys.monitoring."""
+    package, count = os.path.dirname(catkit.__file__) + os.sep, 0
+
+    def in_frame(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return in_frame
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_frame if frame.f_code.co_filename.startswith(package) else None)
+    try:
+        result = f(*args)
+    finally:
+        sys.settrace(previous)
+    return result, count
 
 
 def kronecker_spider(p, k: int, l: int, genus: int = 0) -> MatrixMorphism:
@@ -188,3 +211,43 @@ def walk_shape(calls, ins, outs, values, find):
     boundary = name(ins), name(outs)
     loops = sorted(values[r] for r in {find(x) for x in range(len(values))} - names.keys())
     return leaves, boundary, loops
+
+
+def reference_graph(term, sig):
+    """``to_graph`` as it was written before it resolved each generator once
+    per call: each occurrence looks its declaration up and makes its labels
+    through ``Wiring.word``, and the wires are read off a list of
+    (terminal, label) pairs.  The reference for nodes, wire order and loops.
+    """
+    wiring = Wiring(lambda atom: atom)  # a label's value is its atom
+    nodes, ports = [], []
+
+    def leaf(t, flip):
+        if t.__class__ is Gen:
+            decl = sig.generators[t.name]
+            # under a dagger the codomain wires are the domain ports
+            nodes.append(BoxNode(t.name, flip, *((decl.cod, decl.dom) if flip else (decl.dom, decl.cod))))
+            ins, outs = wiring.word(decl.dom), wiring.word(decl.cod)
+            ports.append(outs + ins if flip else ins + outs)
+            return ins, outs
+        labels = wiring.fresh([t.atom] * (t.legs_in + t.legs_out))
+        nodes.append(SpiderNode(t.atom, len(labels)))
+        ins, outs = labels[:t.legs_in], labels[t.legs_in:]
+        ports.append(outs + ins if flip else labels)
+        return ins, outs
+
+    ins, outs, dom, cod = wiring.walk(term, leaf, sig)
+    labelled = [(("i", k), x) for k, x in enumerate(ins)]
+    labelled += [(("n", nid, p), x) for nid, labels in enumerate(ports) for p, x in enumerate(labels)]
+    labelled += [(("o", k), x) for k, x in enumerate(outs)]
+    ends = {}  # union-find root -> the two terminals of its wire
+    for end, x in labelled:
+        ends.setdefault(wiring.find(x), []).append(end)
+    roots = {x for x, root in enumerate(wiring.parent) if x == root}
+    return OpenGraph(
+        nodes=tuple(nodes),
+        wires=tuple(tuple(pair) for pair in ends.values()),
+        input_types=dom,
+        output_types=cod,
+        loops=tuple(sorted(wiring.values[r] for r in roots - ends.keys())),
+    )

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from helpers import no_recursion, reference_walk, walk_shape
+from helpers import line_events, no_recursion, reference_graph, reference_walk, walk_shape
 from catkit.diagram import (
     UNIT,
     BoxNode,
@@ -48,7 +48,7 @@ from catkit.diagram import graphs as graphs_module
 from catkit.diagram import parser as parser_module
 from catkit.diagram import terms as terms_module
 from catkit.diagram.graphs import Wiring
-from catkit.frobenius import CobordismClass, ComponentClass, fuse
+from catkit.frobenius import CobordismClass, ComponentClass, fuse, fuse_trace
 
 A = ObjectWord.of("A")
 B = ObjectWord.of("B")
@@ -633,6 +633,38 @@ class TestTypedWalk:
                     got = walk_shape(calls, ins, outs, wiring.values, wiring.find), dom, cod
                     assert got == reference_walk(t, typed, leaf), seed
 
+    def test_to_graph_matches_the_reference_builder(self):
+        # nodes, wire order and loops as the builder that resolved each
+        # generator occurrence on its own gave them; fuse_trace indexes wires,
+        # so its steps on the cobordisms are unchanged too
+        sig, cob_sig = base_sig(), corpus.cob_test_signature()
+        f, mu = Gen("f"), Spider("Z", 2, 1)
+        both = [  # one generator or spider shape both plain and under a dagger
+            Seq(Dagger(f), f),
+            Par(Dagger(Seq(f, Gen("g"))), Par(f, Dagger(f))),
+            Seq(Dagger(mu), mu),
+            Par(Dagger(Dagger(mu)), Dagger(Par(mu, Spider("Z", 1, 2)))),
+        ]
+        for t in both:
+            assert to_graph(t, sig) == reference_graph(t, sig), t
+        boxes = {BoxNode("g", True, A, B), BoxNode("f", True, B, A), BoxNode("f", False, A, B)}
+        assert set(to_graph(both[1], sig).nodes) == boxes
+        steps = 0
+        for seed in range(300):
+            rng = corpus.make_rng(seed)
+            term = corpus.random_term(sig, rng, depth=rng.choice([2, 3, 4]))
+            cob = corpus.random_cob_term(rng, rng.randrange(4), rng.randrange(1, 6))
+            for t, s in ((term, sig), (corpus.rewrite_randomly(term, sig, rng)[0], sig), (cob, cob_sig)):
+                assert to_graph(t, s) == reference_graph(t, s), seed
+            trace = fuse_trace(to_graph(cob, cob_sig), special=seed % 2 == 1)
+            assert trace == fuse_trace(reference_graph(cob, cob_sig), special=seed % 2 == 1), seed
+            steps += len(trace)
+        assert steps > 300
+        # parsed terms share each leaf object
+        res = parse(printed_corpus()[1])
+        for name_, t in res.diagrams.items():
+            assert to_graph(t, res.signature) == reference_graph(t, res.signature), name_
+
     def test_printed_corpus(self):
         # parsed terms are DAGs whose equal leaves are one object
         originals, text = printed_corpus()
@@ -660,6 +692,27 @@ class TestTypedWalk:
             typecheck(term, sig)
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
             walk_words(term, sig)
+
+
+class TestCountedWork:
+    """Line events in catkit's frames, counted, grow linearly with a chain's length."""
+
+    @staticmethod
+    def chain(n):
+        """A module whose diagram d is n boxes, every other one under a dagger,
+        with identity leaves between them."""
+        return "gen f : A -> B;\nd = " + " >> ".join(["f >> (dg(f) x id(I)) >> id(A)"] * (n // 2)) + ";\n"
+
+    def test_parse_and_to_graph(self):
+        counts = {"parse": [], "to_graph": []}
+        for n in (250, 500, 1000):
+            res, k = line_events(parse, self.chain(n))
+            counts["parse"].append(k)
+            g, k = line_events(to_graph, res.diagrams["d"], res.signature)
+            counts["to_graph"].append(k)
+            assert len(g.nodes) == n and len(g.wires) == n + 1
+        for layer, (a, b, c) in counts.items():
+            assert a > 250 and b <= 2.3 * a and c <= 2.3 * b, (layer, counts)
 
 
 class TestParser:
@@ -829,6 +882,15 @@ class TestParseErrorPositions:
                 "object Z frobenius; d = spider(Z,1,1) >> spider(Z,1,;",
                 "expected a leg count, found ';'", 1, 53,
             ),
+            # a malformed leaf whose tokens begin a well-formed leaf's; one
+            # cut off at the end of input; a built-in keyword with no "("
+            ("d = id(A x B) >> id(A x)", "expected an object name, found ')'", 1, 24),
+            ("d = cup(A) x cup(", "expected an object name, found 'end of input'", 1, 18),
+            ("gen f : A -> B; d = swap >> f;", "expected '(', found '>>'", 1, 26),
+            (
+                "object Z frobenius; d = spider(Z, 1, 2) >> spider(Z, 1);",
+                "expected ',', found ')'", 1, 55,
+            ),
             ("gen f : A -> B;\n;", "expected a declaration, found ';'", 2, 1),
             ("gen f : A -> A; d = f >> object;", "unexpected keyword 'object'", 1, 26),
             # a name goes to one object, generator or diagram
@@ -841,6 +903,7 @@ class TestParseErrorPositions:
             "after-comment", "after-tab", "crlf", "end", "end-after-comment", "open-paren",
             "spider-args", "reserved", "missing-factor", "half", "dollar", "lone-minus",
             "scan-first", "id-after-id", "cup-after-cup", "spider-after-spider",
+            "id-prefix-of-id", "cup-at-end", "swap-without-bracket", "short-spider-after-spider",
             "not-a-declaration", "keyword-leaf", "gen-over-diagram", "gen-twice",
             "object-over-gen", "gen-over-object",
         ],

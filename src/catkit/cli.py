@@ -133,22 +133,19 @@ def cmd_check(args):
 
 def cmd_eq(args):
     from .diagram.graphs import graph_eq, to_graph
-    from .frobenius import fuse
 
+    if args.frobenius or args.special:  # a plain comparison loads no fusion
+        from .frobenius import fuse
     ws = _load_workspace(args)
-    t1 = ws.diagram(args.first)
-    t2 = ws.diagram(args.second)
+    terms = ws.diagram(args.first), ws.diagram(args.second)
     graphs, frobenius = [], {atom for atom, decl in ws.signature.objects.items() if decl.frobenius}
-    for name, term in ((args.first, t1), (args.second, t2)):
+    for name, term in zip((args.first, args.second), terms):
         with ws.about(name):
             graph = to_graph(term, ws.signature)
             graphs.append(fuse(graph, args.special, frobenius) if args.frobenius or args.special else graph)
-    g1, g2 = graphs
-    if graph_eq(g1, g2):
-        print("equal")
-        return 0
-    print("not equal")
-    return 1
+    equal = graph_eq(*graphs)
+    print("equal" if equal else "not equal")
+    return 0 if equal else 1
 
 
 def cmd_eval(args):

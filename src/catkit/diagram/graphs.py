@@ -1,27 +1,15 @@
-"""Port-graph normal form for diagram terms.
+"""Port-graph normal form for diagram terms, and its equality decision.
 
-``Wiring.walk`` flattens a term to wire labels with one explicit stack,
-typing it on the way: identities, symmetries and duality bends only make
-labels, sequential composition checks and joins them by union-find,
-daggers flip a parity handed to the leaves, and generators and spiders
-are left to the caller.  It is the one pass over a term behind
-``to_graph`` here, ``frobenius.classify_cob`` and the term side of
-``tqft``'s tensor-network builder.
+``Wiring.walk``, one explicit-stack pass that types a term as it flattens
+it to wire labels, serves ``to_graph``, ``frobenius`` and ``tqft``.
 
-``to_graph`` turns the walk into an open graph whose wires record only
-connectivity: each union-find class with two ends is one wire, and a
-class with no ends is a closed circle of bare wire, kept as a labelled
-loop.  ``graph_eq`` then decides equality of terms modulo the dagger
-compact symmetric monoidal axioms by boundary-preserving labelled-graph
-isomorphism.  Box ports are ordered, so once one end of a wire is
-matched the node at its other end is too, and once a box is matched so
-is the far end of each of its ports: one pass from the boundary decides
-every box it reaches with no choice.  Only spider legs, which are
-interchangeable, and closed pieces are searched, depth first on an
-explicit stack.  What a choice opens up, a closed piece or the part
-beyond a spider's leg, is kept as soon as one candidate matches it
-whole: any isomorphic image of it may stand in for another, so the
-search never backtracks into it.
+``certificate`` is a canonical form of an open graph; ``graph_eq`` compares
+two.  A port walk from the boundary numbers every box it reaches, box ports
+being ordered.  The rest (spiders, what lies beyond them, closed pieces) is
+refined into cells from a worklist and split into pieces ordered apart and
+sorted by code; a piece left whole tries each node of its smallest cell with
+its twins, keeping the least code and skipping the orbits of automorphisms
+found (McKay and Piperno, arXiv 1301.1493).
 
 Terminals are tuples: ('n', node_id, port) attaches to a node port,
 ('i', k) / ('o', k) to the k-th boundary input / output.  Box ports are
@@ -31,7 +19,7 @@ interchangeable and their port numbers carry no meaning.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import itertools
 
 from .terms import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap, Value, leaf_type, mismatch
 
@@ -158,10 +146,11 @@ class Wiring:
             else:
                 if sig is None:
                     dom = cod = ()
-                elif cls is Gen or cls not in (Spider, Id, Swap, Cup, Cap):
-                    dom, cod = leaf_type(t, sig)  # one signature lookup for a generator; a stray list is unhashable
+                elif cls is not Gen and cls not in (Spider, Id, Swap, Cup, Cap):
+                    dom, cod = leaf_type(t, sig)  # a stray list is unhashable
                 else:  # the commonest leaves' fields hash faster than the leaves; no two classes' keys are equal
-                    key = (t.atom, t.legs_in, t.legs_out) if cls is Spider else t.word.factors if cls is Id else t
+                    key = (t.name if cls is Gen else (t.atom, t.legs_in, t.legs_out) if cls is Spider
+                           else t.word.factors if cls is Id else t)
                     dom, cod = by_value.get(key) or by_value.setdefault(key, leaf_type(t, sig))
                 if cls is Spider or cls is Gen:
                     ins, outs = leaf(t, flip)
@@ -224,136 +213,150 @@ def to_graph(term, sig):
     return OpenGraph(nodes=tuple(nodes), wires=tuple(wires), input_types=dom, output_types=cod, loops=tuple(loops))
 
 
-def _owner(end):
-    """The node id of a port end, or the boundary slot itself."""
-    return end[1] if end[0] == "n" else end
-
-
-def _ends(graph):
-    """Each end's partner across its wire, and each node's wire counts to
-    its neighbours (node ids or boundary slots; a self-loop counts twice)."""
-    partner, nbrs = {}, defaultdict(dict)
+def _walk(graph):
+    """Boundary, loops and labels; wire and label counts; closed piece sizes; the code: each when asked for."""
+    nodes, n, k = graph.nodes, len(graph.nodes), len(graph.input_types)
+    keys = {id(node): node for node in nodes}  # a sort key per node object, which to_graph shares,
+    keys = {i: (1, node.atom, node.degree, node.genus) if node.__class__ is SpiderNode  # equal for equal nodes
+            else (0, node.name, node.daggered, node.dom.factors, node.cod.factors) for i, node in keys.items()}
+    table = tuple(sorted(set(keys.values())))
+    number = {key: j for j, key in enumerate(table)}
+    lab = [number[keys[id(node)]] for node in nodes] + [-1] * (k + len(graph.output_types))  # slots come last
+    yield graph.input_types, graph.output_types, graph.loops, table
+    yield len(graph.wires), sorted(lab)
+    free = [j >= 0 and table[j][0] for j in lab]  # a spider's legs are interchangeable
+    adj, at = [[] for _ in lab], {"i": n, "o": n + k}  # per node: (port, far node, far port), a leg's port -1
     for a, b in graph.wires:
-        partner[a], partner[b] = b, a
-        x, y = _owner(a), _owner(b)
-        nbrs[x][y] = nbrs[x].get(y, 0) + 1
-        nbrs[y][x] = nbrs[y].get(x, 0) + 1
-    return partner, nbrs
+        x, p = (a[1], -1 if free[a[1]] else a[2]) if a[0] == "n" else (at[a[0]] + a[1], 0)
+        y, q = (b[1], -1 if free[b[1]] else b[2]) if b[0] == "n" else (at[b[0]] + b[1], 0)
+        adj[x].append((p, y, q))
+        adj[y].append((q, x, p))
+    adj = [sorted(ends) for ends in adj]  # a box's ports in order
+    cell, order = [-1] * n + [*range(len(lab) - n)], [*range(n, len(lab))]  # a walked node's cell: its place
+    for x in order:
+        for _, y, _ in () if free[x] else adj[x]:
+            if cell[y] < 0:
+                cell[y] = len(order)
+                order.append(y)
+    pieces = _pieces(loose := {x for x in range(n) if cell[x] < 0}, adj)
+    yield sorted(len(piece) for piece in pieces if all(y in loose for x in piece for _, y, _ in adj[x]))
+    yield _code(order, loose, len(pieces) == 1, lab, adj, free, cell)
 
 
-def _match(g1, g2):
-    """A node map carrying g1 onto g2 with the boundary fixed, or None.
+def _pieces(nodes, adj):  # the connected pieces of a set of nodes
+    pieces, rest = [], set(nodes)
+    while rest:
+        pieces.append([rest.pop()])
+        for u in pieces[-1]:
+            new = {y for _, y, _ in adj[u]} & rest
+            rest -= new
+            pieces[-1] += new
+    return pieces
 
-    A matched end fixes the node at the far end of its wire, and a matched
-    box fixes the far end of each port, so matching outward from the
-    boundary meets a choice only at spider legs, which are
-    interchangeable: an unmatched neighbour of a matched spider may go to
-    any unused neighbour of the spider's image with the same label.  A
-    closed piece, which nothing matched reaches, starts from its node of
-    rarest label, which may go to any unused node with that label.  The
-    unmatched nodes a choice reaches form one region, touching matched
-    nodes only at spider legs; once some candidate matches the whole
-    region it is kept, since any isomorphic image of a region may stand
-    in for another.  So the depth-first search on the explicit stack
-    backtracks only inside an open region.
-    """
-    partner1, nbrs1 = _ends(g1)
-    partner2, nbrs2 = _ends(g2)
-    nodes1, nodes2 = g1.nodes, g2.nodes
-    slots = [("i", k) for k in range(len(g1.input_types))]
-    slots += [("o", k) for k in range(len(g1.output_types))]
-    image, used = {s: s for s in slots}, set(slots)  # g1 -> g2, and the image's values
-    by_label = defaultdict(list)
-    for y, node in enumerate(nodes2):
-        by_label[node].append(y)
-    rarest = sorted(range(len(nodes1)), key=lambda x: len(by_label[nodes1[x]]))
-    trail = []  # matched g1 nodes in order
-    frames = []  # open choices: (trail size, node, candidates left, region size, scan to resume)
-    todo, start = [(partner1[s], partner2[s]) for s in slots], None
-    scan = closed = 0  # the trail entry to search on from; the entry of rarest to start a closed piece
-    while True:
-        ok = True
-        while ok and (start or todo):
-            if start:
-                (a, b), start = start, None
-            else:
-                e, f = todo.pop()
-                a, b = _owner(e), _owner(f)
-                if e[0] == f[0] == "n" and isinstance(nodes1[a], BoxNode) and e[2] != f[2]:
-                    ok = False
-                    continue
-            if a in image or b in used or nodes1[a] != nodes2[b]:
-                ok = image.get(a) == b
+
+def _code(order, loose, joined, lab, adj, free, cell):  # walked nodes in order, then loose ones in canonical order
+    def describe(order):  # a node of order by its place, any other by its cell
+        rank = {x: i for i, x in enumerate(order)}
+        ends = [[(rank[y], q) if y in rank else (-1 - cell[y], q) for _, y, q in adj[x]] for x in order]
+        return tuple((lab[x], *(sorted(far) if free[x] else far)) for x, far in zip(order, ends))
+
+    if not loose:
+        return describe(order)
+    fresh, auts, far = itertools.count(len(lab)), [], {}  # auts: the automorphisms found, as the nodes each moves
+
+    def split(members, d, group, queue):  # a queued new cell per run of equal keys in group, (key, node) of cell d
+        runs = [[y for _, y in run] for _, run in itertools.groupby(sorted(group), key=lambda pair: pair[0])]
+        keep = max(runs, key=len) if len(group) == len(members[d]) else None  # else the untouched rest keeps d
+        for run in runs:
+            if run is not keep:
+                members[d].difference_update(run)
+                members[e := next(fresh)] = set(run)
+                queue.append(e)
+                for y in run:
+                    cell[y] = e
+
+    def refine(members, queue):
+        for c in queue:  # grows as cells split
+            if len(members[c]) == 1 and not free[x := next(iter(members[c]))]:
+                for _, y, _ in adj[x]:  # a settled box settles the node at each port's far end
+                    if len(members.get(cell[y], ())) > 1:
+                        members[cell[y]].discard(y)
+                        members[e := next(fresh)] = {y}
+                        cell[y] = e
+                        queue.append(e)
                 continue
-            image[a] = b
-            used.add(b)
-            trail.append(a)
-            # wire counts to every matched node, a self-loop included, must agree
-            ok = {image[u]: k for u, k in nbrs1[a].items() if u in image} == {
-                w: k for w, k in nbrs2[b].items() if w in used
-            }
-            if ok and isinstance(nodes1[a], BoxNode):
-                todo += [(partner1[("n", a, p)], partner2[("n", b, p)]) for p in range(nodes1[a].n_ports)]
-        if ok:
-            while frames and len(trail) - frames[-1][0] == frames[-1][3]:
-                scan = frames.pop()[4]  # the open region is matched: keep it
-            u = None
-            while scan < len(trail) and u is None:
-                a = trail[scan]
-                if isinstance(nodes1[a], SpiderNode):
-                    u = next((v for v in nbrs1[a] if v not in image), None)
-                scan += u is None
-            if u is not None:
-                free = [w for w in nbrs2[image[a]] if w not in used and nodes2[w] == nodes1[u]]
-            else:
-                while closed < len(rarest) and rarest[closed] in image:
-                    closed += 1
-                if closed == len(rarest):
-                    return image
-                u = rarest[closed]
-                free = [w for w in by_label[nodes1[u]] if w not in used]
-            if len(free) == 1:
-                start = (u, free[0])
+            touched = {}  # by cell, each node's (port, far port) pairs into the splitter
+            for x in members[c]:
+                for p, y, q in adj[x]:
+                    if len(members.get(cell[y], ())) > 1:
+                        touched.setdefault(cell[y], {}).setdefault(y, []).append((q, p))
+            for d in sorted(touched):
+                split(members, d, [(sorted(pairs), y) for y, pairs in touched[d].items()], queue)
+
+    def search(region, queue, joined=True):  # joined: region is one piece
+        members = {}
+        for x in region:
+            members.setdefault(cell[x], set()).add(x)
+        refine(members, queue)
+        settled = [next(iter(m)) for _, m in sorted(members.items()) if len(m) == 1]
+        loose = {x for m in members.values() if len(m) > 1 for x in m}
+        pieces = _pieces(loose, adj) if settled or not joined else [loose]
+        if settled or len(pieces) != 1:  # no wire joins two pieces, so each is ordered on its own
+            orders = []
+            for piece in pieces:
+                orders.append((yield piece, []))
+            return settled + [x for order in sorted(orders, key=describe) for x in order]
+        c = min(members, key=lambda c: (len(members[c]), c))
+        for x in members[c] - far.keys() if free[start := min(members[c])] else ():  # far[x]: nodes 3 legs from x
+            far[x] = len({w for z in {z for _, y, _ in adj[x] for _, z, _ in adj[y]} for _, w, _ in adj[z]})
+        split(members, c, [(far[x], x) for x in members[c] if free[x]], queue := [])
+        if queue:  # spiders that refinement cannot tell apart may differ in the nodes three legs away
+            return (yield loose, queue)
+        swap = {x: y for m in members.values() if len(m) == 2 for x, y in itertools.permutations(m)}
+        if swap and all(adj[swap.get(x, x)] == sorted((p, swap.get(y, y), q) for p, y, q in adj[x]) for x in swap):
+            auts.append(swap)  # swapping the two nodes of each cell of two is an automorphism
+        saved, best, seen, starts = cell[:], None, set(), [start]
+        while starts:
+            if (v := starts.pop()) in seen:
                 continue
-            if free:
-                region, stack = {u}, [u]
-                while stack:
-                    for v in nbrs1[stack.pop()]:
-                        if v not in image and v not in region:
-                            region.add(v)
-                            stack.append(v)
-                frames.append((len(trail), u, free, len(region), scan))
-        # try the next candidate of the innermost open choice
-        while frames and not frames[-1][2]:
-            frames.pop()
-        if not frames:
-            return None
-        size, u, free, _, _ = frames[-1]
-        while len(trail) > size:
-            used.discard(image.pop(trail.pop()))
-        todo, start, scan = [], (u, free.pop()), size
+            twins = {x for x in members[c] if x == v or free[v] and adj[x] == sorted(  # v and the spiders whose
+                (p, v if y == x else x if y == v else y, q) for p, y, q in adj[v])}  # exchange with v is an
+            cell[:] = [next(fresh) if x in twins else d for x, d in enumerate(saved)]  # automorphism give one code
+            order = yield loose, sorted(cell[x] for x in twins)  # in any order, so each goes alone in a new cell
+            code = describe(order), order
+            if best is None:  # the rest of the cell, those v settled first tried first (likely small automorphisms)
+                starts = [x for x in order[:order.index(v)] + order[:order.index(v):-1] if x in members[c]]
+            elif code[0] == best[0]:
+                auts.append({x: y for x, y in zip(best[1], order) if x != y})
+            best = min(best or code, code)
+            usable, front = [a for a in auts if a.keys() <= loose], seen | twins  # those fixing all outside the piece
+            while front:
+                seen |= front
+                front = {a[x] for a in usable for x in front if x in a} - seen
+        return best[1]
+
+    members, queue, c = {len(lab) - 1: set(loose)}, [], len(lab) - 1  # one cell, after every walked node's
+    for x in loose:
+        cell[x] = c
+    split(members, c, [((lab[x], *sorted((-2 if y == x else cell[y], p, q) for p, y, q in adj[x])), x)
+                       for x in loose], queue)  # label, far ends on walked nodes, and loops: like wires inward
+    stack, result = [search(loose, queue, joined)], None
+    while stack:
+        try:
+            stack.append(search(*stack[-1].send(result)))
+            result = None
+        except StopIteration as stop:
+            stack.pop()
+            result = stop.value
+    return describe(order + result)
 
 
-def _wire_keys(graph, image):
-    """The multiset of wires with nodes renamed by image and spider legs unnumbered."""
-    def key(end):
-        if end[0] != "n":
-            return end
-        if isinstance(graph.nodes[end[1]], SpiderNode):
-            return ("n", image[end[1]])
-        return ("n", image[end[1]], end[2])
-
-    return Counter(tuple(sorted((key(a), key(b)))) for a, b in graph.wires)
+def certificate(graph):
+    """A hashable canonical form, equal for two graphs exactly when graph_eq holds."""
+    head, _, _, code = _walk(graph)
+    return head + (code,)
 
 
 def graph_eq(g1, g2):
     """Boundary-, label-, and box-port-order-preserving isomorphism."""
-
-    def shape(g):
-        return g.input_types, g.output_types, g.loops, len(g.wires), Counter(g.nodes)
-
-    if shape(g1) != shape(g2):
-        return False
-    image = _match(g1, g2)
-    # Safety check: the node map must carry g1's wire multiset onto g2's.
-    return image is not None and _wire_keys(g1, image) == _wire_keys(g2, range(len(g2.nodes)))
+    return all(a == b for a, b in zip(_walk(g1), _walk(g2)))  # the cheaper parts first

@@ -19,10 +19,12 @@ from catkit.diagram import (
     Gen,
     Id,
     ObjectWord,
+    OpenGraph,
     Par,
     Seq,
     Signature,
     Spider,
+    SpiderNode,
     Swap,
     typecheck,
 )
@@ -427,6 +429,25 @@ def spider_tree(shape, atom="Z"):
         return Seq(Par(below(s[0]), below(s[1])), Spider(atom, 1, 2))
 
     return Seq(below(shape), Spider(atom, 0, 1))
+
+
+def random_regular(n, seed, atom="Z", degree=3):
+    """n spiders of three legs each (or degree), the legs paired at random: a
+    closed 3-regular multigraph, self-loops and double wires allowed."""
+    legs = [("n", x, leg) for x in range(n) for leg in range(degree)]
+    random.Random(seed).shuffle(legs)
+    return OpenGraph((SpiderNode(atom, degree),) * n, tuple(zip(legs[::2], legs[1::2])), (), ())
+
+
+def spider_graph(n, pairs, atoms=None):
+    """n spiders joined by one wire per pair (x, y) of spider numbers, a
+    pair (x, x) being a self-loop; atoms[x] is spider x's atom, Z if none."""
+    degree, wires = [0] * n, []
+    for x, y in pairs:
+        wires.append((("n", x, degree[x]), ("n", y, degree[y] + (x == y))))
+        degree[x] += 1
+        degree[y] += 1
+    return OpenGraph(tuple(SpiderNode(atoms[x] if atoms else "Z", degree[x]) for x in range(n)), tuple(wires), (), ())
 
 
 def make_rng(seed):

@@ -743,8 +743,9 @@ class TestImports:
             (["laws"], NOT_FOR_LAWS),
             (["laws", "--interp", "dim3.json", "--seed", "2"], NOT_FOR_LAWS),
             (["check", "surfaces.cat"], ("catkit.diagram.graphs", "catkit.frobenius")),
+            (["eq", "boxes.cat", "stacked", "sliced"], ("catkit.frobenius",)),
         ],
-        ids=["laws", "laws-interp", "check"],
+        ids=["laws", "laws-interp", "check", "eq"],
     )
     def test_commands_load_no_module_they_do_not_use(self, files, argv, unused):
         *_, modules, last = self.probe(files, argv)

@@ -47,7 +47,7 @@ from catkit.diagram import (
 from catkit.diagram import graphs as graphs_module
 from catkit.diagram import parser as parser_module
 from catkit.diagram import terms as terms_module
-from catkit.diagram.graphs import Wiring
+from catkit.diagram.graphs import Wiring, certificate
 from catkit.frobenius import CobordismClass, ComponentClass, fuse, fuse_trace
 
 A = ObjectWord.of("A")
@@ -714,6 +714,52 @@ class TestCountedWork:
         for layer, (a, b, c) in counts.items():
             assert a > 250 and b <= 2.3 * a and c <= 2.3 * b, (layer, counts)
 
+    @pytest.mark.parametrize("shape", ["chain", "ring"])
+    def test_graph_eq_on_boxes(self, sig, shape):
+        sig.declare_generator("w", P, P)
+        counts = []
+        for n in (250, 500, 1000):
+            term = alternating_chain(n) if shape == "chain" else corpus.rings((n,))
+            g = to_graph(term, sig)
+            equal, k = line_events(graph_eq, g, renumbered(g, corpus.make_rng(n)))
+            assert equal
+            counts.append(k)
+        a, b, c = counts
+        assert b <= 2.3 * a and c <= 2.3 * b, counts
+
+    def test_graph_eq_on_random_regular_graphs(self):
+        # summed over four seeds, as one graph may need the short-cycle count and the next not;
+        # each doubling at most triples the work, where the backtracking matcher grew fivefold or more
+        counts = []
+        for n in (20, 40, 80):
+            graphs = [corpus.random_regular(n, seed) for seed in range(4)]
+            events = [line_events(graph_eq, g, renumbered(g, corpus.make_rng(n))) for g in graphs]
+            assert all(equal for equal, _ in events)
+            counts.append(sum(k for _, k in events))
+        a, b, c = counts
+        assert b <= 3 * a and c <= 3 * b, counts
+
+    def test_graph_eq_on_twins(self):
+        # complete and complete bipartite spider graphs: their twins, spiders whose exchange is an automorphism,
+        # are ordered together with no search; the count of nodes three legs away costs a spider its degree
+        # squared, so each doubling, which quadruples the wires, may multiply the work by up to 8
+        shapes = {"complete": lambda n: itertools.combinations(range(n), 2),
+                  "bipartite": lambda n: itertools.product(range(n // 2), range(n // 2, n))}
+        for shape, pairs in shapes.items():
+            counts = []
+            for n in (8, 16, 32):
+                g = corpus.spider_graph(n, pairs(n))
+                equal, k = line_events(graph_eq, g, renumbered(g, corpus.make_rng(n)))
+                assert equal
+                counts.append(k)
+            a, b, c = counts
+            assert b <= 8 * a and c <= 8 * b, (shape, counts)
+
+    def test_graph_eq_on_a_long_chain_does_not_recurse(self, sig):
+        sig.declare_generator("w", P, P)
+        chain = to_graph(alternating_chain(20_000), sig)
+        assert no_recursion(graph_eq, chain, to_graph(alternating_chain(20_000, right_nested=True), sig))
+
 
 class TestParser:
     def test_gen_then_dagger_composition(self):
@@ -1150,17 +1196,19 @@ class TestGraphEquality:
 
     def test_agrees_with_brute_force(self):
         rng = corpus.make_rng(7)
-        compared = 0
-        for g in corpus_graphs(range(300)):
-            if len(g.nodes) > 7:
-                continue
+        compared = unequal = 0
+        regular = [corpus.random_regular(n, seed) for n in (2, 4, 6, 8) for seed in range(6 if n < 8 else 1)]
+        for g in [*(g for g in corpus_graphs(range(300)) if len(g.nodes) <= 7), *regular]:
             others = [renumbered(g, rng)]
             if len(g.wires) >= 2:
                 others += [rewired(g, *rng.sample(range(len(g.wires)), 2)) for _ in range(2)]
             for other in others:
-                assert graph_eq(g, other) == brute_force_eq(g, other), (g, other)
+                expected = brute_force_eq(g, other)
+                assert graph_eq(g, other) == expected, (g, other)
+                assert (certificate(g) == certificate(other)) == expected, (g, other)
                 compared += 1
-        assert compared > 2000
+                unequal += not expected
+        assert compared > 2000 and unequal > 500, (compared, unequal)
 
     def test_renumbering_keeps_equality(self):
         rng = corpus.make_rng(11)
@@ -1169,7 +1217,68 @@ class TestGraphEquality:
         graphs += [to_graph(corpus.rings(lengths), sig) for lengths in [(3, 3, 6), (1, 2, 5), (40,)]]
         graphs += [to_graph(corpus.closed_surface(genus), cob_sig) for genus in (0, 1, 30)]
         for g in graphs:
-            assert graph_eq(g, renumbered(g, rng)), g
+            other = renumbered(g, rng)
+            assert graph_eq(g, other), g
+            assert certificate(g) == certificate(other), g
+
+    def test_symmetric_spider_graphs(self):
+        # complete, complete bipartite (one atom, then two), a cycle, a prism, and twins with self-loops
+        complete = [*itertools.combinations(range(4), 2)]
+        graphs = [corpus.spider_graph(5, itertools.combinations(range(5), 2)), corpus.spider_graph(4, 2 * complete),
+                  corpus.spider_graph(6, itertools.product(range(3), range(3, 6))),
+                  corpus.spider_graph(6, itertools.product(range(2), range(2, 6)), "ZZXXXX"),
+                  corpus.spider_graph(7, [(x, (x + 1) % 7) for x in range(7)]),
+                  corpus.spider_graph(6, [(x, (x + 1) % 3 + x // 3 * 3) for x in range(6)] + [(x, x + 3) for x in range(3)]),
+                  corpus.spider_graph(5, [(x, x) for x in range(4)] + [(x, 4) for x in range(4)] + complete[:3])]
+        rng, unequal = corpus.make_rng(5), 0
+        for g in graphs:
+            assert certificate(g) == certificate(renumbered(g, rng)), g
+            for _ in range(4):
+                other = rewired(g, *rng.sample(range(len(g.wires)), 2))
+                expected = brute_force_eq(g, other)
+                assert (certificate(g) == certificate(other)) == graph_eq(g, other) == expected, (g, other)
+                unequal += not expected
+        assert unequal > 10
+        for pairs in [itertools.combinations(range(40), 2), itertools.product(range(20), range(20, 40))]:
+            g = corpus.spider_graph(40, pairs)
+            assert graph_eq(g, renumbered(g, rng))
+
+    def test_every_start_refinement_cannot_tell_apart_is_tried(self):
+        # two hubs joined by a wire, one holding two triangles and the other a hexagon: refinement cannot tell
+        # the hubs apart and no automorphism exchanges them, so the search must start from each
+        pairs = [(0, 1)] + [(0, x) for x in range(2, 8)] + [(1, x) for x in range(8, 14)]
+        pairs += [(2, 3), (3, 4), (4, 2), (5, 6), (6, 7), (7, 5)] + [(x, 8 + (x - 7) % 6) for x in range(8, 14)]
+        g, rng = corpus.spider_graph(14, pairs), corpus.make_rng(3)
+        for _ in range(8):
+            other = renumbered(g, rng)
+            assert graph_eq(g, other) and certificate(g) == certificate(other), other
+
+    def test_small_regular_graphs_ignore_numbering(self):
+        # eight spiders of three or four legs each: refinement often stalls on cells whose nodes no
+        # automorphism exchanges, so every start must be tried and only true automorphisms prune
+        rng = corpus.make_rng(13)
+        for degree in (3, 4):
+            for seed in range(40):
+                g = corpus.random_regular(8, seed, degree=degree)
+                assert all(certificate(renumbered(g, rng)) == certificate(g) for _ in range(4)), (degree, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eighty_spiders(self, seed):
+        g = corpus.random_regular(80, seed)
+        assert graph_eq(g, renumbered(g, corpus.make_rng(seed)))
+        assert hash(certificate(g)) == hash(certificate(renumbered(g, corpus.make_rng(seed + 3))))
+
+        def shape(graph):  # how many self-loops and double wires
+            pairs = Counter(tuple(sorted((a[1], b[1]))) for a, b in graph.wires)
+            return sum(x == y for x, y in pairs), sum(k == 2 for (x, y), k in pairs.items() if x != y)
+
+        rng, changed = corpus.make_rng(seed), 0
+        for _ in range(40):
+            other = rewired(g, *rng.sample(range(len(g.wires)), 2))
+            if shape(other) != shape(g):
+                assert not graph_eq(g, other)
+                changed += 1
+        assert changed > 0
 
 
 class TestDerivedForms:

@@ -102,10 +102,10 @@ def _format_matrix(m):
     return "[" + ", ".join("[" + ", ".join(map(text, row)) + "]" for row in rows) + "]"
 
 
-def _word_labels(word, interp):
-    """Basis-element labels for a word, dotted across tensor factors."""
+def _word_labels(factors, interp):
+    """Basis-element labels for a word's factors, dotted across them."""
     pools = []
-    for atom, _ in word.factors:
+    for atom, _ in factors:
         d = interp.atom_dim(atom)
         names = interp.element_names.get(atom)
         pools.append(names if names and len(names) == d else [str(i) for i in range(d)])

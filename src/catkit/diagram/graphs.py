@@ -1,7 +1,7 @@
 """Port-graph normal form for diagram terms, and its equality decision.
 
-``Wiring.walk``, one explicit-stack pass that types a term as it flattens
-it to wire labels, serves ``to_graph``, ``frobenius`` and ``tqft``.
+``Wiring.walk`` types a term as it flattens it to wire labels on one explicit
+stack; it serves ``frobenius``, and ``walk_nodes`` for ``to_graph`` and ``tqft``.
 
 ``certificate`` is a canonical form of an open graph; ``graph_eq`` compares
 two.  A port walk from the boundary numbers every box it reaches, box ports
@@ -171,34 +171,46 @@ class Wiring:
         return done.pop()
 
 
-def to_graph(term, sig):
-    """Flatten a term into its open-graph normal form, typing it on the way.
+def walk_nodes(term, sig):
+    """A term's typed walk: its Wiring, each label valued by its atom; its
+    nodes in walk order, each one's port labels and how many are inputs;
+    and the walk's input and output labels and domain and codomain factors.
 
     Each generator, per dagger parity, and each spider shape is resolved
-    into its node and port atoms once per call; each wire is written as its
-    ends are met, boundary inputs first, then node ports, then outputs."""
-    wiring = Wiring(lambda atom: atom)  # a label's value is its atom
-    values, parent, find = wiring.values, wiring.parent, wiring.find
-    nodes, ports, resolved = [], [], ({}, {})  # per dagger parity, leaf key -> (node, port atoms, domain size)
+    once per call.  A box's ports run its domain then its codomain; under a
+    dagger a node's inputs are the leaf's outputs."""
+    wiring = Wiring(lambda atom: atom)
+    values, parent = wiring.values, wiring.parent
+    nodes, ports, inputs, resolved = [], [], [], ({}, {})  # per parity, leaf key -> (node, port atoms, leaf inputs)
 
     def leaf(t, flip):
         key = t.name if t.__class__ is Gen else (t.atom, t.legs_in, t.legs_out)
-        node, atoms, k = resolved[flip].get(key) or resolved[flip].setdefault(key, resolve(t, flip))
+        if (known := resolved[flip].get(key)) is None:
+            if t.__class__ is Spider:
+                known = SpiderNode(t.atom, t.legs_in + t.legs_out), [t.atom] * (t.legs_in + t.legs_out), t.legs_in
+            else:  # under a dagger the codomain wires are the domain ports
+                d = sig.generators[t.name]
+                box = BoxNode(t.name, flip, *((d.cod, d.dom) if flip else (d.dom, d.cod)))
+                known = box, [atom for atom, _ in d.dom.factors + d.cod.factors], len(d.dom)
+            resolved[flip][key] = known
+        node, atoms, k = known
         nodes.append(node)
         labels = [*range(len(parent), len(parent) + len(atoms))]
         values.extend(atoms)
         parent.extend(labels)
         ports.append(labels[k:] + labels[:k] if flip else labels)
+        inputs.append(len(atoms) - k if flip else k)
         return labels[:k], labels[k:]
 
-    def resolve(t, flip):
-        if t.__class__ is Spider:
-            return SpiderNode(t.atom, t.legs_in + t.legs_out), [t.atom] * (t.legs_in + t.legs_out), t.legs_in
-        d = sig.generators[t.name]  # under a dagger the codomain wires are the domain ports
-        box = BoxNode(t.name, flip, *((d.cod, d.dom) if flip else (d.dom, d.cod)))
-        return box, [atom for atom, _ in d.dom.factors + d.cod.factors], len(d.dom)
+    return (wiring, nodes, ports, inputs, *wiring.walk(term, leaf, sig))
 
-    ins, outs, dom, cod = wiring.walk(term, leaf, sig)
+
+def to_graph(term, sig):
+    """Flatten a term into its open-graph normal form, typing it on the way:
+    walk_nodes's nodes, and each wire written as its ends are met, boundary
+    inputs first, then node ports, then outputs."""
+    wiring, nodes, ports, _, ins, outs, dom, cod = walk_nodes(term, sig)
+    values, parent, find = wiring.values, wiring.parent, wiring.find
     ends = [("i", k) for k in range(len(ins))]
     ends += [("n", nid, p) for nid, labels in enumerate(ports) for p in range(len(labels))]
     ends += [("o", k) for k in range(len(outs))]

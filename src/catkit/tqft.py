@@ -1,13 +1,13 @@
 """Matrix interpretations of diagram terms.
 
 interpret() types terms against an Interpretation's signature.  One
-builder makes the tensor network, fed by interpret() and evaluate_cob()
-from a term's wiring walk and by evaluate_graph() from a graph's nodes,
-and one contraction engine evaluates it: a planner turns the network's
-shape into a flat list of matmuls, kept in a bounded cache, and a short
-loop runs it on the arrays.  A spider, spider_matrix()'s too, is left
-combs of its presentation's own mu and delta tensors.  evaluate_cob() is
-the case of one atom and one verified presentation.
+network method turns each node into its tensor, fed by interpret() and
+evaluate_cob() from walk_nodes, to_graph's node walk, and by
+evaluate_graph() from a graph's nodes; one contraction engine evaluates
+the network: a planner turns its shape into a flat list of matmuls, kept
+in a bounded cache, and a short loop runs it on the arrays.  A spider,
+spider_matrix()'s too, is left combs of its presentation's mu and delta
+tensors.  evaluate_cob() is one atom and one verified presentation.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .diagram.graphs import OpenGraph, SpiderNode, Wiring
-from .diagram.terms import Gen, ObjectWord, UnknownName, typecheck
+from .diagram.graphs import BoxNode, OpenGraph, SpiderNode, Wiring, walk_nodes
+from .diagram.terms import UnknownName
 from .frobenius import COB_ATOMS, _single_atom, cob_atom
 from .matcat import MatrixMorphism, dagger
 from .presentations import (  # noqa: F401  (the names moved there stay reachable here)
@@ -35,59 +35,72 @@ BUDGET = 2**28  # entries in the largest array a contraction may allocate
 def interpret(term, interp: Interpretation) -> MatrixMorphism:
     """Evaluate a term to its matrix, typing it against the signature.
 
-    ``Wiring.walk``, the explicit-stack walk of ``to_graph``, feeds the
-    term's leaves to the network builder: generators and spiders become
-    tensors on wire labels; identities, symmetries, cups, caps, sequential
-    composition and basis-copy spiders only create or join labels.  Under
-    a dagger a generator takes its matrix's adjoint and a spider is the
-    same spider reversed, as every other layer reads it.
+    ``walk_nodes``, to_graph's node walk, types the term and lists its
+    generators and spiders, each then a tensor on its port labels;
+    identities, symmetries, cups, caps, composition and basis-copy spiders
+    only create or join labels.  Data is looked up after the walk: every
+    type error comes first, then the first atom with no dimension, then
+    node data in walk order.  A daggered generator is its matrix's adjoint
+    and a daggered spider the same spider reversed, as every layer reads it.
     """
     return _interpret(term, interp)[0]
 
 
 def _interpret(term, interp: Interpretation):
-    """interpret's matrix, with the domain and codomain words its walk typed."""
-    sig = interp.signature
-    if sig is None:
+    """interpret's matrix, with the domain and codomain factors its walk typed."""
+    if interp.signature is None:
         raise ValueError("interpret needs a signature to type the term against")
-    try:
-        net, ins, outs, dom, cod = _flatten(
-            term, sig, interp.atom_dim, interp.gen_matrices, interp.frobenius_data.get
-        )
-    except UnknownName:
-        typecheck(term, sig)  # a type error anywhere is reported before missing data
-        raise
-    return net.contract(interp.tag, outs, ins), ObjectWord(dom), ObjectWord(cod)
+    wiring, nodes, ports, inputs, ins, outs, dom, cod = walk_nodes(term, interp.signature)
+    net = _Network([*map(interp.atom_dim, wiring.values)], wiring.parent)
+    for node, labels, k in zip(nodes, ports, inputs):
+        net.add(node, labels, k, interp.gen_matrices, interp.frobenius_data)
+    return net.contract(interp.tag, outs, ins), dom, cod
 
 
 class _Network(Wiring):
     """A tensor network being built: wire labels valued by their dimension and
     merged by union-find, its tensors, and one label of each copy spider."""
 
-    def __init__(self, atom_dim):
-        super().__init__(atom_dim)
+    def __init__(self, values, parent=None):
+        self.values, self.parent = values, [*range(len(values))] if parent is None else parent
         self.tensors, self.joined = [], []
 
-    def box(self, m, dom, cod, daggered):
-        """m, or its adjoint, on axes cod then dom, the labels of the node's own sides."""
-        labels = cod + dom
-        self.tensors.append(((dagger(m) if daggered else m).data.reshape([self.values[x] for x in labels]), labels))
+    def add(self, node, labels, k, matrices, presentations):
+        """A node's tensor on its port labels, the first k its inputs.
 
-    def spider(self, p, dom, cod, genus=0):
-        """The (len(dom), len(cod), genus) spider of p: a comb of mu over dom, then
-        (mu . delta)^genus, then a comb of delta over cod.  A copy spider joins its
-        legs (a special one ignores genus), and with none is a fresh label."""
+        A box is its generator's matrix, or the adjoint if daggered, on axes
+        cod then dom; a matrix of the wrong shape is a ValueError.  A
+        (k, l, genus) spider of its atom's presentation is a comb of mu over
+        the inputs, then (mu . delta)^genus, then a comb of delta over the
+        outputs; a copy spider joins its legs (a special one ignores genus),
+        and with none is a fresh label.  Missing data is an UnknownName."""
+        if node.__class__ is BoxNode:
+            if (m := matrices.get(node.name)) is None:
+                raise UnknownName(f"no matrix assigned to generator {node.name!r}")
+            axes = labels[k:] + labels[:k]
+            shape = [*map(self.values.__getitem__, axes)]
+            rows, cols = math.prod(shape[:len(axes) - k]), math.prod(shape[len(axes) - k:])
+            if node.daggered:  # the generator's type is the node's reversed
+                rows, cols = cols, rows
+            if m.data.shape != (rows, cols):
+                words = (node.cod, node.dom) if node.daggered else (node.dom, node.cod)
+                raise ValueError(f"generator {node.name!r} needs a {rows}x{cols} matrix "
+                                 f"for {words[0]} -> {words[1]}, got {m.rows}x{m.cols}")
+            self.tensors.append(((dagger(m) if node.daggered else m).data.reshape(shape), axes))
+            return
+        if (p := presentations.get(node.atom)) is None:
+            raise UnknownName(f"no frobenius data for atom {node.atom!r}")
         if not p.basis_copy:
-            d = p.dim
-            merge = self._comb(p.mu.data.reshape(d, d, d), p.unit_e.data.ravel(), dom)
-            branch = self._comb(p.delta.data.reshape(d, d, d).transpose(2, 0, 1), p.eps.data.ravel(), cod)
+            d, genus = p.dim, node.genus
+            merge = self._comb(p.mu.data.reshape(d, d, d), p.unit_e.data.ravel(), labels[:k])
+            branch = self._comb(p.delta.data.reshape(d, d, d).transpose(2, 0, 1), p.eps.data.ravel(), labels[k:])
             if genus:
                 with np.errstate(all="ignore"):  # contract rejects an overflowed result
                     self.tensors.append((np.linalg.matrix_power(p.mu.data @ p.delta.data, genus), [branch, merge]))
             else:
                 self.parent[self.find(merge)] = self.find(branch)
             return
-        labels = dom + cod or self.fresh([p.dim])
+        labels = labels or self.fresh([p.dim])
         root = self.find(labels[0])
         for x in labels[1:]:
             self.parent[self.find(x)] = root
@@ -148,38 +161,11 @@ class _Network(Wiring):
             with np.errstate(all="ignore"):  # exact semirings raise no numpy warnings
                 data = _run(plan, [arr for arr, _ in tensors], tag.ops.dtype)
         values = self.values  # a label's value is its root's dimension
-        data = data.reshape(math.prod(values[x] for x in outputs), math.prod(values[x] for x in inputs))
+        data = data.reshape(math.prod(map(values.__getitem__, outputs)), math.prod(map(values.__getitem__, inputs)))
         # checked on the float halves of each entry, about twice as fast as on complex values
         if not tag.exact and not np.isfinite(data.ravel().view(np.float64)).all():
             raise ValueError(f"{tag.kind} contraction overflowed: the result has inf or nan entries")
         return MatrixMorphism._raw(tag, data)
-
-
-def _flatten(term, sig, atom_dim, matrices, presentation):
-    """The term's _Network, input and output labels, and domain and
-    codomain factors, from each atom's dimension and Frobenius
-    presentation (or None) and the matrices."""
-    net = _Network(atom_dim)
-
-    def leaf(t, flip):
-        if t.__class__ is Gen:
-            m = matrices.get(t.name)
-            if m is None:
-                raise UnknownName(f"no matrix assigned to generator {t.name!r}")
-            decl = sig.generators[t.name]
-            ins, outs = net.word(decl.dom), net.word(decl.cod)
-            # under a dagger the outputs are the node's domain
-            net.box(m, *((outs, ins) if flip else (ins, outs)), flip)
-            return ins, outs
-        p = presentation(t.atom)
-        if p is None:
-            raise UnknownName(f"no frobenius data for atom {t.atom!r}")
-        labels = net.fresh([p.dim] * (t.legs_in + t.legs_out))
-        ins, outs = labels[:t.legs_in], labels[t.legs_in:]
-        net.spider(p, *((outs, ins) if flip else (ins, outs)))  # a daggered spider is the reversed spider
-        return ins, outs
-
-    return (net, *net.walk(term, leaf, sig))
 
 
 @functools.lru_cache(maxsize=PLANS)
@@ -333,13 +319,13 @@ def _run(plan, arrays, dtype):
 
 
 def spider_matrix(p: FrobeniusPresentation, k: int, l: int, genus: int = 0) -> MatrixMorphism:
-    """Matrix of the (k, l, genus) spider of p, contracted from _Network.spider's
+    """Matrix of the (k, l, genus) spider of p, contracted from _Network.add's
     combs; by associativity any tree shape gives it once p verifies."""
     if min(k, l, genus) < 0:
         raise ValueError("leg counts and genus must be nonnegative")
-    net = _Network(None)
-    labels = net.fresh([p.dim] * (k + l))
-    net.spider(p, labels[:k], labels[k:], genus)
+    net = _Network([p.dim] * (k + l))
+    labels = [*range(k + l)]
+    net.add(SpiderNode(None, k + l, genus), labels, k, None, {None: p})
     return net.contract(p.tag, labels[k:], labels[:k])
 
 
@@ -355,15 +341,15 @@ def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
     if not report.ok:
         bad = ", ".join(e.name for e in report.surprises())
         raise ValueError(f"presentation failed verification: {bad}")
-    atoms = set()  # every atom is p's object, and the walk collects them
     try:
-        net, ins, outs, _, _ = _flatten(
-            term, COB_ATOMS, lambda a: atoms.add(a) or p.dim, {}, lambda a: atoms.add(a) or p
-        )
+        wiring, nodes, ports, inputs, ins, outs, _, _ = walk_nodes(term, COB_ATOMS)
     except Exception:
         cob_atom([term])  # the walk's own faults and the atom check come before a type error
         raise
-    _single_atom(atoms, COB_ATOMS)  # raises if the walk met a second atom
+    atom = _single_atom({*wiring.values, *(node.atom for node in nodes)}, COB_ATOMS)  # raises at a second atom
+    net = _Network([p.dim] * len(wiring.values), wiring.parent)
+    for node, labels, k in zip(nodes, ports, inputs):
+        net.add(node, labels, k, None, {atom: p})
     return net.contract(p.tag, outs, ins)
 
 
@@ -390,25 +376,18 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
                 "graph contraction needs a commutative presentation with the identity pairing"
             )
 
-    net = _Network(interp.atom_dim)  # one label per wire, then per loop
-    net.fresh([None] * len(graph.wires) + [interp.atom_dim(atom) for atom in graph.loops])
-    values = net.values
+    net = _Network([None] * len(graph.wires) + [interp.atom_dim(atom) for atom in graph.loops])  # wires, then loops
+    values, dim, matrices, frobenius = net.values, interp.atom_dim, interp.gen_matrices, interp.frobenius_data
     wire_at = {end: wid for wid, ends in enumerate(graph.wires) for end in ends}
     outputs = [wire_at[("o", k)] for k in range(len(graph.output_types))]
     inputs = [wire_at[("i", k)] for k in range(len(graph.input_types))]
     for x, (atom, _) in zip(outputs + inputs, graph.output_types + graph.input_types):
-        values[x] = interp.atom_dim(atom)
+        values[x] = dim(atom)
     for nid, node in enumerate(graph.nodes):
-        labels = [wire_at[("n", nid, port)] for port in range(node.n_ports)]
-        spider = isinstance(node, SpiderNode)
+        spider = node.__class__ is SpiderNode
         ports = [(node.atom, False)] * node.degree if spider else node.dom.factors + node.cod.factors
+        labels = [wire_at["n", nid, port] for port in range(len(ports))]
         for x, (atom, _) in zip(labels, ports):
-            values[x] = interp.atom_dim(atom)
-        if spider:
-            net.spider(interp.frobenius_data[node.atom], labels, [], node.genus)
-        elif (m := interp.gen_matrices.get(node.name)) is None:
-            raise UnknownName(f"no matrix assigned to generator {node.name!r}")
-        else:
-            n = len(node.dom)  # ports run dom then cod
-            net.box(m, labels[:n], labels[n:], node.daggered)
+            values[x] = dim(atom)
+        net.add(node, labels, len(ports) if spider else len(node.dom.factors), matrices, frobenius)
     return net.contract(interp.tag, outputs, inputs)

@@ -53,7 +53,7 @@ from catkit.tqft import (
 )
 
 from corpus import closed_surface, make_rng, random_cob_term, random_term, rewrite_randomly, standard_signature
-from helpers import ALL_TAGS, flip_entry, fresh_plans, kronecker_spider, random_matrix, run_capped
+from helpers import ALL_TAGS, flip_entry, fresh_plans, kronecker_spider, line_events, random_matrix, run_capped
 
 Z = ObjectWord((("Z", False),))
 ZSIG = cob_signature("Z")
@@ -789,6 +789,20 @@ class TestEvaluateGraph:
             evaluate_graph(to_graph(Gen("f"), sig), interp)
         assert str(excinfo.value) == "no matrix assigned to generator 'f'"
 
+    @pytest.mark.parametrize("term", [Gen("e"), Dagger(Gen("e")), Gen("f"), Dagger(Gen("f"))], ids=str)
+    def test_a_misshapen_matrix_is_refused_without_a_signature(self, term):
+        # with no signature the Interpretation cannot check its matrices, so each box checks its own
+        # against its ports: e's 2x2 matrix has the size of a 1x4 one, and f's the size of neither
+        sig = Signature()
+        sig.declare_generator("e", ObjectWord.of("A", "A"), ObjectWord(()))
+        sig.declare_generator("f", ObjectWord.of("A"), ObjectWord.of("B"))
+        square = MatrixMorphism(NAT, [[1, 2], [3, 4]])
+        interp = Interpretation(NAT, {"A": 2, "B": 3}, {"e": square, "f": square})
+        message = {"e": "generator 'e' needs a 1x4 matrix for A x A -> I, got 2x2",
+                   "f": "generator 'f' needs a 3x2 matrix for A -> B, got 2x2"}[getattr(term, "inner", term).name]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_graph(to_graph(term, sig), interp)
+
     def test_empty_graph_is_the_unit_scalar(self):
         interp = cob_interp(basis_frobenius(2, COMPLEX))
         g = to_graph(Id(ObjectWord(())), ZSIG)
@@ -1154,6 +1168,8 @@ INTERPRET_ERRORS = TYPE_ERRORS + [
     (Gen("g"), UnknownName, "no matrix assigned to generator 'g'"),
     (Par(Gen("f"), Id(ObjectWord.of("B"))), UnknownName, "no dimension declared for atom 'B'"),
     (Seq(Gen("f"), Gen("g")), UnknownName, "no matrix assigned to generator 'g'"),
+    # a missing dimension comes before a generator or atom with no data
+    (Par(Gen("g"), Id(ObjectWord.of("B"))), UnknownName, "no dimension declared for atom 'B'"),
 ]
 EVALUATE_COB_ERRORS = [
     (MISMATCH, TypeMismatch, MISMATCH_TEXT),
@@ -1211,6 +1227,9 @@ class TestWalkErrors:
         assert eq_cob(term, closed_surface(3), ZSIG) and eq_cob(term, closed_surface(3))
         assert frobenius.classify_cob(term).components == frobenius.classify_cob(term, ZSIG).components
         assert evaluate_cob(term, basis_frobenius(3)) == cmat([[3]])
+        for term, error, message in INTERPRET_ERRORS:  # faults are ordered with no second walk
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                interpret(term, boxed_interp())
 
 
 LAYOUT_DIMS = {"A": 2, "B": 3, "Q": 2, "Z": 0}
@@ -1620,3 +1639,41 @@ class TestPlans:
         proc = run_capped(ORTH3_GRAPH)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == f"contraction plan needs a {3**22}-entry array, over the {2**28}-entry budget\n"
+
+
+class TestCountedWork:
+    """Line events in catkit's frames, counted on cold plans, grow linearly with a term's size."""
+
+    @staticmethod
+    def counts(f, sizes):
+        counts = []
+        for n in sizes:
+            with fresh_plans():
+                counts.append(line_events(f, n)[1])
+        return counts
+
+    def test_a_nat_box_chain(self):
+        sig, n_word = Signature(), ObjectWord.of("N")
+        sig.declare_generator("f", n_word, n_word)
+        interp = Interpretation(NAT, {"N": 2}, {"f": MatrixMorphism(NAT, [[1, 1], [0, 1]])}, signature=sig)
+
+        def chain(n):
+            return functools.reduce(Seq, [Gen("f")] * n)
+
+        def check(m, n):
+            assert m.data.tolist() == [[1, n], [0, 1]]
+
+        for f in (lambda n: check(interpret(chain(n), interp), n),
+                  lambda n: check(evaluate_graph(to_graph(chain(n), sig), interp), n)):
+            a, b, c = self.counts(f, (250, 500, 1000))
+            assert b <= 2.3 * a and c <= 2.3 * b, (a, b, c)
+
+    def test_closed_surfaces_under_xor_over_nat(self):
+        p = xor_frobenius(NAT)
+        assert p.verification.ok  # verified before counting
+
+        def surface(g):
+            assert evaluate_cob(closed_surface(g), p).data.tolist() == [[2**g]]
+
+        a, b, c = self.counts(surface, (250, 500, 1000))
+        assert b <= 2.3 * a and c <= 2.3 * b, (a, b, c)

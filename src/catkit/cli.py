@@ -54,6 +54,8 @@ def _read_text(path):
             return fh.read()
     except OSError as exc:
         raise _IOFailure(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _IOFailure(f"{path}: {exc}") from exc
 
 
 class _IOFailure(Exception):
@@ -65,7 +67,7 @@ def _read_json(path):
 
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # json.loads recurses on nesting
         raise _IOFailure(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -69,13 +69,11 @@ class OpenGraph(Value):
 class Wiring:
     """Wire labels of a term being flattened, merged by union-find.
 
-    Labels are integers.  Each carries a value: what ``of_atom`` gives for
-    the atom of an identity, symmetry or bend wire, or what a leaf passes
-    to ``fresh`` or ``label``.
+    Labels are integers.  Each carries a value: the atom of an identity,
+    symmetry or bend wire, or what a leaf passes to ``fresh`` or ``label``.
     """
 
-    def __init__(self, of_atom):
-        self.of_atom = of_atom
+    def __init__(self):
         self.values = []
         self.parent = []
 
@@ -95,7 +93,7 @@ class Wiring:
 
     def word(self, word):
         """New labels, one per factor of an object word."""
-        return self.fresh([self.of_atom(atom) for atom, _ in word.factors])
+        return self.fresh([atom for atom, _ in word.factors])
 
     def find(self, x):
         parent = self.parent
@@ -117,7 +115,7 @@ class Wiring:
         """
         done = []  # (ins, outs, dom, cod) of each finished subterm
         by_value = {}  # leaf types by value
-        values, parent, find, of_atom = self.values, self.parent, self.find, self.of_atom
+        values, parent, find = self.values, self.parent, self.find
         todo = [(term, False)]  # (subterm, dagger parity) to visit, or (class, None) to finish a composite
         while todo:
             t, flip = todo.pop()
@@ -156,11 +154,11 @@ class Wiring:
                     ins, outs = leaf(t, flip)
                 elif cls is Id:  # labels made here, saving word()'s and fresh()'s calls
                     x = len(parent)
-                    values += [of_atom(atom) for atom, _ in t.word.factors]
+                    values += [atom for atom, _ in t.word.factors]
                     ins = outs = [*range(x, len(values))]
                     parent += ins
                 elif cls is Cup or cls is Cap:
-                    x = self.label(of_atom(t.atom))
+                    x = self.label(t.atom)
                     ins, outs = ([], [x, x]) if cls is Cup else ([x, x], [])
                 elif cls is Swap:
                     left, right = self.word(t.left), self.word(t.right)
@@ -179,7 +177,7 @@ def walk_nodes(term, sig):
     Each generator, per dagger parity, and each spider shape is resolved
     once per call.  A box's ports run its domain then its codomain; under a
     dagger a node's inputs are the leaf's outputs."""
-    wiring = Wiring(lambda atom: atom)
+    wiring = Wiring()
     values, parent = wiring.values, wiring.parent
     nodes, ports, inputs, resolved = [], [], [], ({}, {})  # per parity, leaf key -> (node, port atoms, leaf inputs)
 

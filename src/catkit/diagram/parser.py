@@ -40,8 +40,8 @@ from __future__ import annotations
 import re
 
 from . import terms
-from .terms import (Cap, Cup, Dagger, DataclassFields, Gen, Id, ObjectWord, Par, ParseError, Seq, Signature, Spider,
-                    Swap, TypeMismatch, UNIT)
+from .terms import (Cap, Cup, Dagger, Gen, Id, ObjectWord, Par, ParseError, Seq, Signature, Spider, Swap, TypeMismatch,
+                    UNIT, Value)
 
 RESERVED = frozenset(
     [
@@ -143,13 +143,10 @@ def tokenize(text):
     return pieces
 
 
-class ParseResult:
+class ParseResult(Value):
     """A signature together with the file's named diagrams, in order."""
 
-    __dataclass_fields__ = DataclassFields()
-
-    def __init__(self, signature, diagrams=None):
-        self.signature, self.diagrams = signature, {} if diagrams is None else diagrams
+    __slots__ = ("signature", "diagrams")
 
 
 class _Parser:

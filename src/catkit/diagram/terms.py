@@ -33,11 +33,11 @@ class ParseError(DiagramError):
 
 
 class DataclassFields:
-    """A class's ``__dataclass_fields__`` and ``__dataclass_params__``, made
-    by ``dataclasses`` from its constructor on first use, so ``replace``,
-    ``fields`` and ``asdict`` take a Value or a ParseResult as they took the
-    dataclass it was, and importing catkit loads no ``dataclasses``.  Term
-    nodes never were dataclasses and have none."""
+    """A Value class's ``__dataclass_fields__`` and ``__dataclass_params__``,
+    made by ``dataclasses`` from its constructor on first use, so ``replace``,
+    ``fields`` and ``asdict`` take a value record as they take a frozen
+    dataclass, and importing catkit loads no ``dataclasses``.  Term nodes
+    never were dataclasses and have none."""
 
     def __get__(self, obj, cls):
         init = cls.__dict__.get("__init__")
@@ -48,7 +48,7 @@ class DataclassFields:
         names, defaults = init.__code__.co_varnames[1 : init.__code__.co_argcount], init.__defaults__ or ()
         kinds = [{}] * (len(names) - len(defaults)) + [{"default": d} for d in defaults]
         fields = [(n, cls.__annotations__.get(n, object), field(**k)) for n, k in zip(names, kinds)]
-        model = make_dataclass(cls.__name__, fields, frozen=issubclass(cls, Value))
+        model = make_dataclass(cls.__name__, fields, frozen=True)
         cls.__dataclass_fields__, cls.__dataclass_params__ = model.__dataclass_fields__, model.__dataclass_params__
         return model.__dataclass_fields__
 

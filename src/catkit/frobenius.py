@@ -60,7 +60,7 @@ def _fusion(graph, special, frobenius):
     end, as a one-site rewriter would.
     """
     nodes = graph.nodes
-    classes = Wiring(None)  # one label per node, valued by its spider atom or None
+    classes = Wiring()  # one label per node, valued by its spider atom or None
     classes.fresh([n.atom if isinstance(n, SpiderNode) else None for n in nodes])
     atom, parent, find = classes.values, classes.parent, classes.find
     merged = {nid: [n.degree, n.genus] for nid, n in enumerate(nodes) if atom[nid] is not None}
@@ -169,7 +169,7 @@ def _walk(term, sig):
     untyped walk raises at a generator, a typed one names the first.
     """
     spiders, foreign = [], []  # spiders: (label, chi) per spider
-    wiring = Wiring(lambda atom: atom)  # a label's value is its atom
+    wiring = Wiring()
     label = wiring.label
 
     def leaf(t, flip):

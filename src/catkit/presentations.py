@@ -381,7 +381,7 @@ def interpretation_from_data(data: dict, sig: Signature | None = None, tolerance
         try:
             frobenius_data[atom] = FrobeniusPresentation(delta.cols, delta, eps, mu, unit_e)
         except ShapeMismatch as exc:
-            raise ValueError(f"frobenius.{atom}: {exc}") from None
+            raise ValueError(f"frobenius.{atom}: {str(exc).removeprefix('unit_')}") from None  # unit_e's key is e
 
     return Interpretation(
         tag=tag,

@@ -210,7 +210,4 @@ def distance(a: ScalarValue, b: ScalarValue) -> float:
 
 
 def approx_eq(a: ScalarValue, b: ScalarValue) -> bool:
-    tag = join_tags(a.tag, b.tag)
-    if tag.exact:
-        return a.value == b.value
-    return distance(a, b) <= tag.tolerance
+    return distance(a, b) <= join_tags(a.tag, b.tag).tolerance  # an exact tag's tolerance is 0

@@ -23,10 +23,7 @@ from .diagram.graphs import BoxNode, OpenGraph, SpiderNode, Wiring, walk_nodes
 from .diagram.terms import UnknownName
 from .frobenius import COB_ATOMS, _single_atom, cob_atom
 from .matcat import MatrixMorphism, dagger
-from .presentations import (  # noqa: F401  (the names moved there stay reachable here)
-    FrobeniusPresentation, Interpretation, _copy3, basis_frobenius, check_frobenius_morphism,
-    conjugate_presentation, hopf_group_z2, interpretation_from_data, verify_frobenius, xor_frobenius,
-)
+from .presentations import FrobeniusPresentation, Interpretation, _copy3, hopf_group_z2, verify_frobenius  # noqa: F401
 
 PLANS = 256  # network shapes whose contraction plans are kept
 BUDGET = 2**28  # entries in the largest array a contraction may allocate
@@ -69,24 +66,16 @@ class _Network(Wiring):
         """A node's tensor on its port labels, the first k its inputs.
 
         A box is its generator's matrix, or the adjoint if daggered, on axes
-        cod then dom; a matrix of the wrong shape is a ValueError.  A
-        (k, l, genus) spider of its atom's presentation is a comb of mu over
+        cod then dom, its shape checked by Interpretation or evaluate_graph.
+        A (k, l, genus) spider of its atom's presentation is a comb of mu over
         the inputs, then (mu . delta)^genus, then a comb of delta over the
         outputs; a copy spider joins its legs (a special one ignores genus),
         and with none is a fresh label.  Missing data is an UnknownName."""
         if node.__class__ is BoxNode:
             if (m := matrices.get(node.name)) is None:
                 raise UnknownName(f"no matrix assigned to generator {node.name!r}")
-            axes = labels[k:] + labels[:k]
-            shape = [*map(self.values.__getitem__, axes)]
-            rows, cols = math.prod(shape[:len(axes) - k]), math.prod(shape[len(axes) - k:])
-            if node.daggered:  # the generator's type is the node's reversed
-                rows, cols = cols, rows
-            if m.data.shape != (rows, cols):
-                words = (node.cod, node.dom) if node.daggered else (node.dom, node.cod)
-                raise ValueError(f"generator {node.name!r} needs a {rows}x{cols} matrix "
-                                 f"for {words[0]} -> {words[1]}, got {m.rows}x{m.cols}")
-            self.tensors.append(((dagger(m) if node.daggered else m).data.reshape(shape), axes))
+            axes, data = labels[k:] + labels[:k], (dagger(m) if node.daggered else m).data
+            self.tensors.append((data.reshape([self.values[x] for x in axes]), axes))
             return
         if (p := presentations.get(node.atom)) is None:
             raise UnknownName(f"no frobenius data for atom {node.atom!r}")
@@ -360,11 +349,11 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
     this is only sound when every spider tensor is invariant under leg
     permutation and the pairing eps . mu it induces is the plain identity
     pairing.  Both hold for commutative presentations whose pairing matches
-    the Kronecker cup.  Each spider atom's presentation is checked up
-    front on two measured facts: it is commutative, and its
-    pairing_deviation is within tolerance.  Boxes keep their
-    orientation from the stored domain/codomain split, so no condition is
-    needed for them.  A basis-copy spider joins the wires on its ports.
+    the Kronecker cup.  Each spider atom's presentation is checked up front
+    on two measured facts: it is commutative, and its pairing_deviation is
+    within tolerance.  Boxes keep their orientation from the stored
+    domain/codomain split; each one's matrix must fit its ports, checked
+    here as no signature need have.  A basis-copy spider joins its wires.
     """
     for atom in sorted({n.atom for n in graph.nodes if isinstance(n, SpiderNode)}):
         p = interp.frobenius_data.get(atom)
@@ -389,5 +378,12 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
         labels = [wire_at["n", nid, port] for port in range(len(ports))]
         for x, (atom, _) in zip(labels, ports):
             values[x] = dim(atom)
-        net.add(node, labels, len(ports) if spider else len(node.dom.factors), matrices, frobenius)
+        k = len(ports) if spider else len(node.dom.factors)
+        if not spider and (m := matrices.get(node.name)) is not None:  # a daggered node reverses its generator's type
+            (dom, ins), (cod, outs) = [(node.dom, labels[:k]), (node.cod, labels[k:])][::-1 if node.daggered else 1]
+            rows, cols = math.prod(map(values.__getitem__, outs)), math.prod(map(values.__getitem__, ins))
+            if m.data.shape != (rows, cols):
+                raise ValueError(f"generator {node.name!r} needs a {rows}x{cols} matrix "
+                                 f"for {dom} -> {cod}, got {m.rows}x{m.cols}")
+        net.add(node, labels, k, matrices, frobenius)
     return net.contract(interp.tag, outputs, inputs)

@@ -219,7 +219,7 @@ def reference_graph(term, sig):
     through ``Wiring.word``, and the wires are read off a list of
     (terminal, label) pairs.  The reference for nodes, wire order and loops.
     """
-    wiring = Wiring(lambda atom: atom)  # a label's value is its atom
+    wiring = Wiring()  # a label's value is its atom
     nodes, ports = [], []
 
     def leaf(t, flip):

@@ -33,13 +33,8 @@ from catkit.matcat import (
     tensor,
 )
 from catkit.scalars import BOOL, COMPLEX, NAT
-from catkit.tqft import (
-    basis_frobenius,
-    conjugate_presentation,
-    evaluate_cob,
-    verify_frobenius,
-    xor_frobenius,
-)
+from catkit.presentations import basis_frobenius, conjugate_presentation, verify_frobenius, xor_frobenius
+from catkit.tqft import evaluate_cob
 
 import dataclasses
 

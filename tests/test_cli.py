@@ -353,12 +353,17 @@ class TestEval:
                 {"frobenius": {"Z": {"delta": [[1, 0]], "eps": [[1, 1]], "mu": [[1, 0]], "e": [[1], [1]]}}},
                 "frobenius.Z: delta must be 4x2",
             ),
+            (
+                {"frobenius": {"Z": {"delta": [[1, 0], [0, 0], [0, 0], [0, 1]], "eps": [[1, 1]],
+                                     "mu": [[1, 0, 0, 0], [0, 0, 0, 1]], "e": [[1, 1]]}}},
+                "frobenius.Z: e must be 2x1 for dimension 2, got 1x2",
+            ),
             # python's json writes and reads Infinity and NaN
             ({"generators": {"s": [[float("inf")]]}}, "generators.s: entries must be finite, got (inf+0j)"),
             ({"generators": {"s": [[float("nan")]]}}, "generators.s: entries must be finite, got (nan+0j)"),
             ({"generators": {"s": [[[0, float("-inf")]]]}}, "generators.s: entries must be finite, got -infj"),
         ],
-        ids=["ragged-rows", "missing-key", "mis-sized-presentation", "infinity", "nan", "infinite-pair"],
+        ids=["ragged-rows", "missing-key", "mis-sized-presentation", "mis-sized-unit", "infinity", "nan", "infinite-pair"],
     )
     def test_bad_interpretation_data_names_the_key(self, files, tmp_path, capsys, data, where):
         bad = tmp_path / "bad.json"
@@ -686,6 +691,31 @@ class TestLaws:
         assert err.splitlines() == [
             f"error: {bad}: unknown semiring 'real'; expected bool, complex, or nat"
         ]
+
+
+class TestUnreadableInput:
+    """A file that is not UTF-8, or JSON nested past the parser's recursion
+    limit, is an I/O error that names the file it came from."""
+
+    @pytest.mark.parametrize(
+        "argv, bad, content, reason",
+        [
+            (["check", "BAD"], "bad.cat", b"object Z;\xff\n", "'utf-8' codec can't decode byte 0xff in position 9"),
+            (["eval", "CAT", "snake", "--interp", "BAD"], "bad.json", b"\xff", "'utf-8' codec can't decode byte 0xff"),
+            (["eval", "CAT", "snake", "--interp", "BAD"], "bad.json", b"[" * 10**5, "invalid JSON: "),
+            (["laws", "--interp", "BAD"], "bad.json", b"\xff", "'utf-8' codec can't decode byte 0xff"),
+            (["laws", "--interp", "BAD"], "bad.json", b"[" * 10**5, "invalid JSON: "),
+        ],
+        ids=["check-cat", "eval-interp", "eval-deep-interp", "laws-interp", "laws-deep-interp"],
+    )
+    def test_is_one_io_error_line_naming_the_file(self, files, tmp_path, capsys, argv, bad, content, reason):
+        path = tmp_path / bad
+        path.write_bytes(content)
+        argv = [{"BAD": str(path), "CAT": files["surfaces.cat"]}.get(arg, arg) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: {reason}")
 
 
 # the standard modules the symbolic commands do without; dataclasses imports inspect

@@ -138,7 +138,7 @@ def printed_corpus():
 
 def walk_words(term, sig):
     """The domain and codomain words a typed wiring walk reads off a term."""
-    wiring = Wiring(lambda atom: atom)
+    wiring = Wiring()
 
     def leaf(t, flip):
         if isinstance(t, Gen):
@@ -622,7 +622,7 @@ class TestTypedWalk:
                 for typed in (s, None):
                     if typed is None and s is sig:
                         continue  # an untyped walk raises at a generator
-                    wiring, calls = Wiring(lambda atom: atom), []
+                    wiring, calls = Wiring(), []
 
                     def walk_leaf(t, flip):
                         ins, outs = leaf(t, flip, wiring.fresh)

@@ -23,6 +23,7 @@ from catkit.diagram import (
     TypeMismatch,
     UnknownName,
     graph_eq,
+    parse,
     to_graph,
     typecheck,
 )
@@ -41,10 +42,12 @@ from catkit.frobenius import (
 )
 from catkit.matcat import MatrixMorphism
 from catkit.scalars import COMPLEX
-from catkit.tqft import Interpretation, basis_frobenius, evaluate_cob, evaluate_graph, interpret, xor_frobenius
+from catkit.presentations import Interpretation, basis_frobenius, xor_frobenius
+from catkit.tqft import evaluate_cob, evaluate_graph, interpret
 
 from corpus import closed_surface, make_rng, random_cob_term, standard_signature
 from fuse_reference import check_trace, rewrite
+from helpers import line_events
 
 Z = ObjectWord((("Z", False),))
 ZSIG = cob_signature("Z")
@@ -618,3 +621,45 @@ class TestDeepTerms:
         assert classify_cob(term, ZSIG) == torus
         assert classify_cob(Dagger(term), ZSIG) == torus
         assert evaluate_cob(Dagger(term), basis_frobenius(2)) == MatrixMorphism(COMPLEX, [[2]])
+
+
+def doubling_file(k):
+    """d0 is a handle and each d{i+1} = d{i} >> d{i}, so s, capped at both
+    ends, is a closed surface of genus 2^k written in k + 3 declarations."""
+    lines = ["object Z frobenius selfdual;", "diag d0 = spider(Z, 1, 2) >> spider(Z, 2, 1);"]
+    lines += [f"diag d{i + 1} = d{i} >> d{i};" for i in range(k)]
+    return "\n".join(lines + [f"diag s = spider(Z, 0, 1) >> d{k} >> spider(Z, 1, 0);"])
+
+
+class TestCountedWork:
+    """Line events in catkit's frames, counted, grow linearly with a surface's genus."""
+
+    @pytest.mark.parametrize(
+        "layer, expected",
+        [
+            (lambda t: typecheck(t, ZSIG), lambda n: (ObjectWord(), ObjectWord())),
+            (lambda t: classify_cob(t, ZSIG), lambda n: CobordismClass("Z", (ComponentClass((), (), n),))),
+            (lambda t: fuse(to_graph(t, ZSIG)).nodes, lambda n: (SpiderNode("Z", 0, n),)),
+        ],
+        ids=["typecheck", "classify_cob", "fuse-to_graph"],
+    )
+    def test_closed_surfaces(self, layer, expected):
+        counts = []
+        for n in (250, 500, 1000):
+            result, k = line_events(layer, closed_surface(n))
+            assert result == expected(n)
+            counts.append(k)
+        a, b, c = counts
+        assert a > 250 and b <= 2.3 * a and c <= 2.3 * b, counts
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2: the walk expands each shared subterm, so the work doubles with k")
+    def test_classify_cob_on_the_doubling_file(self):
+        # typecheck types each distinct subterm once: its work grows about 1.08x per step of k
+        counts = []
+        for k in range(4, 8):
+            res = parse(doubling_file(k))
+            cls, events = line_events(classify_cob, res.diagrams["s"], res.signature)
+            assert cls == CobordismClass("Z", (ComponentClass((), (), 2**k),))
+            counts.append(events)
+        assert all(b <= 1.3 * a for a, b in zip(counts, counts[1:])), counts

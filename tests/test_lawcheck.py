@@ -24,7 +24,7 @@ from catkit.lawcheck import (
 )
 from catkit.matcat import MatrixMorphism, ShapeMismatch, dagger, swap_matrix, unit_eta
 from catkit.scalars import BOOL, COMPLEX, NAT
-from catkit.tqft import basis_frobenius, hopf_group_z2, verify_frobenius
+from catkit.presentations import basis_frobenius, hopf_group_z2, verify_frobenius
 
 from helpers import ALL_TAGS, flip_entry
 

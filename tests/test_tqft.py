@@ -36,23 +36,21 @@ from catkit.matcat import MatrixMorphism, ShapeMismatch, compose, dagger, max_de
 from catkit import presentations
 from catkit import tqft as tqft_module
 from catkit.scalars import BOOL, COMPLEX, NAT
-from catkit.tqft import (
+from catkit.presentations import (
     FrobeniusPresentation,
     Interpretation,
     basis_frobenius,
     check_frobenius_morphism,
     conjugate_presentation,
-    evaluate_cob,
-    evaluate_graph,
     hopf_group_z2,
-    interpret,
     interpretation_from_data,
-    spider_matrix,
     verify_frobenius,
     xor_frobenius,
 )
+from catkit.tqft import evaluate_cob, evaluate_graph, interpret, spider_matrix
 
-from corpus import closed_surface, make_rng, random_cob_term, random_term, rewrite_randomly, standard_signature
+from corpus import (closed_surface, make_rng, random_cob_term, random_regular, random_term, rewrite_randomly,
+                    standard_signature)
 from helpers import ALL_TAGS, flip_entry, fresh_plans, kronecker_spider, line_events, random_matrix, run_capped
 
 Z = ObjectWord((("Z", False),))
@@ -803,6 +801,16 @@ class TestEvaluateGraph:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evaluate_graph(to_graph(term, sig), interp)
 
+    def test_a_misshapen_matrix_is_refused_when_the_signature_lacks_its_generator(self):
+        # an Interpretation checks only the matrices of the generators its signature declares
+        sig, other = Signature(), Signature()
+        sig.declare_generator("e", ObjectWord.of("A", "A"), ObjectWord(()))
+        other.declare_object("A")
+        interp = Interpretation(NAT, {"A": 2}, {"e": MatrixMorphism(NAT, [[1, 2], [3, 4]])}, signature=other)
+        message = "generator 'e' needs a 1x4 matrix for A x A -> I, got 2x2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_graph(to_graph(Gen("e"), sig), interp)
+
     def test_empty_graph_is_the_unit_scalar(self):
         interp = cob_interp(basis_frobenius(2, COMPLEX))
         g = to_graph(Id(ObjectWord(())), ZSIG)
@@ -1541,7 +1549,8 @@ import random
 import numpy as np
 from catkit import COMPLEX, Interpretation, MatrixMorphism
 from catkit.diagram import OpenGraph, SpiderNode
-from catkit.tqft import basis_frobenius, conjugate_presentation, evaluate_graph
+from catkit.presentations import basis_frobenius, conjugate_presentation
+from catkit.tqft import evaluate_graph
 legs = [("n", i, port) for i in range(120) for port in range(3)]
 random.Random(0).shuffle(legs)
 graph = OpenGraph(tuple(SpiderNode("Z", 3) for _ in range(120)), tuple(zip(legs[::2], legs[1::2])), (), ())
@@ -1677,3 +1686,15 @@ class TestCountedWork:
 
         a, b, c = self.counts(surface, (250, 500, 1000))
         assert b <= 2.3 * a and c <= 2.3 * b, (a, b, c)
+
+    @pytest.mark.xfail(strict=True, raises=MemoryError,
+                       reason="ROADMAP items 4 and 10: the greedy plan for these 40 spiders needs a 3^8-entry array")
+    def test_orth3_random_regular_graph_within_a_small_budget(self, monkeypatch):
+        # orth-3: basis_frobenius(3) conjugated by a real orthogonal matrix, commutative with the identity pairing
+        q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+        orth = conjugate_presentation(basis_frobenius(3, COMPLEX), MatrixMorphism(COMPLEX, q.tolist()),
+                                      MatrixMorphism(COMPLEX, q.T.tolist()))
+        interp = Interpretation(COMPLEX, {"Z": 3}, frobenius_data={"Z": orth})
+        monkeypatch.setattr(tqft_module, "BUDGET", 3**5)
+        with fresh_plans():
+            assert evaluate_graph(random_regular(40, 0), interp) == MatrixMorphism(COMPLEX, [[3]])

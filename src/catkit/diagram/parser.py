@@ -30,9 +30,12 @@ is built, and a source position is worked out from the text, by
 Expressions are read by one operator-precedence loop over an explicit
 stack of open ``(``, ``dg(``, ``name(`` and ``coname(`` frames, so no
 method recurses and nesting depth is not bounded by the recursion limit.
-Within one parse, equal leaf text gives one shared term: each generator
-and each built-in other than ``dg``, ``name`` and ``coname`` is built at
-its first occurrence only, so a parsed term is a DAG.
+Within one parse, equal leaf or flat-group text is one shared term, built
+at its first occurrence only, so a parsed term is a DAG.  A leaf is a name
+or a built-in other than ``dg``, ``name`` and ``coname``; a flat group is
+an opener, leaves joined by ``x`` or ``>>``, and its ``)``.  At an opener
+the loop hops over leaves to that ``)`` to look the group's tokens up; a
+nested opener stops the hop, so each token is hopped at most once.
 """
 
 from __future__ import annotations
@@ -152,11 +155,13 @@ class ParseResult(Value):
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.tokens = tokenize(text) + [")"]  # so every tokens.index(")") succeeds
+        tokens = tokenize(text)
+        tokens.append(")")  # so every tokens.index(")") succeeds
+        self.tokens = tuple(tokens)  # whose slices are leaf and group keys
         self.pos = 0
         self.sig = Signature()
         self.diagrams = {}
-        self.leaves = {}  # generator name or built-in tokens up to ")" -> term
+        self.leaves = {}  # generator name, or a built-in's or flat group's tokens up to ")" -> term
 
     def fail(self, message, at=None):
         """Raise ParseError at token index `at`, by default the next one."""
@@ -270,27 +275,34 @@ class _Parser:
         One frame per open bracket holds the token index of its keyword
         (or of a plain "("), the ">>" composite of the stages read so far
         and the "x" product of the stage being read; the outermost frame's
-        index is None.
+        index is None.  A frame that closes with no opener met after its
+        own is flat, and its term is kept by its tokens.
         """
         tokens, leaves, pos = self.tokens, self.leaves, self.pos
         stack = []
         opener = seq = par = None
+        last = -1  # index of the latest opener met: a frame is flat while it is its own latest
         while True:
             tok = tokens[pos]
-            end = tokens.index(")", pos) if tok in _BUILT_INS else pos  # a built-in's arguments hold no bracket
-            term = leaves.get(tuple(tokens[pos:end]) if end > pos else tok)  # a leaf met before, by its text up to ")"
-            if term is not None:
-                pos = end + 1
-            elif tok in _OPENERS:
-                stack.append((opener, seq, par))
-                opener, seq, par, self.pos = pos, None, None, pos + 1
-                if tok != "(":
-                    self.expect("(")
-                pos = self.pos
-                continue
+            if tok in _OPENERS:
+                # Hop the operands to the ")" of a flat group; a nested opener stops the hop.
+                last, j = pos, pos + (tok != "(")
+                while (nxt := tokens[j + 1]) != ")" and nxt not in _OPENERS:
+                    j = tokens.index(")", j + 1) if nxt in _BUILT_INS else j + 1
+                if nxt != ")" or (term := leaves.get(tokens[pos:j + 1])) is None:  # nested, or not met before
+                    stack.append((opener, seq, par))
+                    opener, seq, par, self.pos = pos, None, None, pos + 1
+                    if tok != "(":
+                        self.expect("(")
+                    pos = self.pos
+                    continue
+                pos = j + 2
             else:
-                term = self.atom(pos)
-                pos = self.pos
+                end = tokens.index(")", pos) if tok in _BUILT_INS else pos  # a built-in's arguments hold no bracket
+                term = leaves.get(tokens[pos:end] if end > pos else tok)  # a leaf met before, by its text up to ")"
+                if term is None:
+                    term, end = self.atom(pos), self.pos - 1
+                pos = end + 1
             while True:
                 par = term if par is None else Par(par, term)
                 tok = tokens[pos]
@@ -318,6 +330,8 @@ class _Parser:
                     except TypeMismatch as exc:
                         exc.line, exc.col = _position(self.text, _offset(self.text, opener))
                         raise
+                if opener == last:
+                    leaves[tokens[opener:pos - 1]] = term
                 opener, seq, par = stack.pop()
 
     def atom(self, at):
@@ -355,16 +369,16 @@ class _Parser:
         else:
             self.fail(f"unknown identifier {tok!r}", at)
         self.expect(")")
-        self.leaves[tuple(self.tokens[at:self.pos - 1])] = term
+        self.leaves[self.tokens[at:self.pos - 1]] = term
         return term
 
 
 def parse(text):
     """Parse a module of declarations into a ParseResult.
 
-    Equal leaf text yields one shared term object per call, so a parsed
-    term is a DAG.  Raises ParseError (with .line and .col) for malformed
-    input.  A TypeMismatch from name(...) or coname(...) propagates with
-    .line and .col set to that keyword's position.
+    Equal leaf or flat-group text yields one shared term object per call,
+    so a parsed term is a DAG.  Raises ParseError (with .line and .col)
+    for malformed input.  A TypeMismatch from name(...) or coname(...)
+    propagates with .line and .col set to that keyword's position.
     """
     return _Parser(text).parse_module()

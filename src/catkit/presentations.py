@@ -204,18 +204,23 @@ class Interpretation:
                     f"atom {atom!r} declared with dimension {declared} "
                     f"but its frobenius data has dimension {p.dim}"
                 )
-        for name, m in self.gen_matrices.items():
-            if m.tag.kind != self.tag.kind:
-                raise ValueError(f"generator {name!r} uses {m.tag.kind}, not {self.tag.kind}")
-            if self.signature is None or name not in self.signature.generators:
-                continue
-            decl = self.signature.generators[name]
-            rows, cols = self.word_dim(decl.cod), self.word_dim(decl.dom)
-            if m.rows != rows or m.cols != cols:
-                raise ValueError(
-                    f"generator {name!r} needs a {rows}x{cols} matrix "
-                    f"for {decl.dom} -> {decl.cod}, got {m.rows}x{m.cols}"
-                )
+        generators = {} if self.signature is None else self.signature.generators
+        for name in self.gen_matrices:
+            self.check_matrix(name, generators.get(name))
+
+    def check_matrix(self, name: str, typed=None, flip: bool = False) -> None:
+        """Refuse generator `name`'s matrix, if it has one, unless it is over
+        this semiring and, where `typed` (its declaration or a box node) is
+        given, maps typed.dom to typed.cod, or the reverse if flip."""
+        if (m := self.gen_matrices.get(name)) is None:
+            return
+        if m.tag.kind != self.tag.kind:
+            raise ValueError(f"generator {name!r} uses {m.tag.kind}, not {self.tag.kind}")
+        if typed is not None:
+            dom, cod = (typed.cod, typed.dom) if flip else (typed.dom, typed.cod)
+            if m.data.shape != (rows := self.word_dim(cod), cols := self.word_dim(dom)):
+                raise ValueError(f"generator {name!r} needs a {rows}x{cols} matrix "
+                                 f"for {dom} -> {cod}, got {m.rows}x{m.cols}")
 
     def atom_dim(self, atom: str) -> int:
         if atom not in self.object_dims:
@@ -223,9 +228,9 @@ class Interpretation:
         return self.object_dims[atom]
 
     def word_dim(self, word: ObjectWord) -> int:
-        n = 1
+        dims, n = self.object_dims, 1
         for atom, _ in word.factors:
-            n *= self.atom_dim(atom)
+            n *= dims[atom] if atom in dims else self.atom_dim(atom)  # which raises
         return n
 
 

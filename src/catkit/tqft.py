@@ -37,8 +37,9 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
     identities, symmetries, cups, caps, composition and basis-copy spiders
     only create or join labels.  Data is looked up after the walk: every
     type error comes first, then the first atom with no dimension, then
-    node data in walk order.  A daggered generator is its matrix's adjoint
-    and a daggered spider the same spider reversed, as every layer reads it.
+    each generator's matrix semiring and shape, once per call, then node
+    data in walk order.  A daggered generator is its matrix's adjoint and
+    a daggered spider the same spider reversed, as every layer reads it.
     """
     return _interpret(term, interp)[0]
 
@@ -49,6 +50,8 @@ def _interpret(term, interp: Interpretation):
         raise ValueError("interpret needs a signature to type the term against")
     wiring, nodes, ports, inputs, ins, outs, dom, cod = walk_nodes(term, interp.signature)
     net = _Network([*map(interp.atom_dim, wiring.values)], wiring.parent)
+    for node in {id(node): node for node in nodes if node.__class__ is BoxNode}.values():  # one per box and parity
+        interp.check_matrix(node.name, node, node.daggered)
     for node, labels, k in zip(nodes, ports, inputs):
         net.add(node, labels, k, interp.gen_matrices, interp.frobenius_data)
     return net.contract(interp.tag, outs, ins), dom, cod
@@ -379,11 +382,7 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
         for x, (atom, _) in zip(labels, ports):
             values[x] = dim(atom)
         k = len(ports) if spider else len(node.dom.factors)
-        if not spider and (m := matrices.get(node.name)) is not None:  # a daggered node reverses its generator's type
-            (dom, ins), (cod, outs) = [(node.dom, labels[:k]), (node.cod, labels[k:])][::-1 if node.daggered else 1]
-            rows, cols = math.prod(map(values.__getitem__, outs)), math.prod(map(values.__getitem__, ins))
-            if m.data.shape != (rows, cols):
-                raise ValueError(f"generator {node.name!r} needs a {rows}x{cols} matrix "
-                                 f"for {dom} -> {cod}, got {m.rows}x{m.cols}")
+        if not spider:
+            interp.check_matrix(node.name, node, node.daggered)
         net.add(node, labels, k, matrices, frobenius)
     return net.contract(interp.tag, outputs, inputs)

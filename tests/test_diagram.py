@@ -714,6 +714,17 @@ class TestCountedWork:
         for layer, (a, b, c) in counts.items():
             assert a > 250 and b <= 2.3 * a and c <= 2.3 * b, (layer, counts)
 
+    def test_parse_hops_a_flat_prefix_once(self):
+        # ( a x a x ... x a x (b) ): the outer group is read up to (b) to be looked up, and is not flat, so its
+        # operands are read again one by one; each token is hopped at most once
+        counts = []
+        for n in (250, 500, 1000):
+            res, k = line_events(parse, f"gen a : A -> A; gen b : A -> A;\nd = ({'a x ' * n}(b));\n")
+            assert res.diagrams["d"].right == Gen("b")
+            counts.append(k)
+        a, b, c = counts
+        assert b <= 2.3 * a and c <= 2.3 * b, counts
+
     @pytest.mark.parametrize("shape", ["chain", "ring"])
     def test_graph_eq_on_boxes(self, sig, shape):
         sig.declare_generator("w", P, P)
@@ -868,6 +879,70 @@ class TestParser:
         assert e0 is d3 and e1 is d0 and e2 is d1 and e3 is d2
         # equal values written differently are equal but not shared
         assert e4 == e3 and e4 is not e3
+
+    def test_equal_flat_group_text_is_one_object(self):
+        res = parse(
+            "gen f : A -> A; gen m : A x A -> A;"
+            "d = (id(A) x f) >> m >> dg(f >> f);"
+            "e = ( id( A )x f )>>m>>dg( f>>f ) >> (id(A) x f >> m);"
+            "g = (id(A) x f x id(A)) >> (id(A) x m);"
+        )
+        d, e, g = res.diagrams.values()
+        assert d.before.before is e.before.before.before  # (id(A) x f), spaced differently
+        assert d.after is e.before.after  # dg(f >> f)
+        assert e.after == Seq(Gen("m"), Par(Id(A), Gen("f")))
+        # a group is shared whole, not by a prefix of its text
+        assert g.before == Par(Par(Id(A), Gen("f")), Id(A)) and g.before.left is not d.before.before
+
+    @pytest.mark.parametrize("group", [
+        "(f >> (g >> f))", "(f x dg(g))", "((f) x (g))", "(id(I) x name(f))", "(coname(f) x f)", "dg(dg(f) >> f)",
+    ])
+    def test_groups_holding_other_groups_parse_to_equal_values(self, group):
+        sig = "gen f : A -> A; gen g : A -> A;"
+        res = parse(f"{sig} d = {group}; e = {group} >> id(I); h = (id(I) >> {group});")
+        d, e, h = res.diagrams.values()
+        alone = parse(f"{sig} d = {group};").diagrams["d"]
+        assert d == e.before == h.after == alone
+        assert typecheck(d, res.signature) == typecheck(alone, res.signature)
+
+    def test_shared_groups_change_no_result(self):
+        # the same diagrams with each repeated group's first operand bracketed once more per repeat, so that no
+        # two groups have equal text: parse, typecheck and to_graph must not tell the two modules apart
+        groups = [("(", "id(A)", " x f)"), ("(", "f", " x id(A))"), ("(", "m", " >> c)"), ("dg(", "f", " x f)"),
+                  ("(", "swap(A, A)", " >> swap(A, A))"), ("(", "c x id(A)", " >> id(A) x m)"), ("(", "f x f", ")")]
+        rng = random.Random(7)
+        stages = [[rng.choice(groups) for _ in range(rng.randint(1, 8))] for _ in range(40)]
+        header = "gen f : A -> A; gen m : A x A -> A; gen c : A -> A x A;\n"
+
+        def module(repeat_bracket):
+            seen = Counter()
+            lines = []
+            for k, row in enumerate(stages):
+                texts = []
+                for head, first, rest in row:
+                    j = seen[head, first, rest] if repeat_bracket else 0
+                    seen[head, first, rest] += 1
+                    texts.append(f"{head}{'(' * j}{first}{')' * j}{rest}")
+                lines.append(f"d{k} = {' >> '.join(texts)};\n")
+            return parse(header + "".join(lines))
+
+        shared, unshared = module(False), module(True)
+        assert shared.diagrams == unshared.diagrams
+        for name_, term in shared.diagrams.items():
+            other = unshared.diagrams[name_]
+            assert typecheck(term, shared.signature) == typecheck(other, unshared.signature)
+            assert graph_eq(to_graph(term, shared.signature), to_graph(other, unshared.signature))
+
+        def distinct_nodes(res):
+            seen, todo = set(), list(res.diagrams.values())
+            while todo:
+                t = todo.pop()
+                if id(t) not in seen:
+                    seen.add(id(t))
+                    todo += [getattr(t, f) for f in ("before", "after", "left", "right", "inner") if hasattr(t, f)]
+            return len(seen)
+
+        assert distinct_nodes(shared) < distinct_nodes(unshared)
 
     def test_composition_and_tensor_associate_left(self):
         res = parse(

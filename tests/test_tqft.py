@@ -339,6 +339,31 @@ class TestInterpret:
                 signature=sig,
             )
 
+    @pytest.mark.parametrize("term", [Gen("e"), Dagger(Gen("e"))], ids=str)
+    @pytest.mark.parametrize("matrix, message", [
+        (MatrixMorphism(NAT, [[1, 2], [3, 4]]), "generator 'e' needs a 1x4 matrix for A x A -> I, got 2x2"),
+        (MatrixMorphism(COMPLEX, [[1, 2, 3, 4]]), "generator 'e' uses complex, not nat"),
+    ], ids=["shape", "semiring"])
+    def test_a_matrix_assigned_after_construction_is_checked(self, term, matrix, message):
+        # the Interpretation checked its matrices when built; interpret and evaluate_graph check the ones they use
+        sig = Signature()
+        sig.declare_generator("e", ObjectWord.of("A", "A"), ObjectWord(()))
+        interp = Interpretation(NAT, {"A": 2}, {}, signature=sig)
+        interp.gen_matrices["e"] = matrix
+        for evaluate in (interpret, lambda t, i: evaluate_graph(to_graph(t, sig), i)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                evaluate(term, interp)
+
+    def test_a_dimension_changed_after_construction_is_checked(self):
+        sig = Signature()
+        sig.declare_generator("e", ObjectWord.of("A", "A"), ObjectWord(()))
+        interp = Interpretation(NAT, {"A": 2}, {"e": MatrixMorphism(NAT, [[1, 2, 3, 4]])}, signature=sig)
+        assert interpret(Gen("e"), interp) == MatrixMorphism(NAT, [[1, 2, 3, 4]])
+        interp.object_dims["A"] = 3
+        message = "generator 'e' needs a 1x9 matrix for A x A -> I, got 1x4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interpret(Gen("e"), interp)
+
     def test_frobenius_dim_conflict_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             Interpretation(COMPLEX, {"Z": 3}, frobenius_data={"Z": basis_frobenius(2, COMPLEX)})

@@ -77,8 +77,8 @@ def _load_interpretation(path, data, signature=None, tolerance=None):
 
     try:
         return interpretation_from_data(data, signature, tolerance=tolerance)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except (UnknownName, ValueError) as exc:  # a declared generator's atom may have no dimension
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _load_workspace(args):

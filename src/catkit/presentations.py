@@ -184,7 +184,8 @@ def _copy3(d, dtype):
 
 @dataclass
 class Interpretation:
-    """Assignment of matrix data to a diagram signature."""
+    """Assignment of matrix data to a diagram signature, read only through matrix
+    and presentation, which check what they read: construction reads every entry."""
 
     tag: SemiringTag
     object_dims: dict
@@ -196,24 +197,18 @@ class Interpretation:
     def __post_init__(self) -> None:
         self.object_dims = dict(self.object_dims)  # the caller's dict gets no inferred dimension
         for atom, p in self.frobenius_data.items():
-            if p.tag.kind != self.tag.kind:
-                raise ValueError(f"frobenius data for {atom!r} uses {p.tag.kind}, not {self.tag.kind}")
-            declared = self.object_dims.setdefault(atom, p.dim)
-            if declared != p.dim:
-                raise ValueError(
-                    f"atom {atom!r} declared with dimension {declared} "
-                    f"but its frobenius data has dimension {p.dim}"
-                )
+            self.object_dims.setdefault(atom, p.dim)
+            self.presentation(atom)
         generators = {} if self.signature is None else self.signature.generators
         for name in self.gen_matrices:
-            self.check_matrix(name, generators.get(name))
+            self.matrix(name, generators.get(name))
 
-    def check_matrix(self, name: str, typed=None, flip: bool = False) -> None:
-        """Refuse generator `name`'s matrix, if it has one, unless it is over
-        this semiring and, where `typed` (its declaration or a box node) is
-        given, maps typed.dom to typed.cod, or the reverse if flip."""
+    def matrix(self, name: str, typed=None, flip: bool = False):
+        """Generator `name`'s entries, or their adjoint if flip, once they are
+        over this semiring and, where `typed` (its declaration or a box node)
+        is given, map typed.dom to typed.cod, or the reverse if flip."""
         if (m := self.gen_matrices.get(name)) is None:
-            return
+            raise UnknownName(f"no matrix assigned to generator {name!r}")
         if m.tag.kind != self.tag.kind:
             raise ValueError(f"generator {name!r} uses {m.tag.kind}, not {self.tag.kind}")
         if typed is not None:
@@ -221,6 +216,18 @@ class Interpretation:
             if m.data.shape != (rows := self.word_dim(cod), cols := self.word_dim(dom)):
                 raise ValueError(f"generator {name!r} needs a {rows}x{cols} matrix "
                                  f"for {dom} -> {cod}, got {m.rows}x{m.cols}")
+        return (dagger(m) if flip else m).data
+
+    def presentation(self, atom: str) -> FrobeniusPresentation:
+        """Atom's presentation, once it is over this semiring and of the atom's dimension."""
+        if (p := self.frobenius_data.get(atom)) is None:
+            raise UnknownName(f"no frobenius data for atom {atom!r}")
+        if p.tag.kind != self.tag.kind:
+            raise ValueError(f"frobenius data for {atom!r} uses {p.tag.kind}, not {self.tag.kind}")
+        if (declared := self.atom_dim(atom)) != p.dim:
+            raise ValueError(f"atom {atom!r} declared with dimension {declared} "
+                             f"but its frobenius data has dimension {p.dim}")
+        return p
 
     def atom_dim(self, atom: str) -> int:
         if atom not in self.object_dims:

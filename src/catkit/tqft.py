@@ -1,13 +1,13 @@
 """Matrix interpretations of diagram terms.
 
 interpret() types terms against an Interpretation's signature.  One
-network method turns each node into its tensor, fed by interpret() and
-evaluate_cob() from walk_nodes, to_graph's node walk, and by
-evaluate_graph() from a graph's nodes; one contraction engine evaluates
-the network: a planner turns its shape into a flat list of matmuls, kept
-in a bounded cache, and a short loop runs it on the arrays.  A spider,
-spider_matrix()'s too, is left combs of its presentation's mu and delta
-tensors.  evaluate_cob() is one atom and one verified presentation.
+builder reads a node list's data through the Interpretation's checked
+readers into a tensor network, for interpret() and evaluate_cob() from
+walk_nodes, to_graph's node walk, and for evaluate_graph() from a graph's
+nodes; one contraction engine evaluates the network: a planner turns its
+shape into a flat list of matmuls, kept in a bounded cache, and a short
+loop runs it on the arrays.  A spider, spider_matrix()'s too, is left
+combs of mu and delta tensors.  evaluate_cob() is one verified presentation.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ import math
 import numpy as np
 
 from .diagram.graphs import BoxNode, OpenGraph, SpiderNode, Wiring, walk_nodes
-from .diagram.terms import UnknownName
 from .frobenius import COB_ATOMS, _single_atom, cob_atom
-from .matcat import MatrixMorphism, dagger
+from .matcat import MatrixMorphism
 from .presentations import FrobeniusPresentation, Interpretation, _copy3, hopf_group_z2, verify_frobenius  # noqa: F401
 
 PLANS = 256  # network shapes whose contraction plans are kept
@@ -35,11 +34,11 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
     ``walk_nodes``, to_graph's node walk, types the term and lists its
     generators and spiders, each then a tensor on its port labels;
     identities, symmetries, cups, caps, composition and basis-copy spiders
-    only create or join labels.  Data is looked up after the walk: every
-    type error comes first, then the first atom with no dimension, then
-    each generator's matrix semiring and shape, once per call, then node
-    data in walk order.  A daggered generator is its matrix's adjoint and
-    a daggered spider the same spider reversed, as every layer reads it.
+    only create or join labels.  Data is read after the walk, as _network
+    reads it: every type error comes first, then the first label's atom
+    with no dimension, then each distinct node's data in walk order.  A
+    daggered generator is its matrix's adjoint and a daggered spider the
+    same spider reversed, as every layer reads it.
     """
     return _interpret(term, interp)[0]
 
@@ -49,12 +48,22 @@ def _interpret(term, interp: Interpretation):
     if interp.signature is None:
         raise ValueError("interpret needs a signature to type the term against")
     wiring, nodes, ports, inputs, ins, outs, dom, cod = walk_nodes(term, interp.signature)
-    net = _Network([*map(interp.atom_dim, wiring.values)], wiring.parent)
-    for node in {id(node): node for node in nodes if node.__class__ is BoxNode}.values():  # one per box and parity
-        interp.check_matrix(node.name, node, node.daggered)
-    for node, labels, k in zip(nodes, ports, inputs):
-        net.add(node, labels, k, interp.gen_matrices, interp.frobenius_data)
+    net = _network(interp, wiring.values, wiring.parent, nodes, ports, inputs)
     return net.contract(interp.tag, outs, ins), dom, cod
+
+
+def _network(interp, atoms, parent, nodes, ports, inputs):
+    """The network of nodes, node i on labels ports[i], the first inputs[i] its inputs,
+    over labels valued by atoms and merged by parent, if given: every label's dimension
+    is read first, then each distinct node's data, once, in node order."""
+    dims, read = interp.object_dims, {}
+    net = _Network([dims[atom] if atom in dims else interp.atom_dim(atom) for atom in atoms], parent)  # atom_dim raises
+    for node, labels, k in zip(nodes, ports, inputs):
+        if (data := read.get(id(node))) is None:  # walk_nodes shares one node per generator, parity and shape
+            read[id(node)] = data = (interp.matrix(node.name, node, node.daggered) if node.__class__ is BoxNode
+                                     else interp.presentation(node.atom))
+        net.add(node, labels, k, data)
+    return net
 
 
 class _Network(Wiring):
@@ -65,24 +74,18 @@ class _Network(Wiring):
         self.values, self.parent = values, [*range(len(values))] if parent is None else parent
         self.tensors, self.joined = [], []
 
-    def add(self, node, labels, k, matrices, presentations):
-        """A node's tensor on its port labels, the first k its inputs.
-
-        A box is its generator's matrix, or the adjoint if daggered, on axes
-        cod then dom, its shape checked by Interpretation or evaluate_graph.
-        A (k, l, genus) spider of its atom's presentation is a comb of mu over
-        the inputs, then (mu . delta)^genus, then a comb of delta over the
-        outputs; a copy spider joins its legs (a special one ignores genus),
-        and with none is a fresh label.  Missing data is an UnknownName."""
+    def add(self, node, labels, k, data):
+        """A node's tensor on its port labels, the first k its inputs, from data
+        checked for it: a box's entries, the adjoint's if daggered, on axes cod
+        then dom.  A (k, l, genus) spider of presentation data p is a comb of
+        mu over the inputs, then (mu . delta)^genus, then a comb of delta over
+        the outputs; a copy spider joins its legs (a special one ignores
+        genus), and with none is a fresh label."""
         if node.__class__ is BoxNode:
-            if (m := matrices.get(node.name)) is None:
-                raise UnknownName(f"no matrix assigned to generator {node.name!r}")
-            axes, data = labels[k:] + labels[:k], (dagger(m) if node.daggered else m).data
+            axes = labels[k:] + labels[:k]
             self.tensors.append((data.reshape([self.values[x] for x in axes]), axes))
             return
-        if (p := presentations.get(node.atom)) is None:
-            raise UnknownName(f"no frobenius data for atom {node.atom!r}")
-        if not p.basis_copy:
+        if not (p := data).basis_copy:
             d, genus = p.dim, node.genus
             merge = self._comb(p.mu.data.reshape(d, d, d), p.unit_e.data.ravel(), labels[:k])
             branch = self._comb(p.delta.data.reshape(d, d, d).transpose(2, 0, 1), p.eps.data.ravel(), labels[k:])
@@ -317,7 +320,7 @@ def spider_matrix(p: FrobeniusPresentation, k: int, l: int, genus: int = 0) -> M
         raise ValueError("leg counts and genus must be nonnegative")
     net = _Network([p.dim] * (k + l))
     labels = [*range(k + l)]
-    net.add(SpiderNode(None, k + l, genus), labels, k, None, {None: p})
+    net.add(SpiderNode(None, k + l, genus), labels, k, p)
     return net.contract(p.tag, labels[k:], labels[:k])
 
 
@@ -339,10 +342,8 @@ def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
         cob_atom([term])  # the walk's own faults and the atom check come before a type error
         raise
     atom = _single_atom({*wiring.values, *(node.atom for node in nodes)}, COB_ATOMS)  # raises at a second atom
-    net = _Network([p.dim] * len(wiring.values), wiring.parent)
-    for node, labels, k in zip(nodes, ports, inputs):
-        net.add(node, labels, k, None, {atom: p})
-    return net.contract(p.tag, outs, ins)
+    interp = Interpretation(p.tag, {}, {}, {atom: p})
+    return _network(interp, wiring.values, wiring.parent, nodes, ports, inputs).contract(p.tag, outs, ins)
 
 
 def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
@@ -352,37 +353,27 @@ def evaluate_graph(graph: OpenGraph, interp: Interpretation) -> MatrixMorphism:
     this is only sound when every spider tensor is invariant under leg
     permutation and the pairing eps . mu it induces is the plain identity
     pairing.  Both hold for commutative presentations whose pairing matches
-    the Kronecker cup.  Each spider atom's presentation is checked up front
-    on two measured facts: it is commutative, and its pairing_deviation is
-    within tolerance.  Boxes keep their orientation from the stored
-    domain/codomain split; each one's matrix must fit its ports, checked
-    here as no signature need have.  A basis-copy spider joins its wires.
+    the Kronecker cup.  Once _network has read every dimension and node,
+    each spider atom's presentation is checked on two measured facts: it is
+    commutative, and its pairing_deviation is within tolerance.
+    Boxes keep their orientation from the stored domain/codomain split;
+    each one's matrix is checked against its ports, which the signature
+    need not declare.  A basis-copy spider joins its wires.
     """
-    for atom in sorted({n.atom for n in graph.nodes if isinstance(n, SpiderNode)}):
-        p = interp.frobenius_data.get(atom)
-        if p is None:
-            raise UnknownName(f"no frobenius data for atom {atom!r}")
+    nodes, types = graph.nodes, {"i": graph.input_types, "o": graph.output_types}
+    sides = [n.dom.factors + n.cod.factors if n.__class__ is BoxNode else [(n.atom, False)] * n.degree for n in nodes]
+    atoms = [(sides[a[1]][a[2]] if a[0] == "n" else types[a[0]][a[1]])[0] for a, _ in graph.wires]  # at its first end
+    wire_at = {end: wid for wid, ends in enumerate(graph.wires) for end in ends}
+    outs = [wire_at["o", k] for k in range(len(types["o"]))]
+    ins = [wire_at["i", k] for k in range(len(types["i"]))]
+    ports = [[wire_at["n", nid, port] for port in range(len(factors))] for nid, factors in enumerate(sides)]
+    inputs = [len(n.dom) if n.__class__ is BoxNode else n.degree for n in nodes]
+    net = _network(interp, atoms + [*graph.loops], None, nodes, ports, inputs)  # wires, then loops
+    for atom in sorted({node.atom for node in nodes if node.__class__ is SpiderNode}):
+        p = interp.presentation(atom)
         if not p.commutative or p.pairing_deviation > interp.tag.tolerance:
             raise ValueError(
                 f"presentation for {atom!r} is directional; "
                 "graph contraction needs a commutative presentation with the identity pairing"
             )
-
-    net = _Network([None] * len(graph.wires) + [interp.atom_dim(atom) for atom in graph.loops])  # wires, then loops
-    values, dim, matrices, frobenius = net.values, interp.atom_dim, interp.gen_matrices, interp.frobenius_data
-    wire_at = {end: wid for wid, ends in enumerate(graph.wires) for end in ends}
-    outputs = [wire_at[("o", k)] for k in range(len(graph.output_types))]
-    inputs = [wire_at[("i", k)] for k in range(len(graph.input_types))]
-    for x, (atom, _) in zip(outputs + inputs, graph.output_types + graph.input_types):
-        values[x] = dim(atom)
-    for nid, node in enumerate(graph.nodes):
-        spider = node.__class__ is SpiderNode
-        ports = [(node.atom, False)] * node.degree if spider else node.dom.factors + node.cod.factors
-        labels = [wire_at["n", nid, port] for port in range(len(ports))]
-        for x, (atom, _) in zip(labels, ports):
-            values[x] = dim(atom)
-        k = len(ports) if spider else len(node.dom.factors)
-        if not spider:
-            interp.check_matrix(node.name, node, node.daggered)
-        net.add(node, labels, k, matrices, frobenius)
-    return net.contract(interp.tag, outputs, inputs)
+    return net.contract(interp.tag, outs, ins)

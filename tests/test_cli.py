@@ -451,6 +451,16 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err == f"error: {p}: diagram 'd': no matrix assigned to generator 'f'\n"
 
+    def test_matrix_on_an_atom_with_no_dimension_names_the_json_file(self, tmp_path, capsys):
+        # the interpretation fails as it is read, before any diagram, so its file is named
+        p = tmp_path / "a.cat"
+        p.write_text("gen f : A -> A;\ndiag d = f;\n")
+        nodim = tmp_path / "nodim.json"
+        nodim.write_text(json.dumps({"semiring": "complex", "objects": {}, "generators": {"f": [[1]]}}))
+        code, out, err = run(capsys, "eval", str(p), "d", "--interp", str(nodim))
+        assert (code, out) == (1, "")
+        assert err == f"error: {nodim}: no dimension declared for atom 'A'\n"
+
     def test_missing_interp_flag_is_a_usage_error(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", files["surfaces.cat"], "snake"])

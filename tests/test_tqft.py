@@ -354,6 +354,21 @@ class TestInterpret:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 evaluate(term, interp)
 
+    @pytest.mark.parametrize("term", [Spider("Z", 2, 1), Spider("Z", 1, 1)], ids=str)
+    @pytest.mark.parametrize("change, message", [
+        (lambda i: i.frobenius_data.update(Z=xor_frobenius()),
+         "atom 'Z' declared with dimension 3 but its frobenius data has dimension 2"),
+        (lambda i: i.frobenius_data.update(Z=basis_frobenius(3, BOOL)), "frobenius data for 'Z' uses bool, not complex"),
+        (lambda i: i.object_dims.update(Z=2), "atom 'Z' declared with dimension 2 but its frobenius data has dimension 3"),
+    ], ids=["dimension", "semiring", "declared-dimension"])
+    def test_frobenius_data_changed_after_construction_is_checked(self, term, change, message):
+        # the construction-time message, from interpret and evaluate_graph alike
+        interp = Interpretation(COMPLEX, {"Z": 3}, frobenius_data={"Z": basis_frobenius(3)}, signature=ZSIG)
+        change(interp)
+        for evaluate in (interpret, lambda t, i: evaluate_graph(to_graph(t, ZSIG), i)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                evaluate(term, interp)
+
     def test_a_dimension_changed_after_construction_is_checked(self):
         sig = Signature()
         sig.declare_generator("e", ObjectWord.of("A", "A"), ObjectWord(()))
@@ -1218,6 +1233,9 @@ EVALUATE_COB_ERRORS = [
 ]
 
 
+DATA_ERRORS = INTERPRET_ERRORS[len(TYPE_ERRORS):]
+
+
 def _ids(table):
     return [f"{k}-{error.__name__}" for k, (_, error, _) in enumerate(table)]
 
@@ -1234,6 +1252,34 @@ class TestWalkErrors:
     def test_interpret(self, term, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             interpret(term, boxed_interp())
+
+    @pytest.mark.parametrize("term, error, message", DATA_ERRORS, ids=_ids(DATA_ERRORS))
+    def test_evaluate_graph(self, term, error, message):
+        # a graph's data faults are the term's, in the same order
+        graph = to_graph(term, boxed_signature())
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            evaluate_graph(graph, boxed_interp())
+
+    def test_a_missing_matrix_comes_before_a_later_misshapen_one(self):
+        interp = boxed_interp()
+        interp.gen_matrices["f"] = cmat([[1, 0, 0, 1]])
+        term = Par(Gen("g"), Gen("f"))
+        for evaluate in (interpret, lambda t, i: evaluate_graph(to_graph(t, boxed_signature()), i)):
+            with pytest.raises(UnknownName, match="^no matrix assigned to generator 'g'$"):
+                evaluate(term, interp)
+
+    def test_each_distinct_box_is_read_once(self, monkeypatch):
+        # a chain of f and its adjoint has two distinct box nodes, so two matrix reads
+        interp, reads = boxed_interp(), []
+        matrix = Interpretation.matrix
+        monkeypatch.setattr(Interpretation, "matrix", lambda *args: reads.append(args[1]) or matrix(*args))
+        term = Gen("f")
+        for k in range(63):
+            term = Seq(term, Gen("f") if k % 2 else Dagger(Gen("f")))
+        assert interpret(term, interp) == MatrixMorphism.identity(COMPLEX, 2)
+        assert reads == ["f", "f"]
+        assert evaluate_graph(to_graph(term, boxed_signature()), interp) == MatrixMorphism.identity(COMPLEX, 2)
+        assert reads == ["f"] * 4
 
     @pytest.mark.parametrize("term, error, message", EVALUATE_COB_ERRORS, ids=_ids(EVALUATE_COB_ERRORS))
     @pytest.mark.parametrize("p", [basis_frobenius(3), xor_frobenius()], ids=["basis", "xor"])

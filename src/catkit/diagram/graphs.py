@@ -1,7 +1,7 @@
 """Port-graph normal form for diagram terms, and its equality decision.
 
-``Wiring.walk`` types a term as it flattens it to wire labels on one explicit
-stack; it serves ``frobenius``, and ``walk_nodes`` for ``to_graph`` and ``tqft``.
+``Wiring.walk`` types and flattens a term to wire labels, one ``>>`` or ``x`` spine
+at a time; it serves ``frobenius``, and ``walk_nodes`` for ``to_graph`` and ``tqft``.
 
 ``certificate`` is a canonical form of an open graph; ``graph_eq`` compares
 two.  A port walk from the boundary numbers every box it reaches, box ports
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .terms import Cap, Cup, Dagger, Gen, Id, Par, Seq, Spider, Swap, Value, leaf_type, mismatch
+from .terms import Cap, Cup, Dagger, DiagramTerm, Gen, Id, Par, Seq, Spider, Swap, Value, leaf_type, mismatch
 
 
 class BoxNode(Value):
@@ -102,71 +102,71 @@ class Wiring:
         return x
 
     def walk(self, term, leaf, sig=None):
-        """Flatten a term; return its input labels, output labels, and
-        domain and codomain factor tuples.
+        """Flatten a term; return its input and output labels and its domain and codomain factors.
 
-        leaf(t, flip) turns a Gen or Spider into (input labels, output
-        labels) as the leaf itself is typed; flip is true under an odd
-        number of daggers, and the daggers above exchange the two lists.
-        Sequential composition joins the labels it glues pairwise.  Each
-        subterm is typed against sig when finished, a leaf before leaf()
-        sees it, so the first type error is the one ``typecheck`` raises.
-        sig=None, for classification without one, leaves both tuples empty.
-        """
-        done = []  # (ins, outs, dom, cod) of each finished subterm
-        by_value = {}  # leaf types by value
-        values, parent, find = self.values, self.parent, self.find
-        todo = [(term, False)]  # (subterm, dagger parity) to visit, or (class, None) to finish a composite
-        while todo:
-            t, flip = todo.pop()
-            if flip is None:  # finish a composite of class t
-                if t is Seq:
-                    mids2, outs, expected, cod = done.pop()
-                    ins, mids, dom, produced = done[-1]
-                    if produced != expected:
-                        raise mismatch(produced, expected)
-                    for x, y in zip(mids, mids2):
+        leaf(t, flip) turns a Gen or Spider into (input labels, output labels)
+        as the leaf itself is typed; flip is true under an odd number of
+        daggers, and the daggers above exchange the two lists.  Composition
+        being strict, each maximal left-nested ``>>`` spine, and each ``x`` row
+        however bracketed, is a list of stages folded in order: ``>>`` joins the
+        labels it glues pairwise, ``x`` extends lists it owns.  A stage is typed
+        as it is folded, a leaf before leaf() sees it, so the first type error
+        is typecheck's; sig=None leaves both factor tuples empty."""
+        by_value, values, parent, find = {}, self.values, self.parent, self.find  # by_value: leaf types by value
+        spines, flip, kind, stages, ins = [], False, None, [term], None  # waiting spines; the open one, no result yet
+        while True:
+            t = stages.pop()  # stages are kept last first
+            if (cls := t.__class__) is Seq or cls is Par or cls is Dagger:  # the node classes are final
+                if cls is not Par or kind is not Par:  # a row that is a factor of a row is spliced into it
+                    if kind is not None:  # the term itself is no stage
+                        spines.append((kind, stages, ins, outs, dom, cod, flip))
+                    kind, stages, ins, outs, dom, cod, flip = cls, [], None, None, None, None, flip ^ (cls is Dagger)
+                while t.__class__ is cls is not Dagger:  # down the spine; a dagger's one stage is its inner term
+                    stages.append(t.after if cls is Seq else t.right)
+                    t = t.before if cls is Seq else t.left
+                stages.append(t.inner if cls is Dagger else t)
+                continue
+            if sig is None or cls is not Gen and cls not in (Spider, Id, Swap, Cup, Cap):  # a non-term may not hash
+                d, c = ((), ()) if sig is None and issubclass(cls, DiagramTerm) else leaf_type(t, sig)
+            else:  # the commonest leaves' fields hash faster than the leaves; no two classes' keys are equal
+                key = (t.name if cls is Gen else (t.atom, t.legs_in, t.legs_out) if cls is Spider
+                       else t.word.factors if cls is Id else t)
+                d, c = by_value.get(key) or by_value.setdefault(key, leaf_type(t, sig))
+            if cls is Spider or cls is Gen:
+                i, o = leaf(t, flip)
+            elif cls is Id:  # labels made here, saving word()'s and fresh()'s calls
+                values += [atom for atom, _ in t.word.factors]
+                i = o = [*range(len(parent), len(values))]
+                parent += i
+            elif cls is Cup or cls is Cap:
+                x = self.label(t.atom)
+                i, o = ([], [x, x]) if cls is Cup else ([x, x], [])
+            else:  # a Swap: leaf_type has raised at anything that is not a term
+                left, right = self.word(t.left), self.word(t.right)
+                i, o = left + right, right + left
+            while True:  # fold the stage (i, o, d, c) into its spine, and each spine it finishes into the next
+                if ins is None:
+                    ins, outs, dom, cod = i, o, d, c
+                elif kind is Seq:
+                    if cod != d:
+                        raise mismatch(cod, d)
+                    for x, y in zip(outs, i):
                         parent[x if parent[x] == x else find(x)] = y if parent[y] == y else find(y)
-                    done[-1] = ins, outs, dom, cod
-                elif t is Par:
-                    ins2, outs2, dom2, cod2 = done.pop()
-                    ins, outs, dom, cod = done[-1]
-                    done[-1] = ins + ins2, outs + outs2, dom + dom2, cod + cod2
+                    outs, cod = o, c
+                elif dom.__class__ is tuple:  # a row's second factor: from here on the row owns its lists
+                    ins, outs, dom, cod = ins + i, outs + o, [*dom, *d], [*cod, *c]
                 else:
-                    ins, outs, dom, cod = done[-1]
-                    done[-1] = outs, ins, cod, dom
-            elif (cls := t.__class__) is Seq:  # the node classes are final
-                todo += ((Seq, None), (t.after, flip), (t.before, flip))
-            elif cls is Par:
-                todo += ((Par, None), (t.right, flip), (t.left, flip))
-            elif cls is Dagger:
-                todo += ((Dagger, None), (t.inner, not flip))
-            else:
-                if sig is None:
-                    dom = cod = ()
-                elif cls is not Gen and cls not in (Spider, Id, Swap, Cup, Cap):
-                    dom, cod = leaf_type(t, sig)  # a stray list is unhashable
-                else:  # the commonest leaves' fields hash faster than the leaves; no two classes' keys are equal
-                    key = (t.name if cls is Gen else (t.atom, t.legs_in, t.legs_out) if cls is Spider
-                           else t.word.factors if cls is Id else t)
-                    dom, cod = by_value.get(key) or by_value.setdefault(key, leaf_type(t, sig))
-                if cls is Spider or cls is Gen:
-                    ins, outs = leaf(t, flip)
-                elif cls is Id:  # labels made here, saving word()'s and fresh()'s calls
-                    x = len(parent)
-                    values += [atom for atom, _ in t.word.factors]
-                    ins = outs = [*range(x, len(values))]
-                    parent += ins
-                elif cls is Cup or cls is Cap:
-                    x = self.label(t.atom)
-                    ins, outs = ([], [x, x]) if cls is Cup else ([x, x], [])
-                elif cls is Swap:
-                    left, right = self.word(t.left), self.word(t.right)
-                    ins, outs = left + right, right + left
-                else:
-                    raise TypeError(f"not a diagram term: {t!r}")
-                done.append((ins, outs, dom, cod))
-        return done.pop()
+                    ins += i
+                    outs += o
+                    dom += d
+                    cod += c
+                if stages:
+                    break
+                i, o, d, c = ((outs, ins, cod, dom) if kind is Dagger else
+                              (ins, outs, tuple(dom), tuple(cod)) if kind is Par else (ins, outs, dom, cod))
+                if not spines:
+                    return i, o, d, c
+                kind, stages, ins, outs, dom, cod, flip = spines.pop()
 
 
 def walk_nodes(term, sig):

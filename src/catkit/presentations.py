@@ -31,10 +31,9 @@ class FrobeniusPresentation:
     the distance of the pairing eps . mu from the identity pairing.
     commutative, special and dagger: whether the commutativity, speciality
     and dagger-structure equations of flag_report pass.  evaluate_graph
-    checks commutative and pairing_deviation.  flag_report and
-    verification, the verify_frobenius report that evaluate_cob requires
-    to pass, are measured on first use and kept; none of these is compared
-    or printed.
+    checks commutative and pairing_deviation.  flag_report, verification,
+    the verify_frobenius report, and failed_laws, the verdict evaluate_cob
+    reads, are measured on first use and kept; none is compared or printed.
     """
 
     dim: int
@@ -95,6 +94,11 @@ class FrobeniusPresentation:
     def verification(self) -> LawReport:
         """verify_frobenius(self), measured once; dataclasses.replace measures afresh."""
         return verify_frobenius(self)
+
+    @cached_property
+    def failed_laws(self) -> str:
+        """The laws verification finds broken, comma-separated; empty if it passes."""
+        return ", ".join(e.name for e in self.verification.surprises())
 
 
 def basis_frobenius(d: int, tag: SemiringTag = COMPLEX) -> FrobeniusPresentation:

@@ -35,9 +35,9 @@ def interpret(term, interp: Interpretation) -> MatrixMorphism:
     generators and spiders, each then a tensor on its port labels;
     identities, symmetries, cups, caps, composition and basis-copy spiders
     only create or join labels.  Data is read after the walk, as _network
-    reads it: every type error comes first, then the first label's atom
-    with no dimension, then each distinct node's data in walk order.  A
-    daggered generator is its matrix's adjoint and a daggered spider the
+    reads it: every type error comes first, then the least atom, in sorted
+    order, with no dimension, then each distinct node's data in walk order.
+    A daggered generator is its matrix's adjoint and a daggered spider the
     same spider reversed, as every layer reads it.
     """
     return _interpret(term, interp)[0]
@@ -55,9 +55,9 @@ def _interpret(term, interp: Interpretation):
 def _network(interp, atoms, parent, nodes, ports, inputs):
     """The network of nodes, node i on labels ports[i], the first inputs[i] its inputs,
     over labels valued by atoms and merged by parent, if given: every label's dimension
-    is read first, then each distinct node's data, once, in node order."""
+    is read first (the least atom with none raises), then each distinct node's data once, in node order."""
     dims, read = interp.object_dims, {}
-    net = _Network([dims[atom] if atom in dims else interp.atom_dim(atom) for atom in atoms], parent)  # atom_dim raises
+    net = _Network([dims[a] if a in dims else interp.atom_dim(min({*atoms} - dims.keys())) for a in atoms], parent)
     for node, labels, k in zip(nodes, ports, inputs):
         if (data := read.get(id(node))) is None:  # walk_nodes shares one node per generator, parity and shape
             read[id(node)] = data = (interp.matrix(node.name, node, node.daggered) if node.__class__ is BoxNode
@@ -332,10 +332,8 @@ def evaluate_cob(term, p: FrobeniusPresentation) -> MatrixMorphism:
     end for end: ``interpret`` reads a daggered spider as the reversed
     spider, so no dagger structure is needed.
     """
-    report = p.verification
-    if not report.ok:
-        bad = ", ".join(e.name for e in report.surprises())
-        raise ValueError(f"presentation failed verification: {bad}")
+    if p.failed_laws:
+        raise ValueError(f"presentation failed verification: {p.failed_laws}")
     try:
         wiring, nodes, ports, inputs, ins, outs, _, _ = walk_nodes(term, COB_ATOMS)
     except Exception:

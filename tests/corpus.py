@@ -391,6 +391,15 @@ def closed_surface(genus, atom="Z"):
     return Seq(Spider(atom, 1, 0), term)
 
 
+def doubling_file(k):
+    """d0 is a handle and each d{i+1} = d{i} >> d{i}, so s, capped at both
+    ends, is a closed surface of genus 2^k written in k + 3 declarations:
+    parsed, a DAG whose shared subterms are one object."""
+    lines = ["object Z frobenius selfdual;", "diag d0 = spider(Z, 1, 2) >> spider(Z, 2, 1);"]
+    lines += [f"diag d{i + 1} = d{i} >> d{i};" for i in range(k)]
+    return "\n".join(lines + [f"diag s = spider(Z, 0, 1) >> d{k} >> spider(Z, 1, 0);"])
+
+
 def rings(lengths, cell=Gen("u"), atom="P"):
     """Closed rings side by side, a ring of n copies of cell per n in lengths.
 

@@ -1,5 +1,5 @@
 """Shared random generators (seeded, reproducible), mutation helpers, a
-reference wiring walk, a reference port-graph builder, a reference spider
+recursive and a binary reference wiring walk, a reference port-graph builder, a reference spider
 matrix, an emptied contraction plan cache, a memory-capped child process and
 a counter of the work catkit does for the test suite."""
 
@@ -192,6 +192,69 @@ def reference_walk(term, sig, leaf):
 
     ins, outs, dom, cod = go(term, False)
     return walk_shape(calls, ins, outs, values, find), dom, cod
+
+
+def binary_walk(wiring, term, leaf, sig=None):
+    """``Wiring.walk`` as it was before it folded each ``>>`` and ``x``
+    spine in one pass: every Seq, Par and Dagger node is finished on its
+    own, from a stack of (ins, outs, dom, cod) tuples, and each Par copies
+    both operands' lists.  binary_walk(wiring, ...) is wiring.walk(...); the
+    reference for labels, union-find parents, results and the first error.
+    """
+    done = []  # (ins, outs, dom, cod) of each finished subterm
+    by_value = {}  # leaf types by value
+    values, parent, find = wiring.values, wiring.parent, wiring.find
+    todo = [(term, False)]  # (subterm, dagger parity) to visit, or (class, None) to finish a composite
+    while todo:
+        t, flip = todo.pop()
+        if flip is None:  # finish a composite of class t
+            if t is Seq:
+                mids2, outs, expected, cod = done.pop()
+                ins, mids, dom, produced = done[-1]
+                if produced != expected:
+                    raise mismatch(produced, expected)
+                for x, y in zip(mids, mids2):
+                    parent[x if parent[x] == x else find(x)] = y if parent[y] == y else find(y)
+                done[-1] = ins, outs, dom, cod
+            elif t is Par:
+                ins2, outs2, dom2, cod2 = done.pop()
+                ins, outs, dom, cod = done[-1]
+                done[-1] = ins + ins2, outs + outs2, dom + dom2, cod + cod2
+            else:
+                ins, outs, dom, cod = done[-1]
+                done[-1] = outs, ins, cod, dom
+        elif (cls := t.__class__) is Seq:
+            todo += ((Seq, None), (t.after, flip), (t.before, flip))
+        elif cls is Par:
+            todo += ((Par, None), (t.right, flip), (t.left, flip))
+        elif cls is Dagger:
+            todo += ((Dagger, None), (t.inner, not flip))
+        else:
+            if sig is None:
+                dom = cod = ()
+            elif cls is not Gen and cls not in (Spider, Id, Swap, Cup, Cap):
+                dom, cod = leaf_type(t, sig)
+            else:
+                key = (t.name if cls is Gen else (t.atom, t.legs_in, t.legs_out) if cls is Spider
+                       else t.word.factors if cls is Id else t)
+                dom, cod = by_value.get(key) or by_value.setdefault(key, leaf_type(t, sig))
+            if cls is Spider or cls is Gen:
+                ins, outs = leaf(t, flip)
+            elif cls is Id:
+                x = len(parent)
+                values += [atom for atom, _ in t.word.factors]
+                ins = outs = [*range(x, len(values))]
+                parent += ins
+            elif cls is Cup or cls is Cap:
+                x = wiring.label(t.atom)
+                ins, outs = ([], [x, x]) if cls is Cup else ([x, x], [])
+            elif cls is Swap:
+                left, right = wiring.word(t.left), wiring.word(t.right)
+                ins, outs = left + right, right + left
+            else:
+                raise TypeError(f"not a diagram term: {t!r}")
+            done.append((ins, outs, dom, cod))
+    return done.pop()
 
 
 def walk_shape(calls, ins, outs, values, find):

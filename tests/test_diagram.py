@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from helpers import line_events, no_recursion, reference_graph, reference_walk, walk_shape
+from helpers import binary_walk, line_events, no_recursion, reference_graph, reference_walk, walk_shape
 from catkit.diagram import (
     UNIT,
     BoxNode,
@@ -47,8 +48,9 @@ from catkit.diagram import (
 from catkit.diagram import graphs as graphs_module
 from catkit.diagram import parser as parser_module
 from catkit.diagram import terms as terms_module
-from catkit.diagram.graphs import Wiring, certificate
-from catkit.frobenius import CobordismClass, ComponentClass, fuse, fuse_trace
+from catkit.diagram.graphs import Wiring, certificate, walk_nodes
+from catkit import frobenius
+from catkit.frobenius import CobordismClass, ComponentClass, classify_cob, fuse, fuse_trace
 
 A = ObjectWord.of("A")
 B = ObjectWord.of("B")
@@ -692,6 +694,132 @@ class TestTypedWalk:
             typecheck(term, sig)
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
             walk_words(term, sig)
+
+
+def outcome(f, *args):
+    """f(*args), or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+def row(factors, right_nested=False):
+    """The factors side by side, as the parser nests a flat row or the other way."""
+    term = factors[-1] if right_nested else factors[0]
+    for factor in reversed(factors[:-1]) if right_nested else factors[1:]:
+        term = Par(factor, term) if right_nested else Par(term, factor)
+    return term
+
+
+class TestSpineWalk:
+    """Wiring.walk folds each >> and x spine in one pass, and gives what the
+    binary walk (helpers.binary_walk) gave: the same leaf calls in the same
+    order, labels, union-find parents and result, or the same first error."""
+
+    @staticmethod
+    def terms():
+        """(term, sig) pairs: random box terms, their rewrites and random
+        cobordisms, each also with a subterm swapped for a faulty one; chains,
+        rows and layers nested both ways, and daggers over them; parsed DAGs."""
+        sig, cob_sig = base_sig(), corpus.cob_test_signature()
+        sig.declare_generator("w", P, P)
+        faults = [Gen("h"), Gen("nope"), Spider("Z", 2, 0), Spider("A", 1, 1), Id(ObjectWord.of("nope")), [1], 42]
+        pairs = []
+        for seed in range(200):
+            rng = corpus.make_rng(seed)
+            term = corpus.random_term(sig, rng, depth=rng.choice([2, 3, 4]))
+            cob = corpus.random_cob_term(rng, rng.randrange(4), rng.randrange(1, 6))
+            pairs += [(term, sig), (corpus.rewrite_randomly(term, sig, rng)[0], sig), (cob, cob_sig)]
+            for t, s in ((term, sig), (cob, cob_sig)):
+                pairs.append((corpus.replace_at(t, rng.choice(corpus.subterm_paths(t)), rng.choice(faults)), s))
+        cells = [Spider("Z", 1, 2), Id(Z), Cup("Z"), Swap(Z, Z), Spider("Z", 0, 1), Cap("Z"), Id(UNIT)]
+        for nested in (False, True):
+            chain, wide = alternating_chain(64, nested), row(cells * 8, nested)
+            layers = row([Spider("Z", 1, 2), Spider("Z", 2, 1)] * 4, nested)
+            layers = Seq(Dagger(layers), layers) if nested else Seq(layers, Dagger(layers))
+            pairs += [(t, sig) for t in (chain, Dagger(chain), Dagger(Dagger(chain)), Par(chain, Dagger(chain)))]
+            pairs += [(t, cob_sig) for t in (wide, Dagger(wide), Seq(Dagger(wide), wide), layers)]
+            pairs += [(Seq(Spider("Z", 2, 0), wide), cob_sig), (alternating_chain(64, nested, flip=40), sig)]
+        for k in range(7):
+            res = parse(corpus.doubling_file(k))
+            pairs += [(t, res.signature) for t in res.diagrams.values()]
+        return pairs
+
+    def test_leaf_calls_labels_and_errors(self, monkeypatch):
+        # a spider's legs get a label each (to_graph, tqft) or all one label (classify_cob)
+        def walk(t, s, one_label_spiders):
+            wiring, calls = Wiring(), []
+
+            def leaf(t, flip):
+                calls.append((id(t), flip))
+                if t.__class__ is Gen:
+                    decl = s.generators[t.name]
+                    return wiring.word(decl.dom), wiring.word(decl.cod)
+                if one_label_spiders:
+                    x = wiring.label(t.atom)
+                    return [x] * t.legs_in, [x] * t.legs_out
+                return wiring.fresh([t.atom] * t.legs_in), wiring.fresh([t.atom] * t.legs_out)
+
+            return outcome(wiring.walk, t, leaf, s), wiring.values, wiring.parent, calls
+
+        pairs, runs = self.terms(), []
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr(Wiring, "walk", binary_walk)
+            runs.append([walk(t, typed, one) for t, s in pairs for typed in (s, None) for one in (False, True)])
+        assert len(runs[0]) == len(runs[1])
+        for k, (new, old) in enumerate(zip(*runs)):
+            assert new == old, k
+        raised = sum(isinstance(run[0][0], type) for run in runs[0])
+        assert 200 < raised < len(runs[0]) // 2, raised  # both results and errors are well exercised
+
+    def test_callers(self, monkeypatch):
+        # frobenius._walk (typed and untyped), walk_nodes and to_graph on either walk
+        def nodes_walk(t, s):
+            wiring, *rest = walk_nodes(t, s)
+            return wiring.values, wiring.parent, *rest
+
+        callers = {
+            "frobenius._walk": frobenius._walk,
+            "frobenius._walk untyped": lambda t, s: frobenius._walk(t, None),
+            "walk_nodes": nodes_walk,
+            "to_graph": to_graph,
+        }
+        pairs, runs = self.terms(), []
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr(Wiring, "walk", binary_walk)
+            runs.append({name: [outcome(f, t, s) for t, s in pairs] for name, f in callers.items()})
+        for name in callers:
+            for k, (new, old) in enumerate(zip(runs[0][name], runs[1][name])):
+                assert new == old, (name, k)
+
+    def test_a_wide_row_is_linear(self):
+        # 50,000 one-legged spiders side by side, bracketed as the parser brackets a flat row and the other way,
+        # against a closed surface of as many spiders, one >> chain that either walk folds in linear time: each
+        # row takes about as long when x extends lists the row owns, and over 50 times as long when it copies
+        # the row at each level
+        n, sig, times = 50_000, corpus.cob_test_signature(), []
+        surface, spiders = corpus.closed_surface(n // 2), [Spider("Z", 0, 1)] * n
+        for term in (surface, row(spiders), row(spiders, right_nested=True)):
+            started = time.process_time()
+            cls, g = classify_cob(term, sig), to_graph(term, sig)
+            times.append(time.process_time() - started)
+            if term is not surface:
+                assert cls.components == tuple(ComponentClass((), (k,), 0) for k in range(n))
+                assert len(g.nodes) == len(g.wires) == len(g.output_types) == n
+                assert g.wires[-1] == (("n", n - 1, 0), ("o", n - 1))
+        assert max(times[1:]) < 20 * times[0], times
+
+    def test_deep_nests_do_not_recurse(self):
+        # 10^4 levels, each a composite stage of the one above: >>, x and dagger in turn
+        t = Spider("Z", 1, 1)
+        for k in range(10_000):
+            t = (Seq(t, Id(Z)), Par(Id(UNIT), t), Dagger(t))[k % 3]
+        cob_sig = corpus.cob_test_signature()
+        assert no_recursion(classify_cob, t, cob_sig).components == (ComponentClass((0,), (0,), 0),)
+        assert len(no_recursion(to_graph, t, cob_sig).nodes) == 1
 
 
 class TestCountedWork:

@@ -45,7 +45,7 @@ from catkit.scalars import COMPLEX
 from catkit.presentations import Interpretation, basis_frobenius, xor_frobenius
 from catkit.tqft import evaluate_cob, evaluate_graph, interpret
 
-from corpus import closed_surface, make_rng, random_cob_term, standard_signature
+from corpus import closed_surface, doubling_file, make_rng, random_cob_term, standard_signature
 from fuse_reference import check_trace, rewrite
 from helpers import line_events
 
@@ -621,14 +621,6 @@ class TestDeepTerms:
         assert classify_cob(term, ZSIG) == torus
         assert classify_cob(Dagger(term), ZSIG) == torus
         assert evaluate_cob(Dagger(term), basis_frobenius(2)) == MatrixMorphism(COMPLEX, [[2]])
-
-
-def doubling_file(k):
-    """d0 is a handle and each d{i+1} = d{i} >> d{i}, so s, capped at both
-    ends, is a closed surface of genus 2^k written in k + 3 declarations."""
-    lines = ["object Z frobenius selfdual;", "diag d0 = spider(Z, 1, 2) >> spider(Z, 2, 1);"]
-    lines += [f"diag d{i + 1} = d{i} >> d{i};" for i in range(k)]
-    return "\n".join(lines + [f"diag s = spider(Z, 0, 1) >> d{k} >> spider(Z, 1, 0);"])
 
 
 class TestCountedWork:

@@ -32,6 +32,7 @@ from catkit.diagram import (
     typecheck,
 )
 from catkit.frobenius import cob_signature, delta, eps, eq_cob, mu, unit
+from catkit.lawcheck import LawReport
 from catkit.matcat import MatrixMorphism, ShapeMismatch, compose, dagger, max_deviation, swap_matrix, tensor
 from catkit import presentations
 from catkit import tqft as tqft_module
@@ -493,6 +494,18 @@ class TestEvaluateCob:
         # and the measured report is neither compared nor printed
         assert mutant.verification is not p.verification
         assert "verification" not in repr(p) and dataclasses.replace(p) == p
+
+    def test_verdict_is_read_once_per_presentation(self, monkeypatch):
+        # evaluate_cob reads the kept failed_laws; the report's entries are scanned on the first call only
+        scans = []
+        ok, surprises = LawReport.ok, LawReport.surprises
+        monkeypatch.setattr(LawReport, "ok", property(lambda r: scans.append("ok") or ok.fget(r)))
+        monkeypatch.setattr(LawReport, "surprises", lambda r: scans.append("surprises") or surprises(r))
+        p, sphere = xor_frobenius(COMPLEX), Seq(eps("Z"), unit("Z"))
+        values = [evaluate_cob(sphere, p) for _ in range(100)]
+        assert values == [cmat([[1]])] * 100 and len(scans) == 1
+        evaluate_cob(sphere, dataclasses.replace(p))  # a replaced copy is measured afresh
+        assert len(scans) == 2
 
     def test_verify_frobenius_stays_a_fresh_check(self):
         p = basis_frobenius(2, COMPLEX)
@@ -1267,6 +1280,18 @@ class TestWalkErrors:
         for evaluate in (interpret, lambda t, i: evaluate_graph(to_graph(t, boxed_signature()), i)):
             with pytest.raises(UnknownName, match="^no matrix assigned to generator 'g'$"):
                 evaluate(term, interp)
+
+    def test_the_least_atom_with_no_dimension_is_named(self):
+        # B and C both lack a dimension: the walk meets C's loop first in one order and B's wire first in the
+        # other, and a graph lists its wires before its loops; both evaluators name B in both orders
+        sig = boxed_signature()
+        sig.declare_object("C", self_dual=True)
+        interp = Interpretation(COMPLEX, {"A": 2}, {}, {}, signature=sig)
+        loop, wire = Seq(Cap("C"), Cup("C")), Id(ObjectWord.of("B"))
+        for term in (Par(loop, wire), Par(wire, loop)):
+            for evaluate in (interpret, lambda t, i: evaluate_graph(to_graph(t, sig), i)):
+                with pytest.raises(UnknownName, match="^no dimension declared for atom 'B'$"):
+                    evaluate(term, interp)
 
     def test_each_distinct_box_is_read_once(self, monkeypatch):
         # a chain of f and its adjoint has two distinct box nodes, so two matrix reads

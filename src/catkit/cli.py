@@ -79,6 +79,8 @@ def _load_interpretation(path, data, signature=None, tolerance=None):
         return interpretation_from_data(data, signature, tolerance=tolerance)
     except (UnknownName, ValueError) as exc:  # a declared generator's atom may have no dimension
         raise type(exc)(f"{path}: {exc}") from exc
+    except MemoryError as exc:  # raised before any term is read, so the term is not to blame
+        raise ValueError(f"{path}: interpretation data too large: {exc}") from exc
 
 
 def _load_workspace(args):

@@ -4,10 +4,10 @@ interpret() types terms against an Interpretation's signature.  One
 builder reads a node list's data through the Interpretation's checked
 readers into a tensor network, for interpret() and evaluate_cob() from
 walk_nodes, to_graph's node walk, and for evaluate_graph() from a graph's
-nodes; one contraction engine evaluates the network: a planner turns its
-shape into a flat list of matmuls, kept in a bounded cache, and a short
-loop runs it on the arrays.  A spider, spider_matrix()'s too, is left
-combs of mu and delta tensors.  evaluate_cob() is one verified presentation.
+nodes; one contraction engine evaluates the network: a planner gives each wire two
+ends and turns the shape into a flat list of matmuls, kept in a bounded cache, and a
+short loop runs it on the arrays.  A spider, spider_matrix()'s too, is left combs of
+mu and delta tensors.  evaluate_cob() is one verified presentation.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ def _network(interp, atoms, parent, nodes, ports, inputs):
 
 class _Network(Wiring):
     """A tensor network being built: wire labels valued by their dimension and
-    merged by union-find, its tensors, and one label of each copy spider."""
+    merged by union-find, and its tensors."""
 
     def __init__(self, values, parent=None):
         self.values, self.parent = values, [*range(len(values))] if parent is None else parent
-        self.tensors, self.joined = [], []
+        self.tensors = []
 
     def add(self, node, labels, k, data):
         """A node's tensor on its port labels, the first k its inputs, from data
@@ -95,19 +95,16 @@ class _Network(Wiring):
             else:
                 self.parent[self.find(merge)] = self.find(branch)
             return
-        labels = labels or self.fresh([p.dim])
-        root = self.find(labels[0])
+        root = self.find(labels[0]) if labels else self.label(p.dim)
         for x in labels[1:]:
             self.parent[self.find(x)] = root
-        self.joined.append(root)
 
-    def _comb(self, node, leaf, labels, root=None):
+    def _comb(self, node, leaf, labels):
         """Tie labels to one root label by a left comb of node, an order-3
         tensor on axes (root, left, right), the first two labels meeting
         first; with no labels, leaf, a vector, sits on the root.  The root
-        is fresh unless given, or the one label itself; returns it."""
-        if root is None:
-            root = labels[0] if len(labels) == 1 else self.label(len(leaf))
+        is fresh, or the one label itself; returns it."""
+        root = labels[0] if len(labels) == 1 else self.label(len(leaf))
         if not labels:
             self.tensors.append((leaf, [root]))
         ups = self.fresh([len(leaf)] * (len(labels) - 2)) + [root]
@@ -117,40 +114,26 @@ class _Network(Wiring):
     def contract(self, tag, outputs, inputs):
         """The network's matrix inputs -> outputs, each label read as its root.
 
-        A label is a wire with two ends, each a tensor axis or a boundary
-        slot; one joined by copy spiders may have any number: one end gets
-        the all-ones vector and more than two a comb of copy tensors rooted
-        at the first.  _plan plans the network's shape once, its bounded
-        cache keeping plans only, and _run executes the plan on the arrays.
-        Booleans contract exactly, as numpy's boolean matmul is the
-        or-of-ands product.  A floating-point result with an inf or nan
-        entry raises ValueError.
+        A label's ends are its boundary slots and tensor axes; one joined by
+        copy spiders may have any number, or both on one holder.  _plan ties
+        every label into a wire with two ends, planning each network shape
+        once, its bounded cache keeping plans only, and _run executes the
+        plan on the arrays; the network itself is left as it was.  Booleans
+        contract exactly, as numpy's boolean matmul is the or-of-ands
+        product.  A floating-point result with an inf or nan entry raises
+        ValueError.
         """
-        find, boundary = self.find, outputs + inputs
-        if self.joined:  # rewrites the network's labels in place, so a network is contracted once
-            ends = {find(x): [] for x in self.joined}
-            for labels in [boundary] + [labels for _, labels in self.tensors]:
-                labels[:] = map(find, labels)
-                for i, x in enumerate(labels):
-                    if x in ends:
-                        ends[x].append((labels, i))
-            for x, at in ends.items():
-                if len(at) not in (0, 2):  # no ends is a loop, which _plan makes d
-                    d = self.values[x]
-                    legs = self.fresh([d] * (len(at) - 1))
-                    for (labels, i), y in zip(at[1:], legs):
-                        labels[i] = y
-                    self._comb(_copy3(d, tag.ops.dtype), np.ones(d, tag.ops.dtype), legs, x)
-        parent, tensors = self.parent, self.tensors
+        parent, tensors, boundary = self.parent, self.tensors, outputs + inputs
         dims = {x: d for x, d in enumerate(self.values) if parent[x] == x}
-        if len(dims) < len(parent) and not self.joined:  # a joined label not yet read as its root
+        if len(dims) < len(parent):  # a merged label not yet read as its root
+            find = self.find
             tensors = [(arr, [*map(find, labels)]) for arr, labels in tensors]
             boundary = [*map(find, boundary)]
-        if len(tensors) == 1 and len(set(tensors[0][1])) == len(boundary) == len(dims):
-            # one tensor holding each wire once, its other end on the boundary, is a transpose
+        labels = tensors[0][1] if len(tensors) == 1 else None
+        if labels is not None and len(boundary) == len(dims) == len(labels) == len(set(labels).intersection(boundary)):
+            # one tensor holding each wire once, its other end in one boundary slot, is a transpose
             # with no arithmetic to guard, and planning would make a single gate slower
-            arr, labels = tensors[0]
-            data = arr.transpose([labels.index(x) for x in boundary])
+            data = tensors[0][0].transpose([labels.index(x) for x in boundary])
         else:
             plan = _plan((tuple([tuple(labels) for _, labels in tensors]), tuple(boundary), tuple(dims.items())))
             with np.errstate(all="ignore"):  # exact semirings raise no numpy warnings
@@ -168,30 +151,38 @@ def _plan(shape):
     """The plan, ints and tuples only, that contracts a network of this shape:
     each tensor's labels, the boundary, and each root label's dimension.
 
-    Registers hold the tensors, an identity per boundary label no tensor
-    holds, then the scalar d of each closed loop (a label neither a tensor
-    nor the boundary holds); one holding both ends of a label traces it.  Pairs sharing a
-    label are contracted greedily, smallest result first as in opt_einsum's
-    greedy path, each by _step into its first operand's register.  Raises
-    MemoryError, before any array exists, if one would pass BUDGET entries.
+    Every wire has two ends on two holders, each a tensor or the boundary.
+    A label with other ends, listed boundary slots first, keeps its first,
+    its others move to fresh labels, and added copy tensors tie them: the
+    scalar d for no end, the all-ones vector for one, an identity for two
+    on one holder (a bare wire or a trace), for n > 2 a left comb of n - 2
+    order-3 ones, as _Network._comb builds it.  Registers hold the tensors,
+    then the added ones.  Pairs sharing a label are contracted greedily,
+    smallest result first as in opt_einsum's greedy path, each by _step into
+    its first operand's register.  Raises MemoryError, before any array
+    exists, if one would pass BUDGET entries.
     """
-    tensors, boundary, dims = *shape[:2], dict(shape[2])
-    held = {x for labels in tensors for x in labels}
-    ends, slot = set(boundary), {x: i for i, x in enumerate(boundary)}
-    eyes = [(x, d) for x, d in dims.items() if x not in held and x in ends]
-    loops = tuple(d for x, d in dims.items() if x not in held and x not in ends)
-    live, owners, heap, keys, traces, steps, parts = {}, {}, [], itertools.count(), [], [], []
+    tensors, boundary, dims = [*map(list, shape[0])], [*shape[1]], dict(shape[2])
+    ends, added, fresh = {x: [] for x in dims}, [], itertools.count(-1, -1)  # fresh labels are negative
+    for labels in [boundary, *tensors]:
+        for i, x in enumerate(labels):
+            ends[x].append((labels, i))
+    for x, at in ends.items():
+        if len(at) != 2 or at[0][0] is at[1][0]:
+            d, legs = dims[x], [next(fresh) for _ in at[1:]]
+            for (labels, i), y in zip(at[1:], legs):
+                labels[i] = y
+            ups = [next(fresh) for _ in legs[2:]] + [x]
+            dims.update(dict.fromkeys(legs + ups, d))
+            if len(at) < 3:  # the scalar d, the all-ones vector or an identity
+                added.append((d, len(at), [x, *legs][: len(at)]))
+            else:
+                added += [(d, 3, [up, left, right]) for up, left, right in zip(ups, legs[:1] + ups, legs[1:])]
+    slot = {x: i for i, x in enumerate(boundary)}
+    live, owners, heap, keys, steps, parts = {}, {}, [], itertools.count(), [], []
 
     def add(reg, labels, size):
-        mine = set(labels)
-        if len(mine) < len(labels):  # both ends on one tensor: a trace
-            for x in [x for x in mine if labels.count(x) == 2 and x not in ends]:
-                i, j = (k for k, z in enumerate(labels) if z == x)
-                traces.append((reg, i, j, dims[x]))
-                labels = labels[:i] + labels[i + 1 : j] + labels[j + 1 :]
-                mine.remove(x)
-            size = math.prod(map(dims.__getitem__, labels))
-        key, near = next(keys), {}
+        key, near, mine = next(keys), {}, set(labels)
         for x in mine:  # x has two ends, so at most one of its last two holders is live
             holders = owners.get(x)
             if holders is not None:
@@ -205,16 +196,16 @@ def _plan(shape):
             size_k = size * live[k][3] // shared**2 if shared else math.prod(dims[x] for x in mine ^ live[k][2])
             heapq.heappush(heap, (size_k, k, key))
 
-    for reg, labels in enumerate([*map(list, tensors), *([x, x] for x, _ in eyes)]):
+    for reg, labels in enumerate(tensors + [labels for _, _, labels in added]):
         add(reg, labels, math.prod(map(dims.__getitem__, labels)))
-    largest = max([math.prod(dims[x] for x in boundary)] + [d * d for _, d in eyes])  # the result, the identities
+    largest = max([math.prod(map(dims.__getitem__, boundary))] + [d**order for d, order, _ in added])
     while heap:
         size, a, b = heapq.heappop(heap)
         if a in live and b in live:
             x, y = live.pop(a), live.pop(b)
             largest = max(largest, size)
             free, shared = x[2] ^ y[2], [z for z in x[1] if z in y[2]]
-            last = ends.issuperset(free)  # the connected part's last step, written in slot order
+            last = slot.keys() >= free  # the connected part's last step, written in slot order
             step, labels = _step(x, y, shared, sorted(free, key=slot.__getitem__) if last else None, dims)
             steps.append(step)
             if last:
@@ -224,8 +215,7 @@ def _plan(shape):
     if largest > BUDGET:
         raise MemoryError(f"contraction plan needs a {largest}-entry array, over the {BUDGET}-entry budget")
     parts += [(reg, labels, False) for reg, labels, _, _ in live.values()]
-    layout = _assemble(parts + [(len(tensors) + len(eyes) + k, [], False) for k in range(len(loops))], boundary, dims)
-    return tuple(traces), tuple(steps), tuple(d for _, d in eyes), loops, layout
+    return tuple(steps), tuple((d, order) for d, order, _ in added), _assemble(parts, slot, dims)
 
 
 def _axes(labels, order):
@@ -268,21 +258,17 @@ def _step(x, y, shared, order, dims):
     return (a, b, _axes(x_labels, x_axes), x_shape, _axes(y_labels, y_axes), y_shape, shape, view), order
 
 
-def _assemble(parts, boundary, dims):
+def _assemble(parts, slot, dims):
     """How parts, each (register, labels, fresh), multiply by broadcasting
-    into C order, one axis per boundary slot: the scalar registers; each
-    other register, smallest first, with the transpose and size-1 axes that
-    view it in slot order; and whether the product is fresh, not a view of
-    an input, so scalars multiply into it in place.  A label twice on the
-    boundary is an identity's, so its axes take the slots in order."""
-    slots = {}
-    for i, x in enumerate(boundary):
-        slots.setdefault(x, []).append(i)
+    into C order, one axis per boundary slot, slot[x] label x's: the scalar
+    registers; each other register, smallest first, with the transpose and
+    size-1 axes that view it in slot order; and whether the product is
+    fresh, not a view of an input, so scalars multiply into it in place."""
     factors = []
     for reg, labels, fresh in parts:
         if labels:
-            at = [slots[x].pop(0) for x in labels]  # no two parts share a label
-            missing = tuple(sorted(set(range(len(boundary))).difference(at)))
+            at = [*map(slot.__getitem__, labels)]  # no two parts share a label
+            missing = tuple(sorted(set(range(len(slot))).difference(at)))
             axes = tuple(sorted(range(len(at)), key=at.__getitem__))
             factors.append((math.prod(dims[x] for x in labels), (reg, axes, missing), fresh))
     factors.sort(key=lambda f: f[0])
@@ -292,10 +278,9 @@ def _assemble(parts, boundary, dims):
 
 def _run(plan, arrays, dtype):
     """plan run on arrays, a network's tensors in order: one array with an axis per boundary slot."""
-    traces, steps, eyes, loops, (scalars, factors, fresh) = plan
-    regs = arrays + [np.eye(d, dtype=dtype) for d in eyes] + [np.asarray(d, dtype) for d in loops]
-    for a, i, j, d in traces:
-        regs[a] = np.tensordot(regs[a], np.eye(d, dtype=dtype), axes=((i, j), (0, 1)))
+    steps, added, (scalars, factors, fresh) = plan
+    make = np.asarray, np.ones, np.identity, _copy3  # the copy tensor of order 0 (the scalar d), 1, 2 or 3
+    regs = arrays + [make[order](d, dtype) for d, order in added]
     for a, b, x_axes, x_shape, y_axes, y_shape, shape, view in steps:
         x = regs[a].transpose(x_axes) if x_axes else regs[a]
         y = regs[b].transpose(y_axes) if y_axes else regs[b]

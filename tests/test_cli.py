@@ -334,6 +334,18 @@ class TestEval:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: {tmp_path / 's.cat'}: diagram 's': term too large for eval\n"
 
+    @pytest.mark.parametrize("command", ["eval", "laws"])
+    def test_interpretation_data_too_large_to_build_is_one_error_line(self, tmp_path, command):
+        # the copy spider's 10^9-entry delta fails to allocate under the child's 3 GiB cap
+        # while the JSON file is read, before any term: the file is named, not the term
+        (tmp_path / "s.cat").write_text("object Z frobenius selfdual;\ndiag d = id(Z);\n")
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"semiring": "complex", "objects": {"Z": 1000}, "frobenius": {"Z": "basis"}}))
+        argv = ["eval", str(tmp_path / "s.cat"), "d"] if command == "eval" else ["laws"]
+        proc = run_capped("import sys\nfrom catkit.cli import main\nsys.exit(main(sys.argv[1:]))", *argv, "--interp", str(big))
+        assert (proc.returncode, proc.stdout, len(proc.stderr.splitlines())) == (1, "", 1)
+        assert proc.stderr.startswith(f"error: {big}: interpretation data too large")
+
     def test_complex_overflow_names_file_and_diagram(self, tmp_path, capsys):
         handles = " >> ".join(["spider(Z, 1, 2) >> spider(Z, 2, 1)"] * 1100)
         p = tmp_path / "g.cat"

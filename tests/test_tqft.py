@@ -1490,8 +1490,7 @@ class TestResultLayout:
             seen.add("empty boundary" if not boundary else "one factor" if len(factors) == 1 else "factors")
             if scalars and len(factors) == 1:
                 seen.add("scalar into a new array" if factors[0] else "scalar into a view")
-            if any(len(set(labels)) < len(labels) for _, labels, _ in parts):
-                seen.add("repeated label")
+            assert all(len(set(labels)) == len(labels) for _, labels, _ in parts)  # every wire has two ends
             return assemble(parts, boundary, dims)
 
         monkeypatch.setattr(tqft_module, "_step", spy_step)
@@ -1506,15 +1505,14 @@ class TestResultLayout:
         assert seen == {
             "no free label", "last slot on x", "last slot on y", "one operand's labels all shared", "batch",
             "widest run apart from the last", "empty sum", "empty boundary",
-            "one factor", "factors", "scalar into a new array", "scalar into a view", "repeated label",
+            "one factor", "factors", "scalar into a new array", "scalar into a view",
         }
 
     def test_cases_reach_every_pairwise_branch(self, monkeypatch):
-        # every step but a part's last is one matmul, and tensordot only traces a label
-        # both of whose ends are on one tensor; no product repeats a label, since each
-        # wire has two ends, so the trace is reached as a tensor is first added
+        # every step but a part's last is one matmul; a trace is one too, with the identity
+        # the planner adds for a label both of whose ends are on one tensor
         seen = set()
-        step, tensordot = tqft_module._step, np.tensordot
+        step = tqft_module._step
 
         def spy_step(x, y, shared, order, dims):
             if order is not None:  # a last step
@@ -1529,24 +1527,17 @@ class TestResultLayout:
                 seen.add("empty sum")
             return step(x, y, shared, order, dims)
 
-        def spy_tensordot(a, b, axes):
-            assert b.shape == (len(b),) * 2 and (b == np.eye(len(b), dtype=b.dtype)).all() and axes[1] == (0, 1)
-            seen.add("repeated label traced")
-            return tensordot(a, b, axes)
-
         monkeypatch.setattr(tqft_module, "_step", spy_step)
         sig = layout_signature()
         for tag in (COMPLEX, BOOL, NAT):
             interp = layout_interp(sig, tag, 0)
             for term in LAYOUT_CASES.values():
                 graph = to_graph(term, sig)
-                with monkeypatch.context() as m, fresh_plans():
-                    m.setattr(np, "tensordot", spy_tensordot)
+                with fresh_plans():
                     interpret(term, interp)
                     evaluate_graph(graph, interp)
         assert seen == {
             "x transposed", "x in order", "y transposed", "y in order", "an operand with no free label", "empty sum",
-            "repeated label traced",
         }
 
     @SEMIRINGS
@@ -1675,7 +1666,7 @@ class TestPlans:
                 assert tqft_module._plan.cache_info()[:2] == (misses, misses), name  # hits, misses
             assert warm == cold, name
             planned += misses
-        assert planned == len(cases) - 2  # copies-1, one tensor on both sides, needs no plan
+        assert planned == len(cases)  # copy labels reach the shortcut unmerged, so every case here is planned
 
     @pytest.mark.parametrize("tag", [COMPLEX, NAT], ids=["complex", "nat"])
     def test_one_shape_with_other_arrays_gives_its_own_matrix(self, tag):
@@ -1717,7 +1708,7 @@ class TestPlans:
             return (), tuple(range(n)) * 2, tuple((x, 2) for x in range(n))
 
         with fresh_plans():
-            assert tqft_module._plan(identity(12))[2] == (2,) * 12  # a 2^24-entry result
+            assert tqft_module._plan(identity(12))[1] == ((2, 2),) * 12  # identities, then a 2^24-entry result
             with pytest.raises(MemoryError, match=f"needs a {2**30}-entry array, over the {2**28}-entry budget"):
                 tqft_module._plan(identity(15))
 
@@ -1736,7 +1727,14 @@ class TestPlans:
         assert [_exact(m) for m in results] == [expected] * 2 and peak < 2**20
         assert results[0].data[0, 0] == {"complex": d, "nat": d, "bool": d > 0}[tag.kind]
         with fresh_plans():
-            assert tqft_module._plan(((), (), ((0, d),)))[2:4] == ((), (d,))  # no identity, one loop factor
+            assert tqft_module._plan(((), (), ((0, d),)))[1] == ((d, 0),)  # no identity, one loop factor: order 0
+
+    def test_the_budget_counts_the_copy_tensors_the_planner_adds(self):
+        # a label on three one-label tensors is tied by one order-3 copy tensor of 700^3 entries;
+        # the result is a scalar
+        refused = f"needs a {700**3}-entry array, over the {2**28}-entry budget"
+        with fresh_plans(), pytest.raises(MemoryError, match=refused):
+            tqft_module._plan((((0,), (0,), (0,)), (), ((0, 700),)))
 
     def test_an_oversized_plan_is_refused_before_any_array_exists(self):
         # the greedy plan for this graph asks for a 17.3 GiB intermediate, and more later;
@@ -1744,6 +1742,97 @@ class TestPlans:
         proc = run_capped(ORTH3_GRAPH)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == f"contraction plan needs a {3**22}-entry array, over the {2**28}-entry budget\n"
+
+
+def _random_shape(rng):
+    """A raw network shape, as contract hands it to _plan: up to 52 labels (einsum's letters),
+    about nine of them of dimension 0, 2 or 3 and the rest of dimension 1, each with 0 to 5
+    ends, some twice on one tensor, and at most 45 ends in all; a label on the boundary is there
+    once and also on a tensor.  Each tensor, and the product of all dimensions, stays small, so
+    einsum's one plain loop over them is quick."""
+    while True:
+        n_tensors = rng.randint(1, 12)
+        n_labels = rng.randint(1, min(52, 4 * n_tensors + 4))
+        dims = [rng.choice([0, 2, 2, 3, 3]) if rng.random() < 9 / n_labels else 1 for _ in range(n_labels)]
+        tensors, boundary = [[] for _ in range(n_tensors)], []
+        for x in range(n_labels):
+            n_ends = rng.randint(0, 5)
+            if n_ends > 1 and rng.random() < 0.4:
+                boundary.append(x)
+                n_ends -= 1
+            for _ in range(n_ends):
+                tensors[rng.randrange(n_tensors)].append(x)
+        # a label with n ends becomes at most 1.4n wires (2n - 3 for n > 2), so 45 ends keep every array within
+        # numpy's 64 axes
+        sizes = [math.prod(dims[x] or 1 for x in labels) for labels in tensors + [range(n_labels)]]
+        if max(sizes) <= 20000 and sum(map(len, tensors)) + len(boundary) <= 45:
+            break
+    for labels in tensors:
+        rng.shuffle(labels)
+    rng.shuffle(boundary)
+    return (tuple(map(tuple, tensors)), tuple(boundary), tuple(enumerate(dims)))
+
+
+def _einsum(shape, arrays, dtype):
+    """The network's value with a label held any number of times as one summed index, and a
+    label held nowhere as the scalar d: np.einsum, which knows nothing of the planner."""
+    tensors, boundary, dims = shape
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    inputs = ",".join("".join(letters[x] for x in labels) for labels in tensors)
+    result = np.einsum(inputs + "->" + "".join(letters[x] for x in boundary), *arrays)
+    for x, d in dims:
+        if all(x not in labels for labels in tensors):
+            result = result * np.asarray(d, dtype)
+    return np.asarray(result, dtype)
+
+
+class TestTwoEnds:
+    """_plan ties every label into a wire with two ends: copy-spider wires, bare wires, traces
+    and loops all come out as np.einsum and the identity and swap matrices say."""
+
+    @SEMIRINGS
+    def test_random_shapes_agree_with_einsum(self, tag):
+        rng, dtype = make_rng(35), tag.ops.dtype
+        for _ in range(150):
+            shape = _random_shape(rng)
+            dims = dict(shape[2])
+            arrays = [random_matrix(tag, 1, math.prod(axes), rng).data.reshape(axes)
+                      for axes in [[dims[x] for x in labels] for labels in shape[0]]]
+            with fresh_plans():
+                got = tqft_module._run(tqft_module._plan(shape), arrays, dtype)
+            want = _einsum(shape, arrays, dtype)
+            assert got.shape == want.shape and got.dtype == want.dtype, shape
+            if tag.exact:
+                assert got.tolist() == want.tolist() and {type(v) for v in got.ravel().tolist()} <= {bool, int}, shape
+            else:
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12), shape
+
+    @SEMIRINGS
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_bare_wires_are_identities_and_swaps(self, tag, d):
+        # einsum has no bare wire, a label twice on the boundary, nor a label on the boundary alone
+        interp = cob_interp(basis_frobenius(d, tag))
+        identity, swap = MatrixMorphism.identity(tag, d), swap_matrix(tag, d, d)
+        ones = MatrixMorphism._raw(tag, np.ones((1, d), tag.ops.dtype))
+        cases = [(Id(Z), identity), (Spider("Z", 1, 1), identity), (Swap(Z, Z), swap),
+                 (Par(Id(Z), Id(Z)), tensor(identity, identity)), (Seq(Swap(Z, Z), Par(Spider("Z", 1, 1), Id(Z))), swap),
+                 (Par(Spider("Z", 1, 0), Id(Z)), tensor(ones, identity))]
+        for term, want in cases:
+            got = interpret(term, interp)
+            assert _exact(got) == _exact(want), term
+
+    def test_contracting_a_network_twice_gives_the_same_matrix(self):
+        # a copy wire with three ends, one on f, beside a trace of f: contract leaves the network as it was
+        sig = cob_signature("Z")
+        sig.declare_generator("f", Z, Z)
+        term = Par(Seq(Par(Gen("f"), Spider("Z", 2, 1)), Spider("Z", 1, 3)), Seq(Cap("Z"), Seq(Par(Gen("f"), Id(Z)), Cup("Z"))))
+        interp = Interpretation(NAT, {"Z": 2}, {"f": MatrixMorphism(NAT, [[1, 2], [3, 4]])}, {"Z": basis_frobenius(2, NAT)}, sig)
+        wiring, nodes, ports, inputs, ins, outs, _, _ = tqft_module.walk_nodes(term, sig)
+        net = tqft_module._network(interp, wiring.values, wiring.parent, nodes, ports, inputs)
+        before = [labels[:] for _, labels in net.tensors], len(net.values), outs[:], ins[:]
+        first, second = net.contract(NAT, outs, ins), net.contract(NAT, outs, ins)
+        assert _exact(first) == _exact(second) and first.data.tolist() == [[5, 0], [0, 10], [15, 0], [0, 20]]
+        assert ([labels for _, labels in net.tensors], len(net.values), outs, ins) == before
 
 
 class TestCountedWork:
